@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--dist", default="step-smooth-1d")
     p.add_argument("--dist-params", default=None)
-    p.add_argument("--augment-bias", action="store_true", default=True)
+    p.add_argument("--augment-bias", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p)
     p.set_defaults(func=cmd_consistency)
 

@@ -46,14 +46,14 @@ from .distributions import (
     sample as draw_sample,
 )
 from .metrics import LOG2, logistic_loss
-from .network import Network, augment_batch, forward_batch, freeze_features, init_network
+from .network import Network, augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
     infinite_forward_batch,
     model_from_config,
     sample_reference,
 )
-from .trainer import TrainConfig, Trajectory, frozen_empirical_risk, train
+from .trainer import TrainConfig, Trajectory, train
 
 __all__ = [
     "BoundTerms",
@@ -514,8 +514,10 @@ def run_experiment(
                 @ (p * logistic_loss(inf_margins) + (1 - p) * logistic_loss(-inf_margins))
             )
             kbin = ref_risk - bayes["logistic"]
-            ff0 = freeze_features(net, at_init=True)
-            emp_ref_risk = frozen_empirical_risk(ff0, sampled_ref.ubar, X, y)
+            # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
+            # risk; absent when the run diverged at its first step.
+            frozen_ref = traj.certificates["Ubar"].frozen_ref
+            emp_ref_risk = float(frozen_ref[0]) if len(frozen_ref) else None
             radius_scale = max(4.0, cfg.rho, model.norm_bound)
             bound_terms = compute_bound_terms(
                 cfg,

@@ -197,27 +197,23 @@ def wrong_pairs(s: SortedSample1D, dist: Distribution) -> WrongPairReport:
     c1 = float(np.min(np.abs(p_grid - 0.5)))
     bayes = 1.0 if p_grid[len(grid) // 2] >= 0.5 else -1.0
 
-    inside = (s.x >= lo) & (s.x <= hi)
-    pair_idx = [
-        i
-        for i in range(s.n - 1)
-        if inside[i] and inside[i + 1] and s.y[i] == s.y[i + 1] == -bayes
-    ]
-    merged = []
-    for i in pair_idx:
-        if merged and i == merged[-1][1]:
-            merged[-1] = (merged[-1][0], i + 1)
-        else:
-            merged.append((i, i + 1))
-    hulls = [(float(s.x[i]), float(s.x[j])) for i, j in merged]
-    mass = float(sum(dist.cdf(np.array([b]))[0] - dist.cdf(np.array([a]))[0] for a, b in hulls))
+    wrong = (s.x >= lo) & (s.x <= hi) & (s.y == -bayes)
+    pair_idx = np.flatnonzero(wrong[:-1] & wrong[1:])
+    # Pairs i and i + 1 share point i + 1, so runs of consecutive pair
+    # indices merge into one hull from the run's first point to its last.
+    first = np.ones(len(pair_idx), dtype=bool)
+    first[1:] = np.diff(pair_idx) != 1
+    last = np.ones(len(pair_idx), dtype=bool)
+    last[:-1] = first[1:]
+    a, b = s.x[pair_idx[first]], s.x[pair_idx[last] + 1]
+    mass = float(np.sum(dist.cdf(b) - dist.cdf(a)))
     return WrongPairReport(
         interval=(lo, hi),
-        pair_indices=pair_idx,
+        pair_indices=pair_idx.tolist(),
         covered_mass=mass,
         bayes_label=bayes,
         min_margin_from_half=c1,
-        merged_hulls=hulls,
+        merged_hulls=list(zip(a.tolist(), b.tolist())),
     )
 
 
@@ -267,7 +263,7 @@ def excess_risk_comparison(
             )
     summary = {}
     for n in n_grid:
-        for rule in {r["rule"] for r in rows if r["n"] == n}:
+        for rule in dict.fromkeys(r["rule"] for r in rows if r["n"] == n):
             vals = np.array(
                 [r["excess_z"] for r in rows if r["n"] == n and r["rule"] == rule]
             )

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arcs import ArcKernel
+
 __all__ = [
     "AugmentedInput",
     "FrozenFeatures",
@@ -137,10 +139,13 @@ def forward(net: Network, x: np.ndarray) -> float:
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
-    """Margins f(x_k; W) for all rows of X, chunked over examples."""
+    """Margins f(x_k; W) for all rows of X: exact arcs when d <= 2, else
+    dense products chunked over examples."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X must have shape (n, {net.d})")
+    if X.shape[1] <= 2:
+        return ArcKernel(net.weights, net.signs, net.scale, X).margins(net.weights)
     n = X.shape[0]
     out = np.empty(n)
     step = _chunk_rows(n, net.m)
@@ -207,13 +212,16 @@ def frozen_forward(ff: FrozenFeatures, V: np.ndarray, x: np.ndarray) -> float:
 
 
 def frozen_forward_batch(ff: FrozenFeatures, V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Frozen-feature margins over all rows of X, chunked over examples."""
+    """Frozen-feature margins over all rows of X: exact arcs when d <= 2,
+    else dense products chunked over examples."""
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     if X.ndim != 2 or X.shape[1] != ff.d:
         raise ValueError(f"X must have shape (n, {ff.d})")
     if V.shape != (ff.m, ff.d):
         raise ValueError(f"V must have shape ({ff.m}, {ff.d})")
+    if X.shape[1] <= 2:
+        return ArcKernel(ff.sign_source, ff.signs, ff.scale, X).margins(V)
     n = X.shape[0]
     out = np.empty(n)
     step = _chunk_rows(n, ff.m)

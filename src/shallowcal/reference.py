@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .arcs import ArcKernel
 from .distributions import Distribution, PopulationEvaluator, evaluator
 from .metrics import logistic_loss, logistic_loss_derivative
 from .network import FrozenFeatures, Network, freeze_features, frozen_forward_batch
@@ -148,7 +149,9 @@ def infinite_forward_batch(
     """Monte Carlo estimates of f(x; u) with per-point standard errors.
 
     The feature sample is drawn once from the model's seed and shared by
-    all rows of X; chunked over features with ordered accumulation.
+    all rows of X.  For d <= 2 the directions' activation arcs give both
+    sums exactly; otherwise dense products are chunked over features with
+    ordered accumulation.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
@@ -156,6 +159,12 @@ def infinite_forward_batch(
     n = X.shape[0]
     M = model.mc_features
     dirs = _mc_directions(model)
+    if X.shape[1] <= 2:
+        A = np.asarray(model.weight_map(dirs), dtype=float)
+        arcs = ArcKernel(dirs, np.ones(M), 1.0 / M, X)
+        est = arcs.margins(A)
+        var = np.maximum(arcs.second_moment(A) - est**2, 0.0) / (M - 1)
+        return est, np.sqrt(var)
     total = np.zeros(n)
     total_sq = np.zeros(n)
     for lo in range(0, M, _FEATURE_CHUNK):

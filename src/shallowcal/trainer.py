@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arcs import ArcKernel
 from .metrics import logistic_loss, logistic_loss_derivative
 from .network import FrozenFeatures, Network, frozen_forward_batch
 
@@ -178,7 +179,7 @@ def _chunks(n: int, m: int):
 def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of the network over a labeled sample."""
     X, y = _check_sample(X, y, net.d)
-    risk, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
+    risk, _, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
     return risk
 
 
@@ -187,7 +188,7 @@ def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarra
     if eta <= 0:
         raise ValueError("eta must be positive")
     X, y = _check_sample(X, y, net.d)
-    _, grad, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
+    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
     net.weights -= eta * grad
     return grad
 
@@ -218,10 +219,23 @@ def _risk_and_grad(W, signs, scale, X, y, refs):
     """One pass over the sample at weights W.
 
     Returns (empirical risk, full-batch gradient, frozen risks of each ref
-    matrix under W's activation pattern).  Chunked over examples with a
-    fixed chunk size and ordered accumulation, so results are deterministic.
+    matrix under W's activation pattern, and the function V -> frozen risk
+    of V under that pattern).  For d <= 2 one set of arcs of W serves all
+    of them; otherwise dense products are chunked over examples with a
+    fixed chunk size and ordered accumulation, and the function runs one
+    more such pass.  Either way results are deterministic.
     """
     n, m = X.shape[0], W.shape[0]
+    if X.shape[1] <= 2:
+        arcs = ArcKernel(W, signs, scale, X)
+
+        def frozen_risk(V):
+            return float(logistic_loss(arcs.margins(V) * y).sum()) / n
+
+        margins = arcs.margins(W) * y
+        coeff = logistic_loss_derivative(margins) * y / n
+        risk = float(logistic_loss(margins).sum()) / n
+        return risk, arcs.adjoint(coeff), [frozen_risk(Z) for Z in refs], frozen_risk
     loss_sum = 0.0
     grad_acc = np.zeros_like(W)
     ref_sums = [0.0] * len(refs)
@@ -240,7 +254,11 @@ def _risk_and_grad(W, signs, scale, X, y, refs):
             ref_margins = scale * (proj @ signs) * yc
             ref_sums[r] += float(logistic_loss(ref_margins).sum())
     grad = scale * signs[:, None] * grad_acc
-    return loss_sum / n, grad, [s / n for s in ref_sums]
+
+    def frozen_risk(V):
+        return _frozen_risk_at(W, V, signs, scale, X, y)
+
+    return loss_sum / n, grad, [s / n for s in ref_sums], frozen_risk
 
 
 def _frozen_risk_at(W_source, V, signs, scale, X, y):
@@ -320,7 +338,7 @@ def train(
 
     diverged = False
     for i in range(cfg.t_max):
-        risk, grad, ref_risks = _risk_and_grad(
+        risk, grad, ref_risks, frozen_risk = _risk_and_grad(
             net.weights, net.signs, net.scale, X, y, ref_mats
         )
         if not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD:
@@ -330,9 +348,7 @@ def train(
         grad_norm = float(np.linalg.norm(grad))
         W_next = net.weights - cfg.eta * grad
         if monitors or ref_mats:
-            frozen_at_next = _frozen_risk_at(
-                net.weights, W_next, net.signs, net.scale, X, y
-            )
+            frozen_at_next = frozen_risk(W_next)
         else:
             frozen_at_next = float("nan")
         resid = (
@@ -347,7 +363,7 @@ def train(
         net.weights[...] = W_next
 
     if not diverged:
-        risk, grad, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, ())
+        risk, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, ())
         if not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD:
             record(cfg.t_max, risk, float("nan"), float("nan"))
             diverged = True

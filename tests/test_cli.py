@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from shallowcal.cli import main
+from shallowcal.cli import build_parser, main
 from shallowcal.harness import derive_regime
 
 
@@ -56,6 +56,15 @@ class TestBoundCommand:
         assert code == 0
         data = json.loads((out / "bound.json").read_text())
         assert {"tau_n", "tau_1", "tau_0", "b_eff", "total", "vacuous"} <= set(data)
+
+
+class TestConsistencyCommand:
+    @pytest.mark.parametrize(
+        "flags,expect", [([], True), (["--augment-bias"], True), (["--no-augment-bias"], False)]
+    )
+    def test_augment_bias_switch(self, flags, expect):
+        args = build_parser().parse_args(["consistency", "--n-grid", "64", *flags])
+        assert args.augment_bias is expect
 
 
 class TestInterpCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shallowcal.distributions import make_distribution, sample as draw_sample
 from shallowcal.harness import (
     DESK_CAP,
     RegimeConfig,
@@ -15,6 +16,9 @@ from shallowcal.harness import (
     run_experiment,
     sweep,
 )
+from shallowcal.network import augment_batch, freeze_features, init_network
+from shallowcal.reference import model_from_config, sample_reference
+from shallowcal.trainer import frozen_empirical_risk
 
 
 class TestDeriveRegime:
@@ -211,6 +215,31 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.status == "ok"
         assert report.reference["kbin"] <= 0.01  # affine teacher matches p
+
+    def test_reported_frozen_reference_risk_recomputes(self):
+        cfg = derive_regime(
+            "clairvoyant", 0.5, seed=6, augment_bias=True,
+            dist_name="constant-1d", dist_params={"p": 0.75},
+            overrides={"m": 128, "n": 96},
+        )
+        report = run_experiment(cfg)
+        dist = make_distribution(cfg.dist_name, **cfg.dist_params)
+        samp = draw_sample(dist, cfg.n, report.provenance["data_seed"])
+        net = init_network(cfg.m, cfg.input_dim, cfg.rho, report.provenance["net_seed"])
+        ubar = sample_reference(model_from_config(cfg.ref_config), net).ubar
+        expect = frozen_empirical_risk(
+            freeze_features(net, at_init=True), ubar, augment_batch(samp.points), samp.labels
+        )
+        assert report.reference["empirical_frozen_risk"] == pytest.approx(expect, rel=1e-12)
+
+    def test_divergence_at_first_step_keeps_selection(self):
+        # rho = 1e8 puts the initial risk far above the divergence threshold
+        # while it stays finite: iterate 0 is selected, no step is recorded.
+        cfg = derive_regime("easy", 0.5, seed=1, overrides={"m": 16, "n": 8, "rho": 1e8})
+        report = run_experiment(cfg)
+        assert report.status == "diverged"
+        assert report.trajectory.selected_index == 0
+        assert report.reference["empirical_frozen_risk"] is None
 
     def test_config_flat_round_trip(self):
         cfg = derive_regime("worstcase", 0.25, seed=9)

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,28 @@ from shallowcal.interpolation import (
 
 def fixed_sample(xs, ys):
     return sorted_sample(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+
+
+def wrong_pairs_loop(s, dist):
+    """Reference loop: (pair indices, merged hulls, covered mass)."""
+    lo, hi = dist.wrong_pair_interval
+    grid = np.linspace(lo, hi, 4097)
+    bayes = 1.0 if dist.cond_prob(grid[:, None])[len(grid) // 2] >= 0.5 else -1.0
+    inside = (s.x >= lo) & (s.x <= hi)
+    pair_idx = [
+        i
+        for i in range(s.n - 1)
+        if inside[i] and inside[i + 1] and s.y[i] == s.y[i + 1] == -bayes
+    ]
+    merged = []
+    for i in pair_idx:
+        if merged and i == merged[-1][1]:
+            merged[-1] = (merged[-1][0], i + 1)
+        else:
+            merged.append((i, i + 1))
+    hulls = [(float(s.x[i]), float(s.x[j])) for i, j in merged]
+    mass = float(sum(dist.cdf(np.array([b]))[0] - dist.cdf(np.array([a]))[0] for a, b in hulls))
+    return pair_idx, hulls, mass
 
 
 class TestOneNN:
@@ -167,6 +194,27 @@ class TestWrongPairs:
         assert report.covered_mass == pytest.approx(0.2, abs=1e-12)
         assert report.merged_hulls == [(0.1, 0.3)]
 
+    @pytest.mark.parametrize(
+        "name,params,n",
+        [
+            ("constant-1d", {"p": 0.75, "lo": 0.0, "hi": 1.0}, 1),
+            ("constant-1d", {"p": 0.75, "lo": 0.0, "hi": 1.0}, 2000),
+            ("constant-1d", {"p": 0.25}, 2000),
+            ("step-smooth-1d", {}, 2000),
+            ("logistic-1d", {"c": -3.0}, 2000),
+        ],
+    )
+    def test_matches_reference_loop(self, name, params, n):
+        dist = make_distribution(name, **params)
+        samp = sample(dist, n, 17)
+        s = sorted_sample(samp.points[:, 0], samp.labels)
+        report = wrong_pairs(s, dist)
+        pairs, hulls, mass = wrong_pairs_loop(s, dist)
+        assert report.pair_indices == pairs
+        assert report.merged_hulls == hulls
+        assert report.covered_mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+        assert type(report.pair_indices) is list and type(report.merged_hulls) is list
+
     def test_undeclared_interval_rejected(self):
         dist = make_distribution("constant-1d", p=0.5)
         s = fixed_sample([0.1], [1])
@@ -182,3 +230,20 @@ class TestComparisonDriver:
         assert {r["rule"] for r in rows} == {"1nn", f"knn(k={default_k(50)})", f"knn(k={default_k(100)})"}
         for key, stats in summary.items():
             assert stats["q25"] <= stats["median"] <= stats["q75"]
+
+    def test_summary_order_independent_of_hash_seed(self):
+        code = (
+            "import json; from shallowcal.distributions import make_distribution;"
+            "from shallowcal.interpolation import excess_risk_comparison;"
+            "d = make_distribution('constant-1d', p=0.75, lo=0.0, hi=1.0);"
+            "print(json.dumps(list(excess_risk_comparison(d, [100, 50], trials=2, seed=1)[1])))"
+        )
+        keys = []
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            keys.append(json.loads(out.stdout))
+        assert keys[0] == keys[1]
+        assert keys[0][:2] == ["n=100,rule=1nn", f"n=100,rule=knn(k={default_k(100)})"]
