@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: train, sweep, consistency, interp-lb, lemma-check, bound.
-Exit codes: 0 on success, 2 on a monitor violation or empty selection,
-3 on optimizer divergence.  Every run prints the root seed it derives all
-randomness from.
+Exit codes: 0 on success, 1 on a usage error, 2 on a monitor violation, an
+empty selection or a failed lemma check, 3 on optimizer divergence.  Every
+run prints the root seed it derives all randomness from.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def cmd_lemma_check(args) -> int:
     _write_json(report, out / f"lemma_{args.lemma}.json")
     verdict = report.get("verdict", "n/a")
     print(f"lemma {args.lemma}: {verdict}")
-    return EXIT_OK
+    return EXIT_MONITOR if verdict == "fail" else EXIT_OK
 
 
 def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
@@ -325,6 +325,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except harness.CellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED if exc.status == "diverged" else EXIT_MONITOR
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, evaluator
-from .metrics import logistic_loss
+from .distributions import Distribution, derived_seed, evaluator, sample as draw_sample
+from .kernel import tiles
+from .metrics import expected_logistic_loss
 from .network import (
     FrozenFeatures,
     Network,
@@ -151,7 +152,10 @@ def activation_flip_count(
     X = np.asarray(X, dtype=float)
     m = W_before.shape[0]
     radius = float(np.linalg.norm(W_after - W_before))
-    flips = np.sum((X @ W_before.T >= 0) != (X @ W_after.T >= 0), axis=1)
+    flips = np.zeros(len(X), dtype=np.intp)
+    for rows, cols in tiles(len(X), m):
+        before, after = X[rows] @ W_before[cols].T, X[rows] @ W_after[cols].T
+        flips[rows] += np.sum((before >= 0) != (after >= 0), axis=1)
     if radius == 0.0:
         r, bound = 0.0, 0.0
     else:
@@ -314,9 +318,7 @@ def generalization_gap(
     ev = evaluator(dist)
     margins = frozen_forward_batch(ff, V, ev.points)
     p = dist.cond_prob(ev.points)
-    pop = float(
-        ev.weights @ (p * logistic_loss(margins) + (1 - p) * logistic_loss(-margins))
-    )
+    pop = float(ev.weights @ expected_logistic_loss(margins, p))
     emp = frozen_empirical_risk(ff, V, X, y)
     n = len(y)
     d = ff.d
@@ -338,15 +340,12 @@ def gen_gap_slope(
 ) -> dict:
     """Median |population - empirical| gap across sample sizes and the
     log-log slope fitted through the medians."""
-    from .distributions import sample as draw_sample
-
     ff = freeze_features(net, at_init=True)
     medians = []
     for n_idx, n in enumerate(n_grid):
         gaps = []
         for s in range(seeds):
-            seed = int(np.random.SeedSequence((root_seed, n_idx, s)).generate_state(1)[0])
-            samp = draw_sample(dist, int(n), seed)
+            samp = draw_sample(dist, int(n), derived_seed(root_seed, n_idx, s))
             rep = generalization_gap(ff, V, samp.points, samp.labels, dist)
             gaps.append(abs(rep.gap))
         medians.append(float(np.median(gaps)))

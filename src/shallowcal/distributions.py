@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import RiskBreakdown, binary_entropy, logistic_loss, risk_breakdown, sigmoid
+from .metrics import RiskBreakdown, binary_entropy, expected_logistic_loss, risk_breakdown, sigmoid
 
 __all__ = [
     "Distribution",
@@ -32,6 +32,7 @@ __all__ = [
     "bayes_risk",
     "bayes_zero_one_risk",
     "builtin_distributions",
+    "derived_seed",
     "evaluator",
     "load_idx",
     "make_distribution",
@@ -43,6 +44,11 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 _NORM_SLACK = 1e-12
+
+
+def derived_seed(root: int, *path: int) -> int:
+    """Documented seed-splitting rule: SeedSequence((root, *path))."""
+    return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
 
 
 @dataclass
@@ -183,7 +189,7 @@ def population_risk(
     breakdown = risk_breakdown(margins, p, ev.weights)
     se = None
     if ev.provenance.get("scheme") == "mc":
-        losses = p * logistic_loss(margins) + (1 - p) * logistic_loss(-margins)
+        losses = expected_logistic_loss(margins, p)
         se = float(np.std(losses, ddof=1) / np.sqrt(len(losses)))
     return PopulationRisk(breakdown=breakdown, logistic_se=se, provenance=ev.provenance)
 

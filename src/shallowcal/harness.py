@@ -41,11 +41,12 @@ import numpy as np
 from .distributions import (
     bayes_risk,
     bayes_zero_one_risk,
+    derived_seed,
     evaluator,
     make_distribution,
     sample as draw_sample,
 )
-from .metrics import LOG2, logistic_loss
+from .metrics import LOG2, expected_logistic_loss
 from .network import Network, augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
@@ -57,6 +58,7 @@ from .trainer import TrainConfig, Trajectory, train
 
 __all__ = [
     "BoundTerms",
+    "CellError",
     "DESK_CAP",
     "ExperimentReport",
     "RegimeConfig",
@@ -73,11 +75,6 @@ __all__ = [
 DESK_CAP = 1 << 16
 
 REGIMES = ("easy", "clairvoyant", "worstcase", "consistency")
-
-
-def derived_seed(root: int, *path: int) -> int:
-    """Documented seed-splitting rule: SeedSequence((root, *path))."""
-    return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
 
 
 def _snap_ceil(value: float, minimum: int = 1) -> int:
@@ -509,10 +506,7 @@ def run_experiment(
             points = augment_batch(ev.points) if cfg.augment_bias else ev.points
             inf_margins, _ = infinite_forward_batch(model, points)
             p = dist.cond_prob(ev.points)
-            ref_risk = float(
-                ev.weights
-                @ (p * logistic_loss(inf_margins) + (1 - p) * logistic_loss(-inf_margins))
-            )
+            ref_risk = float(ev.weights @ expected_logistic_loss(inf_margins, p))
             kbin = ref_risk - bayes["logistic"]
             # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
             # risk; absent when the run diverged at its first step.
@@ -570,6 +564,14 @@ def run_experiment(
     )
 
 
+class CellError(RuntimeError):
+    """A sweep run that did not end "ok"; ``status`` is the run's status."""
+
+    def __init__(self, message: str, status: str):
+        super().__init__(message)
+        self.status = status
+
+
 def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
     if axis == "eps":
         if base.regime == "consistency":
@@ -612,6 +614,8 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
     """Run a grid of experiments and aggregate per-cell medians/quartiles.
 
     Cells get disjoint seeds through SeedSequence((root, cell, trial)).
+    The result records the base configuration under ``base``.  A run that
+    does not end "ok" raises ``CellError``.
     """
     values = list(values)
     if len(values) < 2:
@@ -628,8 +632,9 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
             run_cfg.seed = derived_seed(root_seed, ci, trial)
             report = run_experiment(run_cfg, with_reference=False)
             if report.status != "ok":
-                raise RuntimeError(
-                    f"sweep cell {axis}={value} trial {trial}: status {report.status}"
+                raise CellError(
+                    f"sweep cell {axis}={value} trial {trial}: status {report.status}",
+                    report.status,
                 )
             for key in metrics:
                 metrics[key].append(report.risk[key])
@@ -662,6 +667,7 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
     }
     return json_safe(
         {
+            "base": base.to_flat_dict(),
             "axis": axis,
             "values": values,
             "seeds": seeds,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, sample as draw_sample
+from .distributions import Distribution, derived_seed, sample as draw_sample
 
 __all__ = [
     "PiecewiseConstantRule",
@@ -217,10 +217,6 @@ def wrong_pairs(s: SortedSample1D, dist: Distribution) -> WrongPairReport:
     )
 
 
-def _derived_seed(root: int, *path: int) -> int:
-    return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
-
-
 def excess_risk_comparison(
     dist: Distribution,
     n_grid,
@@ -239,7 +235,7 @@ def excess_risk_comparison(
     track_pairs = dist.wrong_pair_interval is not None
     for n_idx, n in enumerate(n_grid):
         for trial in range(trials):
-            samp = draw_sample(dist, int(n), _derived_seed(seed, n_idx, trial))
+            samp = draw_sample(dist, int(n), derived_seed(seed, n_idx, trial))
             s = sorted_sample(samp.points[:, 0], samp.labels)
             ex_1nn = excess_zero_one_exact(one_nn_rule(s), dist)
             covered = float("nan")

@@ -27,6 +27,7 @@ __all__ = [
     "RiskBreakdown",
     "binary_entropy",
     "binary_kl",
+    "expected_logistic_loss",
     "logistic_loss",
     "logistic_loss_derivative",
     "multiplicative_ratio_bound",
@@ -50,6 +51,12 @@ def logistic_loss(margin):
     margin = np.asarray(margin, dtype=float)
     out = np.logaddexp(0.0, -margin)
     return float(out) if out.ndim == 0 else out
+
+
+def expected_logistic_loss(margins, p):
+    """p * loss(f) + (1 - p) * loss(-f) per point: the logistic loss of
+    margin f when the label is +1 with probability p."""
+    return p * logistic_loss(margins) + (1 - p) * logistic_loss(-margins)
 
 
 def logistic_loss_derivative(margin):
@@ -171,9 +178,7 @@ def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
     if np.any((p < 0) | (p > 1)):
         raise ValueError("conditional probabilities must lie in [0, 1]")
 
-    loss_pos = logistic_loss(m)
-    loss_neg = logistic_loss(-m)
-    logistic_risk = float(w @ (p * loss_pos + (1 - p) * loss_neg))
+    logistic_risk = float(w @ expected_logistic_loss(m, p))
     bayes_logistic = float(w @ binary_entropy(p))
 
     phi = sigmoid(m)

@@ -26,21 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import ArcKernel
+from .kernel import kernel
 
 __all__ = [
-    "AugmentedInput",
     "FrozenFeatures",
     "MAGIC",
     "Network",
-    "augment",
     "augment_batch",
     "clone_initial",
-    "feature_gradient",
-    "forward",
     "forward_batch",
     "freeze_features",
-    "frozen_forward",
     "frozen_forward_batch",
     "init_network",
     "load_network",
@@ -48,14 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"SRLN1"
-
-# Largest number of scalars held by one (chunk x m) intermediate; keeps peak
-# additional memory around 256 MB of float64 even at width 2**16.
-_CHUNK_BUDGET = 1 << 22
-
-
-def _chunk_rows(n: int, m: int) -> int:
-    return max(1, min(n, _CHUNK_BUDGET // max(1, m)))
+_HEADER = struct.Struct("<qqd")
 
 
 @dataclass
@@ -130,41 +118,12 @@ def clone_initial(net: Network) -> Network:
     )
 
 
-def forward(net: Network, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.d,):
-        raise ValueError(f"input must have shape ({net.d},), got {x.shape}")
-    pre = net.weights @ x
-    return float(net.scale * (net.signs @ np.maximum(pre, 0.0)))
-
-
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
-    """Margins f(x_k; W) for all rows of X: exact arcs when d <= 2, else
-    dense products chunked over examples."""
+    """Margins f(x_k; W) for all rows of X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X must have shape (n, {net.d})")
-    if X.shape[1] <= 2:
-        return ArcKernel(net.weights, net.signs, net.scale, X).margins(net.weights)
-    n = X.shape[0]
-    out = np.empty(n)
-    step = _chunk_rows(n, net.m)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        pre = X[lo:hi] @ net.weights.T
-        np.maximum(pre, 0.0, out=pre)
-        out[lo:hi] = pre @ net.signs
-    out *= net.scale
-    return out
-
-
-def feature_gradient(net: Network, x: np.ndarray) -> np.ndarray:
-    """Weight gradient of f at x: row j is scale * a_j * [w_j.x >= 0] * x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.d,):
-        raise ValueError(f"input must have shape ({net.d},), got {x.shape}")
-    active = (net.weights @ x >= 0).astype(float)
-    return net.scale * (net.signs * active)[:, None] * x[None, :]
+    return kernel(net.weights, net.signs, net.scale, X).margins(net.weights)
 
 
 @dataclass
@@ -199,56 +158,15 @@ def freeze_features(net: Network, at_init: bool = False) -> FrozenFeatures:
     return FrozenFeatures(sign_source=source.copy(), signs=net.signs, rho=net.rho)
 
 
-def frozen_forward(ff: FrozenFeatures, V: np.ndarray, x: np.ndarray) -> float:
-    """Linear predictor <grad f(x; W_frozen), V> at a single point."""
-    x = np.asarray(x, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if x.shape != (ff.d,):
-        raise ValueError(f"input must have shape ({ff.d},), got {x.shape}")
-    if V.shape != (ff.m, ff.d):
-        raise ValueError(f"V must have shape ({ff.m}, {ff.d})")
-    active = (ff.sign_source @ x >= 0).astype(float)
-    return float(ff.scale * (ff.signs * active) @ (V @ x))
-
-
 def frozen_forward_batch(ff: FrozenFeatures, V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Frozen-feature margins over all rows of X: exact arcs when d <= 2,
-    else dense products chunked over examples."""
+    """Linear predictor <grad f(x_k; W_frozen), V> at every row of X."""
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     if X.ndim != 2 or X.shape[1] != ff.d:
         raise ValueError(f"X must have shape (n, {ff.d})")
     if V.shape != (ff.m, ff.d):
         raise ValueError(f"V must have shape ({ff.m}, {ff.d})")
-    if X.shape[1] <= 2:
-        return ArcKernel(ff.sign_source, ff.signs, ff.scale, X).margins(V)
-    n = X.shape[0]
-    out = np.empty(n)
-    step = _chunk_rows(n, ff.m)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        act = X[lo:hi] @ ff.sign_source.T >= 0
-        proj = X[lo:hi] @ V.T
-        proj *= act
-        out[lo:hi] = proj @ ff.signs
-    out *= ff.scale
-    return out
-
-
-@dataclass
-class AugmentedInput:
-    """Bias-augmented input (x, 1) / sqrt(2); unit ball maps into unit ball."""
-
-    x_tilde: np.ndarray
-
-
-def augment(x: np.ndarray, assert_unit_ball: bool = False) -> AugmentedInput:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("augment expects a single vector")
-    if assert_unit_ball and np.linalg.norm(x) > 1 + 1e-12:
-        raise ValueError(f"input norm {np.linalg.norm(x)} exceeds 1")
-    return AugmentedInput(x_tilde=np.concatenate([x, [1.0]]) / np.sqrt(2.0))
+    return kernel(ff.sign_source, ff.signs, ff.scale, X).margins(V)
 
 
 def augment_batch(X: np.ndarray, assert_unit_ball: bool = False) -> np.ndarray:
@@ -269,25 +187,36 @@ def save_network(net: Network, path) -> None:
     float64."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<qqd", net.m, net.d, net.rho))
+        fh.write(_HEADER.pack(net.m, net.d, net.rho))
         fh.write(net.signs.astype(np.int8).tobytes())
         fh.write(net.weights.astype("<f8").tobytes(order="C"))
         fh.write(net.init_weights.astype("<f8").tobytes(order="C"))
 
 
 def load_network(path) -> Network:
+    """Read a file written by ``save_network``; a file that is not exactly
+    one such network (bad magic, short header, nonpositive sizes, missing
+    or trailing bytes) raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        header = fh.read(struct.calcsize("<qqd"))
-        m, d, rho = struct.unpack("<qqd", header)
-        signs = np.frombuffer(fh.read(m), dtype=np.int8).astype(float)
-        nbytes = m * d * 8
-        weights = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(m, d).copy()
-        init_weights = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(m, d).copy()
-        if len(signs) != m or weights.size != m * d:
-            raise ValueError("truncated network file")
+        raw = fh.read()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"bad magic {raw[: len(MAGIC)]!r}, expected {MAGIC!r}")
+    body = len(MAGIC) + _HEADER.size
+    if len(raw) < body:
+        raise ValueError("truncated network header")
+    m, d, rho = _HEADER.unpack_from(raw, len(MAGIC))
+    if m < 1 or d < 1:
+        raise ValueError(f"network sizes must be positive, got m={m}, d={d}")
+    size = body + m + 2 * m * d * 8
+    if len(raw) != size:
+        raise ValueError(f"network file has {len(raw)} bytes, expected {size}")
+    signs = np.frombuffer(raw, dtype=np.int8, count=m, offset=body).astype(float)
+    mats = np.frombuffer(raw, dtype="<f8", count=2 * m * d, offset=body + m).reshape(2, m, d)
     return Network(
-        m=m, d=d, rho=rho, signs=signs, weights=weights, init_weights=init_weights
+        m=m,
+        d=d,
+        rho=rho,
+        signs=signs,
+        weights=mats[0].astype(float),
+        init_weights=mats[1].astype(float),
     )

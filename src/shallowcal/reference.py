@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .arcs import ArcKernel
 from .distributions import Distribution, PopulationEvaluator, evaluator
-from .metrics import logistic_loss, logistic_loss_derivative
+from .kernel import kernel
+from .metrics import expected_logistic_loss, logistic_loss_derivative
 from .network import FrozenFeatures, Network, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "affine_teacher",
     "constant_model",
     "gap_experiment",
-    "infinite_forward",
     "infinite_forward_batch",
     "linear_teacher",
     "model_from_config",
@@ -50,7 +49,6 @@ __all__ = [
     "zero_model",
 ]
 
-_FEATURE_CHUNK = 4096
 _NORM_CHECK_DRAWS = 10_000
 
 
@@ -149,40 +147,17 @@ def infinite_forward_batch(
     """Monte Carlo estimates of f(x; u) with per-point standard errors.
 
     The feature sample is drawn once from the model's seed and shared by
-    all rows of X.  For d <= 2 the directions' activation arcs give both
-    sums exactly; otherwise dense products are chunked over features with
-    ordered accumulation.
+    all rows of X; the directions are the kernel's sources, with scale 1/M.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
-    n = X.shape[0]
     M = model.mc_features
     dirs = _mc_directions(model)
-    if X.shape[1] <= 2:
-        A = np.asarray(model.weight_map(dirs), dtype=float)
-        arcs = ArcKernel(dirs, np.ones(M), 1.0 / M, X)
-        est = arcs.margins(A)
-        var = np.maximum(arcs.second_moment(A) - est**2, 0.0) / (M - 1)
-        return est, np.sqrt(var)
-    total = np.zeros(n)
-    total_sq = np.zeros(n)
-    for lo in range(0, M, _FEATURE_CHUNK):
-        hi = min(M, lo + _FEATURE_CHUNK)
-        Vc = dirs[lo:hi]
-        Ac = np.asarray(model.weight_map(Vc), dtype=float)
-        contrib = (X @ Ac.T) * (X @ Vc.T >= 0)
-        total += contrib.sum(axis=1)
-        total_sq += (contrib**2).sum(axis=1)
-    est = total / M
-    var = np.maximum(total_sq - M * est**2, 0.0) / (M * (M - 1))
+    A = np.asarray(model.weight_map(dirs), dtype=float)
+    est, second = kernel(dirs, np.ones(M), 1.0 / M, X).moments(A)
+    var = np.maximum(second - est**2, 0.0) / (M - 1)
     return est, np.sqrt(var)
-
-
-def infinite_forward(model: InfiniteWidthModel, x: np.ndarray) -> tuple[float, float]:
-    """Estimate and standard error at a single point."""
-    est, se = infinite_forward_batch(model, np.asarray(x, dtype=float)[None, :])
-    return float(est[0]), float(se[0])
 
 
 @dataclass
@@ -268,14 +243,10 @@ def gap_experiment(
     ref = sample_reference(model, net)
     ff = freeze_features(net, at_init=True)
     frozen_margins = frozen_forward_batch(ff, ref.ubar, points)
-    frozen_risk = float(
-        w @ (p * logistic_loss(frozen_margins) + (1 - p) * logistic_loss(-frozen_margins))
-    )
+    frozen_risk = float(w @ expected_logistic_loss(frozen_margins, p))
 
     inf_margins, inf_se = infinite_forward_batch(model, points)
-    infinite_risk = float(
-        w @ (p * logistic_loss(inf_margins) + (1 - p) * logistic_loss(-inf_margins))
-    )
+    infinite_risk = float(w @ expected_logistic_loss(inf_margins, p))
     risk_se = float(w @ inf_se)
 
     if frozen_risk <= 0 or infinite_risk <= 0:
@@ -310,11 +281,9 @@ def train_frozen_features(
     y = np.asarray(y, dtype=float)
     V = np.array(ff.sign_source if V0 is None else V0, dtype=float)
     n = X.shape[0]
-    act_cache = X @ ff.sign_source.T >= 0
+    K = kernel(ff.sign_source, ff.signs, ff.scale, X)
     for _ in range(steps):
-        proj = (X @ V.T) * act_cache
-        margins = y * (ff.scale * (proj @ ff.signs))
+        margins = y * K.margins(V)
         coeff = logistic_loss_derivative(margins) * y / n
-        grad = ff.scale * ff.signs[:, None] * ((act_cache * coeff[:, None]).T @ X)
-        V -= eta * grad
+        V -= eta * K.adjoint(coeff)
     return V

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import ArcKernel
+from .kernel import kernel
 from .metrics import logistic_loss, logistic_loss_derivative
 from .network import FrozenFeatures, Network, frozen_forward_batch
 
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 DIVERGENCE_THRESHOLD = 1e6
-
-_CHUNK_BUDGET = 1 << 22
 
 SMOOTHNESS_TOL = 1e-9
 REGRET_TOL = 1e-8
@@ -170,12 +168,6 @@ class Trajectory:
         }
 
 
-def _chunks(n: int, m: int):
-    step = max(1, min(n, _CHUNK_BUDGET // max(1, m)))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
-
-
 def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of the network over a labeled sample."""
     X, y = _check_sample(X, y, net.d)
@@ -220,59 +212,20 @@ def _risk_and_grad(W, signs, scale, X, y, refs):
 
     Returns (empirical risk, full-batch gradient, frozen risks of each ref
     matrix under W's activation pattern, and the function V -> frozen risk
-    of V under that pattern).  For d <= 2 one set of arcs of W serves all
-    of them; otherwise dense products are chunked over examples with a
-    fixed chunk size and ordered accumulation, and the function runs one
-    more such pass.  Either way results are deterministic.
+    of V under that pattern).  One kernel of W serves all of them, so the
+    results are deterministic; the function reads W, so call it before W
+    changes.
     """
-    n, m = X.shape[0], W.shape[0]
-    if X.shape[1] <= 2:
-        arcs = ArcKernel(W, signs, scale, X)
-
-        def frozen_risk(V):
-            return float(logistic_loss(arcs.margins(V) * y).sum()) / n
-
-        margins = arcs.margins(W) * y
-        coeff = logistic_loss_derivative(margins) * y / n
-        risk = float(logistic_loss(margins).sum()) / n
-        return risk, arcs.adjoint(coeff), [frozen_risk(Z) for Z in refs], frozen_risk
-    loss_sum = 0.0
-    grad_acc = np.zeros_like(W)
-    ref_sums = [0.0] * len(refs)
-    for lo, hi in _chunks(n, m):
-        Xc, yc = X[lo:hi], y[lo:hi]
-        pre = Xc @ W.T
-        act = pre >= 0
-        pre *= act
-        margins = scale * (pre @ signs) * yc
-        loss_sum += float(logistic_loss(margins).sum())
-        coeff = logistic_loss_derivative(margins) * yc / n
-        grad_acc += (act * coeff[:, None]).T @ Xc
-        for r, Z in enumerate(refs):
-            proj = Xc @ Z.T
-            proj *= act
-            ref_margins = scale * (proj @ signs) * yc
-            ref_sums[r] += float(logistic_loss(ref_margins).sum())
-    grad = scale * signs[:, None] * grad_acc
+    n = X.shape[0]
+    K = kernel(W, signs, scale, X)
 
     def frozen_risk(V):
-        return _frozen_risk_at(W, V, signs, scale, X, y)
+        return float(logistic_loss(K.margins(V) * y).sum()) / n
 
-    return loss_sum / n, grad, [s / n for s in ref_sums], frozen_risk
-
-
-def _frozen_risk_at(W_source, V, signs, scale, X, y):
-    """hat-R of the linear predictor in W_source's features evaluated at V."""
-    n, m = X.shape[0], W_source.shape[0]
-    loss_sum = 0.0
-    for lo, hi in _chunks(n, m):
-        Xc, yc = X[lo:hi], y[lo:hi]
-        act = Xc @ W_source.T >= 0
-        proj = Xc @ V.T
-        proj *= act
-        margins = scale * (proj @ signs) * yc
-        loss_sum += float(logistic_loss(margins).sum())
-    return loss_sum / n
+    margins = K.margins(W) * y
+    coeff = logistic_loss_derivative(margins) * y / n
+    risk = float(logistic_loss(margins).sum()) / n
+    return risk, K.adjoint(coeff), [frozen_risk(Z) for Z in refs], frozen_risk
 
 
 def train(

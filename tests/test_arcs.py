@@ -1,7 +1,8 @@
-"""The exact arc kernel for d <= 2 against the dense products it replaces.
+"""The masked-margin kernels: the exact arc kernel for d <= 2 against the
+dense kernel, and the dense kernel against one unblocked product.
 
-The dense oracle is the package's own chunked loop, reached by appending a
-zero coordinate to every point and row: at d = 3 the dense path runs, and
+The dense oracle is the package's own ``DenseKernel``, reached by appending
+a zero coordinate to every point and row: at d = 3 ``kernel`` picks it, and
 the extra coordinate changes no product, activation or margin.  Property
 tests draw coordinates from a dyadic grid, so every product and sum is
 exact and exact ties s.x == 0 are frequent; the float tests use Gaussian
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowcal.arcs import ArcKernel
+from shallowcal import kernel as kernel_module
+from shallowcal.kernel import ArcKernel, DenseKernel, kernel
 from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
 from shallowcal.reference import _mc_directions, affine_teacher, infinite_forward_batch
-from shallowcal.trainer import TrainConfig, _frozen_risk_at, _risk_and_grad, train
+from shallowcal.trainer import TrainConfig, _risk_and_grad, train
 
 RTOL = 1e-12
 
@@ -90,13 +92,11 @@ class TestAgainstDense:
         y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                         min_size=len(X), max_size=len(X))))
         risk, grad, refs, frozen = _risk_and_grad(W, signs, 0.3, X, y, [V])
-        d_risk, d_grad, d_refs, _ = _risk_and_grad(pad(W), signs, 0.3, pad(X), y, [pad(V)])
+        d_risk, d_grad, d_refs, d_frozen = _risk_and_grad(pad(W), signs, 0.3, pad(X), y, [pad(V)])
         assert risk == pytest.approx(d_risk, rel=RTOL)
         assert refs[0] == pytest.approx(d_refs[0], rel=RTOL)
         assert_close(grad, d_grad[:, : W.shape[1]])
-        assert frozen(V + W) == pytest.approx(
-            _frozen_risk_at(pad(W), pad(V + W), signs, 0.3, pad(X), y), rel=RTOL
-        )
+        assert frozen(V + W) == pytest.approx(d_frozen(pad(V + W)), rel=RTOL)
 
     @settings(max_examples=100, deadline=None)
     @given(problems())
@@ -146,8 +146,59 @@ class TestAgainstDense:
         M = len(W)
         arcs = ArcKernel(W, np.ones(M), 1.0 / M, X)
         contrib = (X @ V.T) * (X @ W.T >= 0)
-        assert_close(arcs.margins(V), contrib.sum(axis=1) / M)
-        assert_close(arcs.second_moment(V), (contrib**2).sum(axis=1) / M)
+        first, second = arcs.moments(V)
+        assert np.array_equal(first, arcs.margins(V))
+        assert_close(first, contrib.sum(axis=1) / M)
+        assert_close(second, (contrib**2).sum(axis=1) / M)
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("budget", [1, 64 * 7, 64 * 50])
+    def test_tiles_agree_with_one_tile(self, monkeypatch, budget):
+        # 200 points, 50 sources: tiles of 1 x 1, of 64 x 7 and of 64 x 50,
+        # the last row and source blocks ragged; the reference is one tile.
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((200, 4)) / 2.0
+        S, V = rng.standard_normal((50, 4)), rng.standard_normal((50, 4))
+        signs = rng.choice([-1.0, 1.0], 50)
+        c = rng.standard_normal(200)
+        one = DenseKernel(S, signs, 0.3, X)
+        assert len(kernel_module.tiles(200, 50)) == 1
+        ref = (one.margins(V), *one.moments(V), one.adjoint(c), one.margins(S))
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", budget)
+        rows, cols = kernel_module.tiles(200, 50)[-1]
+        assert rows.stop - rows.start < 64 or budget == 1
+        assert cols.stop == 50 and rows.stop == 200
+        tiled = DenseKernel(S, signs, 0.3, X)
+        got = (tiled.margins(V), *tiled.moments(V), tiled.adjoint(c), tiled.margins(S))
+        for a, b in zip(got, ref):
+            assert_close(a, b)
+
+    def test_one_tile_is_the_plain_product(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 3))
+        S, V = rng.standard_normal((40, 3)), rng.standard_normal((40, 3))
+        signs = rng.choice([-1.0, 1.0], 40)
+        c = rng.standard_normal(30)
+        act = X @ S.T >= 0
+        proj = (X @ V.T) * act
+        K = DenseKernel(S, signs, 0.7, X)
+        first, second = K.moments(V)
+        assert_close(K.margins(V), 0.7 * proj @ signs)
+        assert_close(first, 0.7 * proj @ signs)
+        assert_close(second, 0.7 * (proj**2).sum(axis=1))
+        assert_close(K.adjoint(c), 0.7 * signs[:, None] * ((act * c[:, None]).T @ X))
+        # the source matrix itself takes the preactivation shortcut
+        assert_close(K.margins(S), K.margins(S.copy()))
+
+    def test_kernel_picks_by_dimension(self):
+        signs = np.ones(3)
+        for d, kind in ((1, ArcKernel), (2, ArcKernel), (3, DenseKernel), (5, DenseKernel)):
+            assert type(kernel(np.ones((3, d)), signs, 1.0, np.ones((4, d)))) is kind
+        with pytest.raises(ValueError):
+            kernel(np.ones((3, 2)), signs, 1.0, np.ones(2))
+        with pytest.raises(ValueError):
+            kernel(np.ones((3, 3)), signs, 1.0, np.ones((4, 2)))
 
 
 class TestTieRule:
@@ -220,7 +271,8 @@ class TestDeterminism:
         one, two = ArcKernel(W, signs, 0.1, X), ArcKernel(W, signs, 0.1, X)
         assert np.array_equal(one.margins(W), two.margins(W))
         assert np.array_equal(one.adjoint(c), two.adjoint(c))
-        assert np.array_equal(one.second_moment(W), two.second_moment(W))
+        for a, b in zip(one.moments(W), two.moments(W)):
+            assert np.array_equal(a, b)
 
     def test_training_runs_bitwise_identical(self):
         rng = np.random.default_rng(5)

@@ -1,9 +1,12 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from shallowcal import diagnostics, harness
 from shallowcal.cli import build_parser, main
+from shallowcal.diagnostics import LemmaCheckReport
 from shallowcal.harness import derive_regime
 
 
@@ -66,6 +69,20 @@ class TestConsistencyCommand:
         args = build_parser().parse_args(["consistency", "--n-grid", "64", *flags])
         assert args.augment_bias is expect
 
+    def test_summary_records_base_config(self, tmp_path):
+        bases = {}
+        for flags in ([], ["--no-augment-bias"]):
+            out = tmp_path / ("plain" if flags else "augmented")
+            code = main(["consistency", "--n-grid", "64,128", "--seeds", "5",
+                         "--out-dir", str(out), *flags])
+            assert code == 0
+            bases[bool(flags)] = json.loads((out / "consistency.json").read_text())["base"]
+        assert bases[False]["augment_bias"] is True
+        assert bases[True]["augment_bias"] is False
+        for base in bases.values():
+            assert base["dist_name"] == "step-smooth-1d"
+            assert base["xi"] == 0.5 and base["m"] == 1 << 16
+
 
 class TestInterpCommand:
     def test_csv_and_summary(self, tmp_path):
@@ -104,6 +121,15 @@ class TestLemmaCheckCommand:
         report = json.loads((out / "lemma_flip-count.json").read_text())
         assert report["verdict"] == "pass"
 
+    def test_failed_verdict_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing(**kw):
+            return LemmaCheckReport("gauss-count", 10, 10, 0.15, 99.0, 1.0, {})
+
+        monkeypatch.setattr(diagnostics, "gaussian_row_count_check", failing)
+        code = main(["lemma-check", "--lemma", "gauss-count", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "gauss-count: fail" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, small_config, tmp_path):
@@ -119,6 +145,13 @@ class TestSweepCommand:
         assert len(rows) == 10
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["axis"] == "n"
+
+    @pytest.mark.parametrize("status,code", [("diverged", 3), ("no-selection", 2)])
+    def test_failed_cell_exit_code(self, small_config, tmp_path, monkeypatch, capsys, status, code):
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: SimpleNamespace(status=status))
+        assert main(["sweep", "--config", str(small_config), "--axis", "n",
+                     "--values", "64,128", "--out-dir", str(tmp_path)]) == code
+        assert f"status {status}" in capsys.readouterr().err
 
     def test_bad_values_rejected(self, small_config, tmp_path):
         code = main(

@@ -12,6 +12,7 @@ from shallowcal.diagnostics import (
     sphere_linearization_gap,
     sphere_points,
 )
+from shallowcal import kernel as kernel_module
 from shallowcal.distributions import make_distribution, sample
 from shallowcal.network import freeze_features, init_network
 from shallowcal.trainer import TrainConfig, train
@@ -58,6 +59,20 @@ class TestActivationFlips:
         W = rng.standard_normal((32, 2))
         stats = activation_flip_count(W, -W, rng.uniform(-1, 1, size=(50, 2)))
         assert stats.max_flips <= 32
+
+    def test_tiled_counts_match_one_product(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        W = rng.standard_normal((40, 3))
+        W2 = W + 0.3 * rng.standard_normal((40, 3))
+        X = rng.uniform(-1, 1, size=(150, 3))
+        flips = np.sum((X @ W.T >= 0) != (X @ W2.T >= 0), axis=1)
+        # tiles of 64 points x 7 sources; the last is 22 x 5
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 64 * 7)
+        rows, cols = kernel_module.tiles(150, 40)[-1]
+        assert (rows.stop - rows.start, cols.stop - cols.start) == (22, 5)
+        stats = activation_flip_count(W, W2, X)
+        assert stats.max_flips == flips.max()
+        assert stats.mean_flips == flips.mean()
 
     def test_along_training_run(self):
         dist = make_distribution("logistic-1d", c=2.0)

@@ -268,6 +268,7 @@ class TestSweep:
             "clairvoyant", 0.5, seed=1, overrides={"m": 128, "n": 64}
         )
         result = sweep(base, "n", [64, 256], seeds=5, root_seed=7)
+        assert result["base"] == json_safe(base.to_flat_dict())
         assert len(result["cells"]) == 2
         assert len(result["rows"]) == 10
         run_seeds = {r["seed"] for r in result["rows"]}

@@ -1,17 +1,20 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shallowcal.kernel import kernel
 from shallowcal.network import (
     MAGIC,
     Network,
-    augment,
     augment_batch,
     clone_initial,
-    feature_gradient,
-    forward,
     forward_batch,
     freeze_features,
-    frozen_forward,
     frozen_forward_batch,
     init_network,
     load_network,
@@ -30,6 +33,17 @@ def manual_net(signs, weights, rho=1.0):
         weights=weights.copy(),
         init_weights=weights.copy(),
     )
+
+
+def forward_at(net, x):
+    """f(x; W) at one point, through the batch predictor."""
+    return float(forward_batch(net, np.asarray(x, dtype=float)[None, :])[0])
+
+
+def gradient_at(net, x):
+    """Weight gradient of f at one point: the kernel's adjoint with c = 1."""
+    x = np.asarray(x, dtype=float)
+    return kernel(net.weights, net.signs, net.scale, x[None, :]).adjoint(np.ones(1))
 
 
 class TestInit:
@@ -63,46 +77,49 @@ class TestInit:
 class TestForward:
     def test_single_relu(self):
         net = manual_net([1.0], [[1.0, 0.0]])
-        assert forward(net, np.array([1.0, 0.0])) == 1.0
+        assert forward_at(net, [1.0, 0.0]) == 1.0
 
     def test_dead_relu(self):
         net = manual_net([1.0], [[1.0, 0.0]])
-        assert forward(net, np.array([-1.0, 0.0])) == 0.0
+        assert forward_at(net, [-1.0, 0.0]) == 0.0
 
     def test_cancellation(self):
         net = manual_net([1.0, -1.0], [[1.0, 0.0], [1.0, 0.0]], rho=2.0)
-        assert forward(net, np.array([1.0, 0.0])) == 0.0
+        assert forward_at(net, [1.0, 0.0]) == 0.0
 
     def test_batch_matches_single(self):
         net = init_network(33, 4, 0.7, seed=5)
         X = np.random.default_rng(6).uniform(-0.5, 0.5, size=(17, 4))
         batch = forward_batch(net, X)
-        single = np.array([forward(net, x) for x in X])
+        single = [net.scale * (net.signs @ np.maximum(net.weights @ x, 0.0)) for x in X]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_positive_homogeneity_in_x(self):
         net = init_network(16, 3, 1.3, seed=8)
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            x = rng.standard_normal(3) * 0.2
-            c = rng.uniform(0.1, 3.0)
-            assert forward(net, c * x) == pytest.approx(c * forward(net, x), rel=1e-12)
+        X = rng.standard_normal((20, 3)) * 0.2
+        c = rng.uniform(0.1, 3.0, 20)
+        np.testing.assert_allclose(
+            forward_batch(net, c[:, None] * X), c * forward_batch(net, X), rtol=1e-12
+        )
 
     def test_dimension_mismatch(self):
         net = init_network(4, 3, 1.0, seed=0)
         with pytest.raises(ValueError):
-            forward(net, np.zeros(2))
+            forward_batch(net, np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            forward_batch(net, np.zeros(3))
 
 
 class TestFeatureGradient:
     def test_zero_input_gives_zero_matrix(self):
         net = init_network(6, 3, 1.0, seed=2)
-        grad = feature_gradient(net, np.zeros(3))
+        grad = gradient_at(net, np.zeros(3))
         assert np.array_equal(grad, np.zeros((6, 3)))
 
     def test_single_relu_row(self):
         net = manual_net([1.0], [[1.0, 0.0]])
-        grad = feature_gradient(net, np.array([1.0, 0.0]))
+        grad = gradient_at(net, np.array([1.0, 0.0]))
         np.testing.assert_allclose(grad, [[1.0, 0.0]])
 
     def test_frobenius_norm_identity(self):
@@ -112,7 +129,7 @@ class TestFeatureGradient:
         for _ in range(20):
             x = rng.standard_normal(4)
             x /= np.linalg.norm(x)
-            grad = feature_gradient(net, x)
+            grad = gradient_at(net, x)
             active = int(np.sum(net.weights @ x >= 0))
             expect = net.rho * np.sqrt(active / net.m)
             assert np.linalg.norm(grad) == pytest.approx(expect, rel=1e-12)
@@ -129,8 +146,8 @@ class TestFeatureGradient:
         h = 1e-6
         net_hi = clone_initial(net)
         net_hi.weights[...] = net.weights + h * delta
-        fd = (forward(net_hi, x) - forward(net, x)) / h
-        inner = float(np.sum(feature_gradient(net, x) * delta))
+        fd = (forward_at(net_hi, x) - forward_at(net, x)) / h
+        inner = float(np.sum(gradient_at(net, x) * delta))
         assert fd == pytest.approx(inner, abs=1e-5)
 
 
@@ -138,20 +155,18 @@ class TestFrozenFeatures:
     def test_homogeneity_identity(self):
         net = init_network(32, 3, 1.1, seed=12)
         ff = freeze_features(net)
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            x = rng.standard_normal(3) * 0.3
-            assert frozen_forward(ff, net.weights, x) == pytest.approx(
-                forward(net, x), rel=1e-12, abs=1e-15
-            )
+        X = np.random.default_rng(13).standard_normal((10, 3)) * 0.3
+        np.testing.assert_allclose(
+            frozen_forward_batch(ff, net.weights, X), forward_batch(net, X), rtol=1e-12, atol=1e-15
+        )
 
     def test_linearity(self):
         net = init_network(16, 2, 1.0, seed=14)
         ff = freeze_features(net)
-        x = np.array([0.4, -0.2])
-        v = forward(net, x)
-        assert frozen_forward(ff, np.zeros((16, 2)), x) == 0.0
-        assert frozen_forward(ff, 2.0 * net.weights, x) == pytest.approx(
+        x = np.array([[0.4, -0.2]])
+        v = forward_batch(net, x)[0]
+        assert frozen_forward_batch(ff, np.zeros((16, 2)), x)[0] == 0.0
+        assert frozen_forward_batch(ff, 2.0 * net.weights, x)[0] == pytest.approx(
             2.0 * v, rel=1e-12, abs=1e-15
         )
 
@@ -161,25 +176,25 @@ class TestFrozenFeatures:
         V = np.random.default_rng(16).standard_normal((21, 3))
         X = np.random.default_rng(17).uniform(-0.4, 0.4, size=(9, 3))
         batch = frozen_forward_batch(ff, V, X)
-        single = np.array([frozen_forward(ff, V, x) for x in X])
+        single = [ff.scale * (ff.signs * (ff.sign_source @ x >= 0)) @ (V @ x) for x in X]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
 
 class TestAugment:
     def test_origin(self):
-        out = augment(np.zeros(1)).x_tilde
+        out = augment_batch(np.zeros((1, 1)))[0]
         np.testing.assert_allclose(out, [0.0, 1 / np.sqrt(2)])
         assert np.linalg.norm(out) == pytest.approx(1 / np.sqrt(2))
 
     def test_unit_norm_input(self):
-        out = augment(np.array([0.6, 0.8])).x_tilde
+        out = augment_batch(np.array([[0.6, 0.8]]))[0]
         np.testing.assert_allclose(out, np.array([0.6, 0.8, 1.0]) / np.sqrt(2))
         assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-15)
 
     def test_norm_flag(self):
         with pytest.raises(ValueError):
-            augment(np.array([1.2, 0.0]), assert_unit_ball=True)
-        augment(np.array([1.2, 0.0]))  # no flag, no check
+            augment_batch(np.array([[0.6, 0.0], [1.2, 0.0]]), assert_unit_ball=True)
+        augment_batch(np.array([[1.2, 0.0]]))  # no flag, no check
 
     def test_batch(self):
         X = np.array([[0.3, -0.4], [0.0, 0.0]])
@@ -215,3 +230,38 @@ class TestSerialization:
         path.write_bytes(b"NOPE!" + b"\0" * 64)
         with pytest.raises(ValueError):
             load_network(path)
+
+    @pytest.mark.parametrize("m,d", [(0, 2), (-1, 2), (3, 0), (3, -4)])
+    def test_nonpositive_sizes_rejected(self, tmp_path, m, d):
+        path = tmp_path / "net.srln"
+        path.write_bytes(MAGIC + struct.pack("<qqd", m, d, 1.0) + b"\0" * 64)
+        with pytest.raises(ValueError):
+            load_network(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_truncated_or_extended_file(self, m, d, seed, data):
+        net = init_network(m, d, 0.5, seed=seed)
+        net.weights += 0.25
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.srln"
+            save_network(net, path)
+            raw = path.read_bytes()
+            cut = data.draw(st.integers(0, len(raw) + 24), label="length")
+            tail = data.draw(st.binary(min_size=max(0, cut - len(raw)),
+                                       max_size=max(0, cut - len(raw))), label="tail")
+            path.write_bytes(raw[:cut] + tail)
+            if cut != len(raw):
+                with pytest.raises(ValueError):
+                    load_network(path)
+                return
+            back = load_network(path)
+        assert (back.m, back.d, back.rho) == (net.m, net.d, net.rho)
+        assert np.array_equal(back.signs, net.signs)
+        assert np.array_equal(back.weights, net.weights)
+        assert np.array_equal(back.init_weights, net.init_weights)

@@ -7,9 +7,8 @@ from shallowcal.distributions import make_distribution, evaluator, population_ri
 from shallowcal.metrics import LOG2
 from shallowcal.network import (
     Network,
-    forward,
+    forward_batch,
     freeze_features,
-    frozen_forward,
     frozen_forward_batch,
     init_network,
 )
@@ -18,7 +17,6 @@ from shallowcal.reference import (
     affine_teacher,
     constant_model,
     gap_experiment,
-    infinite_forward,
     infinite_forward_batch,
     linear_teacher,
     model_from_config,
@@ -40,22 +38,28 @@ def zero_weight_net(m, d, rho=1.0):
     )
 
 
+def infinite_at(model, x):
+    """Estimate and standard error at one point, through the batch pass."""
+    est, se = infinite_forward_batch(model, np.asarray(x, dtype=float)[None, :])
+    return float(est[0]), float(se[0])
+
+
 class TestInfiniteForward:
     def test_zero_map_is_exactly_zero(self):
         model = zero_model(3, mc_features=1000)
-        est, se = infinite_forward(model, np.array([0.3, -0.2, 0.1]))
+        est, se = infinite_at(model, np.array([0.3, -0.2, 0.1]))
         assert est == 0.0 and se == 0.0
 
     def test_zero_input_is_exactly_zero(self):
         model = constant_model([1.0, 2.0], mc_features=1000)
-        est, se = infinite_forward(model, np.zeros(2))
+        est, se = infinite_at(model, np.zeros(2))
         assert est == 0.0 and se == 0.0
 
     def test_constant_map_halves_inner_product(self):
         c = np.array([1.5, -0.5])
         model = constant_model(c, mc_features=100_000, mc_seed=3)
         x = np.array([0.4, 0.7])
-        est, se = infinite_forward(model, x)
+        est, se = infinite_at(model, x)
         assert se > 0
         assert abs(est - float(c @ x) / 2.0) <= 4 * se
 
@@ -78,7 +82,7 @@ class TestInfiniteForward:
     def test_same_seed_identical(self):
         model = constant_model([1.0], mc_features=10_000, mc_seed=5)
         x = np.array([0.6])
-        assert infinite_forward(model, x) == infinite_forward(model, x)
+        assert infinite_at(model, x) == infinite_at(model, x)
 
     def test_norm_bound_spot_check_rejects_liar(self):
         with pytest.raises(ValueError):
@@ -92,11 +96,11 @@ class TestInfiniteForward:
         theta = np.array([2.0])
         model = linear_teacher(theta, mc_features=200_000, mc_seed=6)
         x = np.array([0.5])
-        est, se = infinite_forward(model, x)
+        est, se = infinite_at(model, x)
         assert abs(est - 1.0) <= 4 * se
         aff = affine_teacher([0.0], bias=math.log(3.0), mc_features=200_000, mc_seed=6)
         x_aug = np.array([0.5, 1.0]) / math.sqrt(2.0)
-        est2, se2 = infinite_forward(aff, x_aug)
+        est2, se2 = infinite_at(aff, x_aug)
         assert abs(est2 - math.log(3.0)) <= 4 * se2
 
     def test_model_from_config(self):
@@ -112,9 +116,9 @@ class TestSampleReference:
         ref = sample_reference(zero_model(2), net)
         assert np.array_equal(ref.ubar, net.init_weights)
         ff = freeze_features(net, at_init=True)
-        x = np.array([0.3, -0.1])
-        assert frozen_forward(ff, ref.ubar, x) == pytest.approx(
-            forward(net, x), rel=1e-12, abs=1e-15
+        x = np.array([[0.3, -0.1]])
+        assert frozen_forward_batch(ff, ref.ubar, x)[0] == pytest.approx(
+            forward_batch(net, x)[0], rel=1e-12, abs=1e-15
         )
 
     def test_norm_bound_holds_for_all_pairs(self):
