@@ -12,6 +12,7 @@ slopes and monotonicity instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,10 @@ def sphere_linearization_gap(
     )
 
 
+# Largest argument of math.exp with a finite result.
+_EXP_MAX = math.log(sys.float_info.max)
+
+
 @dataclass
 class RiskRatioReport:
     max_ratio: float
@@ -258,26 +263,22 @@ def risk_ratio_check(
 ) -> RiskRatioReport:
     """Max over iterate pairs (i, j) of hat-R^(i)(B) / hat-R^(j)(B).
 
-    Replays the run deterministically from the network's initialization,
-    capturing the frozen risk of B under every iterate's activation
-    pattern.  The multiplicative bound uses the largest observed iterate
-    radius (floored at 1, its domain of validity)."""
+    Replays the run deterministically from the network's initialization
+    with B as a regret reference, whose certificate holds the frozen risk
+    of B under every stepped iterate's activation pattern; the last
+    iterate, which takes no step, adds one frozen pass.  The multiplicative
+    bound uses the largest observed iterate radius (floored at 1, its
+    domain of validity)."""
     B = np.asarray(B, dtype=float)
     replay = clone_initial(net)
-    risks: list[float] = []
-    radii: list[float] = []
-
-    def observer(i, live):
-        ff = freeze_features(live)
-        risks.append(frozen_empirical_risk(ff, B, X, y))
-        radii.append(live.dist_from_init())
-
-    train(replay, X, y, cfg, monitors=False, iterate_observer=observer)
-    risks_arr = np.array(risks)
+    traj = train(replay, X, y, cfg, monitors=False, regret_refs={"B": B})
+    last = frozen_empirical_risk(freeze_features(replay), B, X, y)
+    risks_arr = np.append(traj.certificates["B"].frozen_ref, last)
+    radius = max(rec.dist_init for rec in traj.records)
     max_ratio = float(risks_arr.max() / risks_arr.min())
-    r_v = max(1.0, float(max(radii)))
+    r_v = max(1.0, radius)
     r_b = float(np.linalg.norm(B - net.init_weights))
-    bound = math.exp(
+    exponent = (
         6.0
         * net.rho
         * (r_b + 2 * r_v)
@@ -285,11 +286,12 @@ def risk_ratio_check(
         * math.log(math.e / delta) ** 0.25
         / net.m ** (1.0 / 6.0)
     )
+    bound = math.exp(exponent) if exponent <= _EXP_MAX else math.inf
     return RiskRatioReport(
         max_ratio=max_ratio,
         bound=bound,
         iterates=len(risks_arr),
-        radius_iterates=float(max(radii)),
+        radius_iterates=radius,
         radius_ref=r_b,
         frozen_risks=risks_arr,
     )

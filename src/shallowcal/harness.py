@@ -33,6 +33,7 @@ than on these constants.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -75,6 +76,9 @@ __all__ = [
 DESK_CAP = 1 << 16
 
 REGIMES = ("easy", "clairvoyant", "worstcase", "consistency")
+
+# JSON value types accepted for the numeric RegimeConfig fields, by annotation.
+_NUMBER_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
 def _snap_ceil(value: float, minimum: int = 1) -> int:
@@ -124,9 +128,31 @@ class RegimeConfig:
 
     @classmethod
     def from_flat_dict(cls, data: dict) -> "RegimeConfig":
+        """Inverse of ``to_flat_dict``; raises ValueError unless ``data`` is
+        a dict with every required field, no unknown field and a number in
+        every numeric field."""
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
+        known = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        missing = [
+            name
+            for name, f in known.items()
+            if name not in data
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing config fields: {', '.join(missing)}")
         data = dict(data)
         if data.get("r_gd") == "inf":
             data["r_gd"] = math.inf
+        for name, value in data.items():
+            accepted = _NUMBER_TYPES.get(known[name].type)
+            if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+                raise ValueError(f"config field {name!r} must be {known[name].type}, got {value!r}")
         return cls(**data)
 
 
@@ -433,15 +459,7 @@ def json_safe(obj):
 
 
 def _selected_predictor(net: Network, traj: Trajectory, augment_bias: bool):
-    eval_net = Network(
-        m=net.m,
-        d=net.d,
-        rho=net.rho,
-        signs=net.signs.copy(),
-        weights=traj.selected_weights.copy(),
-        init_weights=net.init_weights.copy(),
-        seed=net.seed,
-    )
+    eval_net = dataclasses.replace(net, weights=traj.selected_weights)
 
     def predictor(P):
         P = augment_batch(P) if augment_bias else np.asarray(P, dtype=float)
@@ -490,7 +508,6 @@ def run_experiment(
         "zero_one": bayes_zero_one_risk(dist, ev),
     }
 
-    status = traj.status
     risk = {}
     bound_terms = None
     reference_block = None
@@ -529,8 +546,6 @@ def run_experiment(
                 "empirical_frozen_risk": emp_ref_risk,
                 "ref_dist_from_init": sampled_ref.dist_from_init,
             }
-    elif status == "ok":
-        status = "no-selection"
 
     monitors = traj.monitor_verdicts()
     trajectory_summary = {
@@ -547,7 +562,7 @@ def run_experiment(
     return ExperimentReport(
         config=cfg,
         root_seed=cfg.seed,
-        status=status,
+        status=traj.status,
         risk=risk,
         bayes=bayes,
         monitors=monitors,
@@ -596,17 +611,12 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
                 augment_bias=base.augment_bias,
                 seed=base.seed,
             )
-        cfg = RegimeConfig.from_flat_dict(base.to_flat_dict())
-        cfg.n = int(value)
-        return cfg
+        return dataclasses.replace(base, n=int(value))
     if axis == "m":
-        cfg_dict = base.to_flat_dict()
         m = int(value)
         rho = 1.0 if base.regime == "easy" else float(m) ** -0.125
-        cfg_dict.update(m=m, rho=rho, eta=4.0 / rho**2)
-        if base.regime == "clairvoyant":
-            cfg_dict["r_gd"] = base.radius_scale / rho
-        return RegimeConfig.from_flat_dict(cfg_dict)
+        r_gd = base.radius_scale / rho if base.regime == "clairvoyant" else base.r_gd
+        return dataclasses.replace(base, m=m, rho=rho, eta=4.0 / rho**2, r_gd=r_gd)
     raise ValueError(f"unknown sweep axis {axis!r}; use one of n, m, eps")
 
 
@@ -628,8 +638,7 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
         cfg = _cell_config(base, axis, value)
         metrics = {"excess_logistic": [], "l2_calibration_sq": [], "excess_zero_one": []}
         for trial in range(seeds):
-            run_cfg = RegimeConfig.from_flat_dict(cfg.to_flat_dict())
-            run_cfg.seed = derived_seed(root_seed, ci, trial)
+            run_cfg = dataclasses.replace(cfg, seed=derived_seed(root_seed, ci, trial))
             report = run_experiment(run_cfg, with_reference=False)
             if report.status != "ok":
                 raise CellError(

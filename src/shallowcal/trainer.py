@@ -114,14 +114,6 @@ class RegretCertificate:
         rhs = self.dist_sq[0] + 2 * self.eta * float(self.frozen_ref[:t].sum())
         return lhs, rhs
 
-    @property
-    def lhs(self) -> float:
-        return self.sides()[0]
-
-    @property
-    def rhs(self) -> float:
-        return self.sides()[1]
-
     def holds(self, tol: float = REGRET_TOL, every_prefix: bool = True) -> bool:
         horizons = range(len(self.frozen_next) + 1) if every_prefix else [None]
         for t in horizons:
@@ -143,7 +135,6 @@ class Trajectory:
     selected_weights: np.ndarray | None = None
     status: str = "ok"
     certificates: dict[str, RegretCertificate] = field(default_factory=dict)
-    monitors_enabled: bool = True
 
     @property
     def selected_risk(self) -> float | None:
@@ -198,6 +189,8 @@ def _check_sample(X, y, d):
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"X must have shape (n, {d})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("inputs must be finite")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must be one per example")
     if X.shape[0] == 0:
@@ -235,22 +228,24 @@ def train(
     cfg: TrainConfig,
     monitors: bool = True,
     regret_refs: dict[str, np.ndarray] | None = None,
-    iterate_observer=None,
 ) -> Trajectory:
     """Run ``cfg.t_max`` descent steps, recording every iterate.
 
     The network is mutated in place and finishes at iterate t_max; the
     selected iterate's weights are retained in the trajectory.  When
-    ``monitors`` is set, eta <= 4/rho^2 is required and the smoothness
-    residual is recorded at every step.  ``regret_refs`` maps names to
-    reference matrices; a regret certificate is accumulated for each.
-    ``iterate_observer(i, net)`` is invoked at every recorded iterate.
+    ``monitors`` is set, eta <= 4/rho^2 and input norms <= 1 are required
+    and the smoothness residual is recorded at every step.  ``regret_refs``
+    maps names to reference matrices; a regret certificate is accumulated
+    for each.  The last recorded iterate (t_max, or the first whose risk
+    diverged) takes no step and evaluates no reference.
     """
     X, y = _check_sample(X, y, net.d)
     if monitors and cfg.eta > 4.0 / net.rho**2 * (1 + 1e-12):
         raise ValueError(
             f"monitors require eta <= 4/rho^2 = {4.0 / net.rho ** 2}, got {cfg.eta}"
         )
+    if monitors and np.max(np.linalg.norm(X, axis=1)) > 1 + 1e-12:
+        raise ValueError("monitors require input norms <= 1")
     refs = dict(regret_refs or {})
     for name, Z in refs.items():
         Z = np.asarray(Z, dtype=float)
@@ -258,9 +253,7 @@ def train(
             raise ValueError(f"regret reference {name!r} has shape {Z.shape}")
         refs[name] = Z
 
-    traj = Trajectory(
-        config=cfg, rho=net.rho, n_examples=X.shape[0], monitors_enabled=monitors
-    )
+    traj = Trajectory(config=cfg, rho=net.rho, n_examples=X.shape[0])
     ref_names = list(refs)
     ref_mats = [refs[k] for k in ref_names]
     frozen_next: list[float] = []
@@ -268,60 +261,33 @@ def train(
     dist_sq_ref: list[list[float]] = [[] for _ in ref_names]
 
     best = None  # (risk, index, weights copy)
-
-    def record(i, risk, grad_norm, smooth_resid):
-        nonlocal best
-        dist = net.dist_from_init()
-        traj.records.append(
-            IterateRecord(
-                index=i,
-                emp_risk=risk,
-                dist_init=dist,
-                grad_norm=grad_norm,
-                smooth_resid=smooth_resid,
-            )
+    for i in range(cfg.t_max + 1):
+        last = i == cfg.t_max
+        risk, grad, ref_risks, frozen_risk = _risk_and_grad(
+            net.weights, net.signs, net.scale, X, y, () if last else ref_mats
         )
+        diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
+        step = not (last or diverged)
+        grad_norm = float("nan") if diverged else float(np.linalg.norm(grad))
+        resid = float("nan")
+        if step:
+            W_next = net.weights - cfg.eta * grad
+            frozen_at_next = frozen_risk(W_next) if monitors or ref_mats else float("nan")
+            if monitors:
+                resid = (risk - frozen_at_next) - 0.5 * cfg.eta * grad_norm**2
+            frozen_next.append(frozen_at_next)
+            for acc, ref_risk in zip(frozen_ref, ref_risks):
+                acc.append(ref_risk)
+
+        dist = net.dist_from_init()
+        traj.records.append(IterateRecord(i, risk, dist, grad_norm, resid))
         for r, Z in enumerate(ref_mats):
             dist_sq_ref[r].append(float(np.sum((net.weights - Z) ** 2)))
-        if dist <= cfg.r_gd and math.isfinite(risk):
-            if best is None or risk < best[0]:
-                best = (risk, i, net.weights.copy())
-        if iterate_observer is not None:
-            iterate_observer(i, net)
-
-    diverged = False
-    for i in range(cfg.t_max):
-        risk, grad, ref_risks, frozen_risk = _risk_and_grad(
-            net.weights, net.signs, net.scale, X, y, ref_mats
-        )
-        if not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD:
-            record(i, risk, float("nan"), float("nan"))
-            diverged = True
+        if dist <= cfg.r_gd and math.isfinite(risk) and (best is None or risk < best[0]):
+            best = (risk, i, net.weights.copy())
+        if not step:
             break
-        grad_norm = float(np.linalg.norm(grad))
-        W_next = net.weights - cfg.eta * grad
-        if monitors or ref_mats:
-            frozen_at_next = frozen_risk(W_next)
-        else:
-            frozen_at_next = float("nan")
-        resid = (
-            (risk - frozen_at_next) - 0.5 * cfg.eta * grad_norm**2
-            if monitors
-            else float("nan")
-        )
-        frozen_next.append(frozen_at_next)
-        for r in range(len(ref_mats)):
-            frozen_ref[r].append(ref_risks[r])
-        record(i, risk, grad_norm, resid)
         net.weights[...] = W_next
-
-    if not diverged:
-        risk, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, ())
-        if not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD:
-            record(cfg.t_max, risk, float("nan"), float("nan"))
-            diverged = True
-        else:
-            record(cfg.t_max, risk, float(np.linalg.norm(grad)), float("nan"))
 
     for r, name in enumerate(ref_names):
         traj.certificates[name] = RegretCertificate(

@@ -7,6 +7,7 @@ import pytest
 from shallowcal import diagnostics, harness
 from shallowcal.cli import build_parser, main
 from shallowcal.diagnostics import LemmaCheckReport
+from shallowcal.distributions import sample as draw_sample
 from shallowcal.harness import derive_regime
 
 
@@ -47,6 +48,38 @@ class TestTrainCommand:
     def test_missing_config_is_error(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: 7,  # not a JSON object
+            lambda cfg: {**cfg, "width": 64},  # unknown key
+            lambda cfg: {k: v for k, v in cfg.items() if k != "eta"},  # missing key
+            lambda cfg: {**cfg, "rho": "large"},  # non-numeric number
+            lambda cfg: {**cfg, "m": "128"},  # non-numeric integer
+        ],
+        ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int"],
+    )
+    def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
+        code = main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("scale,bad", [(1.0, float("nan")), (2.0, None)], ids=["nan", "outside-ball"])
+    def test_invalid_inputs_are_usage_errors(self, small_config, tmp_path, monkeypatch, capsys, scale, bad):
+        def corrupted(dist, n, seed):
+            samp = draw_sample(dist, n, seed)
+            samp.points = samp.points * scale
+            if bad is not None:
+                samp.points[0, 0] = bad
+            return samp
+
+        monkeypatch.setattr(harness, "draw_sample", corrupted)
+        code = main(["train", "--config", str(small_config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestBoundCommand:
@@ -120,6 +153,17 @@ class TestLemmaCheckCommand:
         assert code == 0
         report = json.loads((out / "lemma_flip-count.json").read_text())
         assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("lemma,m", [("gauss-count", "0"), ("risk-ratio", "0"), ("risk-ratio", "-3")])
+    def test_nonpositive_width_is_usage_error(self, tmp_path, capsys, lemma, m):
+        code = main(["lemma-check", "--lemma", lemma, "--m", m, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "--m must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_lemma_rejected_by_parser(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lemma-check", "--lemma", "no-such-lemma"])
 
     def test_failed_verdict_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing(**kw):

@@ -14,8 +14,15 @@ from shallowcal.diagnostics import (
 )
 from shallowcal import kernel as kernel_module
 from shallowcal.distributions import make_distribution, sample
-from shallowcal.network import freeze_features, init_network
-from shallowcal.trainer import TrainConfig, train
+from shallowcal.network import clone_initial, freeze_features, init_network
+from shallowcal.trainer import (
+    DIVERGENCE_THRESHOLD,
+    TrainConfig,
+    empirical_risk,
+    frozen_empirical_risk,
+    gd_step,
+    train,
+)
 
 
 class TestGaussianRowCount:
@@ -145,6 +152,32 @@ class TestRiskRatio:
         rep = risk_ratio_check(net, samp.points, samp.labels, cfg, net.init_weights)
         assert 1.0 <= rep.max_ratio <= rep.bound
         assert rep.iterates == 11
+
+
+    @pytest.mark.parametrize("eta_factor,iterates", [(1.0, 7), (3e7, 5)])
+    def test_frozen_risks_match_step_replay(self, eta_factor, iterates):
+        # eta_factor 3e7 diverges at step 4 of 6; its last iterate takes no step
+        dist = make_distribution("logistic-1d", c=2.0)
+        samp = sample(dist, 64, seed=21)
+        X, y = samp.points, samp.labels
+        net = init_network(64, 1, 64.0**-0.125, seed=22)
+        B = net.init_weights + np.random.default_rng(23).standard_normal(net.weights.shape)
+        cfg = TrainConfig(eta=eta_factor * 4.0 / net.rho**2, t_max=6)
+        rep = risk_ratio_check(net, X, y, cfg, B)
+
+        live = clone_initial(net)
+        expected, radii = [], []
+        for i in range(cfg.t_max + 1):
+            expected.append(frozen_empirical_risk(freeze_features(live), B, X, y))
+            radii.append(live.dist_from_init())
+            risk = empirical_risk(live, X, y)
+            if i == cfg.t_max or risk > DIVERGENCE_THRESHOLD:
+                break
+            gd_step(live, X, y, cfg.eta)
+        assert rep.iterates == len(expected) == iterates
+        np.testing.assert_allclose(rep.frozen_risks, expected, rtol=1e-12, atol=0)
+        assert rep.radius_iterates == pytest.approx(max(radii), rel=1e-12)
+        assert rep.max_ratio == pytest.approx(max(expected) / min(expected), rel=1e-12)
 
 
 class TestGeneralizationGap:

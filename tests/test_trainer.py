@@ -10,6 +10,7 @@ from shallowcal.metrics import LOG2
 from shallowcal.network import Network, clone_initial, freeze_features, init_network
 from shallowcal.reference import linear_teacher, sample_reference
 from shallowcal.trainer import (
+    DIVERGENCE_THRESHOLD,
     TrainConfig,
     empirical_risk,
     frozen_empirical_risk,
@@ -40,6 +41,50 @@ def easy_setup(m=128, n=128, seed=0, rho=None):
     rho = rho if rho is not None else float(m) ** -0.125
     net = init_network(m, 1, rho, seed=seed + 1)
     return net, samp.points, samp.labels
+
+
+def replay(net, X, y, cfg, Z, monitors):
+    """Step-by-step replay of ``train(net, X, y, cfg, monitors, {"Z": Z})``
+    with the one-step functions.  One row per recorded iterate: emp_risk,
+    dist_init, grad_norm, smooth_resid, frozen_next, frozen_ref, dist_sq
+    (NaN where train records none), plus the weights of every iterate."""
+    net = clone_initial(net)
+    rows, weights = [], []
+    for i in range(cfg.t_max + 1):
+        risk = empirical_risk(net, X, y)
+        row = [risk, net.dist_from_init()] + [math.nan] * 4
+        row.append(float(np.sum((net.weights - Z) ** 2)))
+        rows.append(row)
+        weights.append(net.weights.copy())
+        if not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD:
+            break
+        ff = freeze_features(net)
+        row[2] = float(np.linalg.norm(gd_step(net, X, y, cfg.eta)))
+        if i == cfg.t_max:
+            break
+        row[4] = frozen_empirical_risk(ff, net.weights, X, y)
+        row[5] = frozen_empirical_risk(ff, Z, X, y)
+        if monitors:
+            row[3] = (risk - row[4]) - 0.5 * cfg.eta * row[2] ** 2
+    return np.array(rows), weights
+
+
+def replay_setups():
+    """(net, X, y, cfg, monitors): a monitored run on the arc path (d = 1)
+    and on the dense path (d = 3) with a radius that excludes late
+    iterates, and an unmonitored run that diverges at step 4 of 10."""
+    net, X, y = easy_setup(m=96, n=80, seed=22)
+    yield "arc", net, X, y, TrainConfig(eta=4.0 / net.rho**2, t_max=6, r_gd=1.5), True
+    dist = make_distribution("sphere-cap-teacher", d=3)
+    samp = sample(dist, 70, seed=23)
+    net = init_network(80, 3, 80.0**-0.125, seed=24)
+    cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=6, r_gd=2.5)
+    yield "dense", net, samp.points, samp.labels, cfg, True
+    net, X, y = easy_setup(m=64, n=64, seed=21)
+    yield "diverging", net, X, y, TrainConfig(eta=1.2e8 / net.rho**2, t_max=10), False
+
+
+REPLAY_SETUPS = {name: rest for name, *rest in replay_setups()}
 
 
 class TestEmpiricalRisk:
@@ -237,6 +282,74 @@ class TestRegretCertificate:
             replayed.frozen_ref, traj.certificates["Z"].frozen_ref
         )
         assert replayed.sides() == traj.certificates["Z"].sides()
+
+
+class TestAgainstStepReplay:
+    @pytest.mark.parametrize("name", REPLAY_SETUPS)
+    def test_records_and_certificate(self, name):
+        net, X, y, cfg, monitors = REPLAY_SETUPS[name]
+        rng = np.random.default_rng(25)
+        Z = net.init_weights + rng.standard_normal(net.weights.shape)
+        rows, weights = replay(net, X, y, cfg, Z, monitors)
+        traj = train(clone_initial(net), X, y, cfg, monitors=monitors, regret_refs={"Z": Z})
+
+        assert traj.status == ("diverged" if name == "diverging" else "ok")
+        assert len(traj.records) == len(rows)
+        assert [rec.index for rec in traj.records] == list(range(len(rows)))
+        recorded = np.array(
+            [[r.emp_risk, r.dist_init, r.grad_norm, r.smooth_resid] for r in traj.records]
+        )
+        np.testing.assert_allclose(recorded, rows[:, :4], rtol=1e-12, atol=0)
+        cert = traj.certificates["Z"]
+        np.testing.assert_allclose(cert.frozen_next, rows[:-1, 4], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cert.frozen_ref, rows[:-1, 5], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cert.dist_sq, rows[:, 6], rtol=1e-12, atol=0)
+
+        eligible = [i for i, r in enumerate(rows) if r[1] <= cfg.r_gd and math.isfinite(r[0])]
+        expected = min(eligible, key=lambda i: rows[i, 0])
+        assert traj.selected_index == expected
+        assert [r.selected for r in traj.records] == [i == expected for i in range(len(rows))]
+        np.testing.assert_allclose(traj.selected_weights, weights[expected], rtol=1e-12, atol=0)
+
+    def test_setups_cover_radius_and_divergence(self):
+        for name in ("arc", "dense"):
+            net, X, y, cfg, monitors = REPLAY_SETUPS[name]
+            rows, _ = replay(net, X, y, cfg, net.init_weights, monitors)
+            assert rows[-1, 1] > cfg.r_gd >= rows[1, 1]
+        net, X, y, cfg, monitors = REPLAY_SETUPS["diverging"]
+        rows, _ = replay(net, X, y, cfg, net.init_weights, monitors)
+        assert len(rows) == 5 and rows[-1, 0] > DIVERGENCE_THRESHOLD
+
+
+class TestPreconditions:
+    def test_monitors_reject_inputs_outside_unit_ball(self):
+        net, X, y = easy_setup(seed=26)
+        X = X.copy()
+        X[3] = 1.5
+        cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=2)
+        with pytest.raises(ValueError, match="norms"):
+            train(clone_initial(net), X, y, cfg)
+        assert train(clone_initial(net), X, y, cfg, monitors=False).status == "ok"
+
+    def test_unit_norm_rows_accepted(self):
+        net, X, y = easy_setup(n=4, seed=27)
+        X = np.array([[1.0], [-1.0], [1.0 + 1e-13], [0.0]])
+        traj = train(net, X, y, TrainConfig(eta=4.0 / net.rho**2, t_max=1))
+        assert traj.status == "ok"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_inputs_rejected(self, bad):
+        net, X, y = easy_setup(n=16, seed=28)
+        X = X.copy()
+        X[5, 0] = bad
+        cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=2)
+        for call in (
+            lambda: train(clone_initial(net), X, y, cfg, monitors=False),
+            lambda: gd_step(clone_initial(net), X, y, 1.0),
+            lambda: empirical_risk(net, X, y),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestDivergenceGuard:
