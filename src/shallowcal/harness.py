@@ -526,9 +526,8 @@ def run_experiment(
             ref_risk = float(ev.weights @ expected_logistic_loss(inf_margins, p))
             kbin = ref_risk - bayes["logistic"]
             # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
-            # risk; absent when the run diverged at its first step.
-            frozen_ref = traj.certificates["Ubar"].frozen_ref
-            emp_ref_risk = float(frozen_ref[0]) if len(frozen_ref) else None
+            # risk; a run with a selected iterate took its first step.
+            emp_ref_risk = float(traj.certificates["Ubar"].frozen_ref[0])
             radius_scale = max(4.0, cfg.rho, model.norm_bound)
             bound_terms = compute_bound_terms(
                 cfg,

@@ -5,9 +5,15 @@ the package is the masked margin
 
     f_k = scale * sum_j a_j [s_j . x_k >= 0] (v_j . x_k)
 
-over sources s_j, values v_j and signs a_j, or its adjoint.  ``kernel``
-returns the object that computes both for one source matrix on one point
-set; it is the only place that chooses between the two implementations:
+over sources s_j, values v_j and signs a_j, or its adjoint.  Both are sums
+over the 0/1 activation matrix M[k, j] = [s_j . x_k >= 0]: f_k is scale
+times x_k . (M @ (a * V))_k, and the adjoint is scale * a * (M^T @ (c * X)).
+So each backend supplies only ``mask_sum(R) = M @ R`` (n x c) and
+``mask_adjoint(C) = M^T @ C`` (m x c), and shared code builds ``margins``,
+``margins_many`` (several values matrices read by one ``mask_sum`` of the
+stacked a * V), ``moments`` (through the d(d+1)/2 upper-triangle columns of
+v_j v_j^T) and ``adjoint`` on them.  ``kernel`` returns the object for one
+source matrix on one point set; it is the only place that chooses a backend:
 
 * ``ArcKernel`` for inputs of dimension at most 2.  In the plane, the closed
   half-plane s_j . x >= 0 meets the angle-sorted points in one contiguous
@@ -17,10 +23,10 @@ set; it is the only place that chooses between the two implementations:
   where inputs are x or (x, 1)/sqrt(2), a shallow ReLU network is thus a
   linear spline with m knots (Savarese et al., COLT 2019; Williams et al.,
   NeurIPS 2019).  A 1-d input x is treated as the planar point (x, 0).
-* ``DenseKernel`` otherwise: dense products over tiles of points and
-  sources, each temporary at most ``_CHUNK_BUDGET`` scalars.
-
-Both offer ``margins(values)``, ``moments(values)`` and ``adjoint(coeff)``.
+* ``DenseKernel`` otherwise: over tiles of points and sources, each tile's
+  mask is formed once per pass as a float 0/1 array and meets one matrix
+  product whose inner dimension is the tile width; every temporary is at
+  most ``_CHUNK_BUDGET`` scalars.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ __all__ = ["ArcKernel", "DenseKernel", "kernel", "tiles"]
 # preactivations, their mask and the masked products of a tile stay in a
 # core's L2 cache, and a tile is at most 1024 sources wide, so one block of
 # sources stays cached while the blocks of points pass over it (Goto & van
-# de Geijn, ACM TOMS 2008).  Every pass re-forms the mask, which costs less
-# than streaming larger temporaries through main memory.
+# de Geijn, ACM TOMS 2008).  Every pass re-forms each tile's mask once, which
+# costs less than streaming a stored n x m mask through main memory.
 _CHUNK_BUDGET = 1 << 16
 
 
@@ -94,33 +100,87 @@ def _ranks(ring: np.ndarray, keys: np.ndarray, order: np.ndarray, side: str) -> 
     return out
 
 
-class ArcKernel:
+class _MaskedSums:
+    """Margins, moments and adjoint of one source matrix on one point set,
+    built on the backend's ``mask_sum`` and ``mask_adjoint``."""
+
+    def __init__(self, sources, signs, scale: float, X):
+        self.sources, self.X = _operands(sources, X)
+        self.n, self.d = self.X.shape
+        self.signs = np.asarray(signs, dtype=float)
+        self.scale = float(scale)
+        self._nonfinite = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
+
+    def _rowdot(self, S: np.ndarray) -> np.ndarray:
+        """scale * x_k . S_k at every point; NaN where x_k is not finite."""
+        out = self.scale * np.einsum("ij,ij->i", self.X, S)
+        out[self._nonfinite] = np.nan
+        return out
+
+    def margins_many(self, values_list) -> list[np.ndarray]:
+        """``margins`` of each values matrix, all read by one ``mask_sum``."""
+        d = self.d
+        R = np.empty((len(self.signs), d * len(values_list)))
+        for i, V in enumerate(values_list):
+            np.multiply(self.signs[:, None], V, out=R[:, i * d : (i + 1) * d])
+        S = self.mask_sum(R)
+        return [self._rowdot(block) for block in np.split(S, len(values_list), axis=1)]
+
+    def margins(self, values) -> np.ndarray:
+        """scale * sum_j a_j [s_j . x >= 0] (v_j . x) at every point, shape (n,)."""
+        return self.margins_many([values])[0]
+
+    def moments(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """``margins(values)`` and scale * sum_j [s_j . x >= 0] (v_j . x)^2
+        at every point; signs do not enter the second."""
+        V = np.asarray(values, dtype=float)
+        d = self.d
+        pairs = list(zip(*np.triu_indices(d)))
+        R = np.empty((len(V), d + len(pairs)))
+        np.multiply(self.signs[:, None], V, out=R[:, :d])
+        for c, (i, j) in enumerate(pairs):
+            np.multiply(V[:, i], V[:, j], out=R[:, d + c])
+        S = self.mask_sum(R)
+        x = self.X
+        terms = [
+            (1.0 if i == j else 2.0) * x[:, i] * x[:, j] * S[:, d + c]
+            for c, (i, j) in enumerate(pairs)
+        ]
+        second = self.scale * sum(terms[1:], terms[0])
+        second[self._nonfinite] = np.nan
+        return self._rowdot(S[:, :d]), second
+
+    def adjoint(self, coeff) -> np.ndarray:
+        """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""
+        C = np.asarray(coeff, dtype=float)[:, None] * self.X
+        return self.scale * self.signs[:, None] * self.mask_adjoint(C)
+
+
+class ArcKernel(_MaskedSums):
     """Activation arcs of one source matrix on one point set of dimension <= 2.
 
-    ``margins``, ``moments`` and ``adjoint`` agree with ``DenseKernel`` up
-    to summation order, under the same tie rule: a point with s.x == 0 is
-    active, a zero source row is active on every point, and a zero point
-    contributes nothing.  Each arc's ends come from a search over angles
+    ``mask_sum`` and ``mask_adjoint`` agree with ``DenseKernel`` up to
+    summation order, under the same tie rule: a point with s.x == 0 is
+    active, a zero source row is active on every point, and every source is
+    active on a zero point.  Each arc's ends come from a search over angles
     and are then settled with the elementwise predicate, so rounding in the
     angles cannot move a point across an arc boundary.  The predicate is
     s1*x1 + s2*x2 >= 0 without fused multiply-add; a BLAS product that fuses
     can round an s.x within rounding of zero to the other sign, so the dense
-    path can disagree on such points.  A point with a non-finite coordinate
-    gets a NaN margin.
+    path can disagree on such points.  The mask rows of a point with a
+    non-finite coordinate are zero.
     """
 
     def __init__(self, sources, signs, scale: float, X):
-        sources, X = _operands(sources, X)
-        if X.shape[1] > 2:
+        super().__init__(sources, signs, scale, X)
+        if self.d > 2:
             raise ValueError("arc kernel needs points of dimension at most 2")
-        self.n, self.d = X.shape
-        self.signs = np.asarray(signs, dtype=float)
-        self.scale = float(scale)
 
-        pts = _plane(X)
+        pts = _plane(self.X)
         finite = np.isfinite(pts).all(axis=1)
-        self._nonfinite = np.flatnonzero(~finite)
-        kept = np.flatnonzero(finite & (pts != 0).any(axis=1))
+        nonzero = (pts != 0).any(axis=1)
+        self._zero = np.flatnonzero(finite & ~nonzero)
+        kept = np.flatnonzero(finite & nonzero)
         theta = _angles(pts[kept])
         order = np.argsort(theta, kind="stable")
         # Directions closer than arctan2 resolves share an angle; order each
@@ -131,7 +191,7 @@ class ArcKernel:
         order = order[np.lexsort((ref[:, 0] * P[:, 1] - ref[:, 1] * P[:, 0], run))]
         self.order = kept[order]
         self.points = pts[self.order]
-        self.lo, self.hi = self._arcs(_plane(sources), phi)
+        self.lo, self.hi = self._arcs(_plane(self.sources), phi)
 
     def _arcs(self, S: np.ndarray, phi: np.ndarray):
         """Arc [lo, hi) of every source over the doubled sorted order.
@@ -175,97 +235,60 @@ class ArcKernel:
         shift = np.floor_divide(a, k) * k
         return a - shift, b - shift
 
-    def _arc_sum(self, rows: np.ndarray) -> np.ndarray:
-        """Sum of ``rows[j]`` over the sources whose arc covers each sorted point."""
+    def mask_sum(self, R: np.ndarray) -> np.ndarray:
+        """M @ R, shape (n, c): the rows of R summed over the sources
+        active at each point, by a difference array over the arcs."""
         k = len(self.order)
-        out = np.empty((2 * k, rows.shape[1]))
-        for c in range(rows.shape[1]):
-            diff = np.bincount(self.lo, rows[:, c], minlength=2 * k + 1)
-            diff -= np.bincount(self.hi, rows[:, c], minlength=2 * k + 1)
-            np.cumsum(diff[: 2 * k], out=out[:, c])
-        return out[:k] + out[k:]
-
-    def _scatter(self, sorted_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[self.order] = sorted_values
-        out[self._nonfinite] = np.nan
+        acc = np.empty((2 * k, R.shape[1]))
+        for c in range(R.shape[1]):
+            diff = np.bincount(self.lo, R[:, c], minlength=2 * k + 1)
+            diff -= np.bincount(self.hi, R[:, c], minlength=2 * k + 1)
+            np.cumsum(diff[: 2 * k], out=acc[:, c])
+        out = np.zeros((self.n, R.shape[1]))
+        out[self.order] = acc[:k] + acc[k:]
+        if self._zero.size:
+            out[self._zero] = R.sum(axis=0)
         return out
 
-    def margins(self, values) -> np.ndarray:
-        """scale * sum_j a_j [s_j . x >= 0] (v_j . x) at every point, shape (n,)."""
-        S = self._arc_sum(self.signs[:, None] * _plane(np.asarray(values, dtype=float)))
-        return self._scatter(self.scale * np.einsum("ij,ij->i", self.points, S))
-
-    def moments(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """``margins(values)`` and scale * sum_j [s_j . x >= 0] (v_j . x)^2
-        at every point; signs do not enter the second."""
-        V = _plane(np.asarray(values, dtype=float))
-        S = self._arc_sum(np.stack([V[:, 0] ** 2, V[:, 0] * V[:, 1], V[:, 1] ** 2], axis=1))
-        x1, x2 = self.points[:, 0], self.points[:, 1]
-        quad = x1 * x1 * S[:, 0] + 2.0 * x1 * x2 * S[:, 1] + x2 * x2 * S[:, 2]
-        return self.margins(values), self._scatter(self.scale * quad)
-
-    def adjoint(self, coeff) -> np.ndarray:
-        """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""
+    def mask_adjoint(self, C: np.ndarray) -> np.ndarray:
+        """M^T @ C, shape (m, c): the rows of C summed over each source's
+        arc, as a difference of prefix sums."""
         k = len(self.order)
-        cx = np.asarray(coeff, dtype=float)[self.order, None] * self.points
-        prefix = np.zeros((2 * k + 1, 2))
-        np.cumsum(np.concatenate([cx, cx]), axis=0, out=prefix[1:])
-        rows = prefix[self.hi] - prefix[self.lo]
-        return self.scale * self.signs[:, None] * rows[:, : self.d]
+        sorted_rows = C[self.order]
+        prefix = np.zeros((2 * k + 1, C.shape[1]))
+        np.cumsum(np.concatenate([sorted_rows, sorted_rows]), axis=0, out=prefix[1:])
+        out = prefix[self.hi] - prefix[self.lo]
+        if self._zero.size:
+            out += C[self._zero].sum(axis=0)
+        return out
 
 
-class DenseKernel:
-    """Masked margins by dense products, for points of any dimension.
+class DenseKernel(_MaskedSums):
+    """Masked sums by dense products, for points of any dimension.
 
-    Every method makes one pass over the ``tiles`` of points and sources in
-    order, forming the preactivations of a tile and their mask afresh, so
-    results are deterministic and no n x m array is held.  The sources are
-    read on every call and must not change while the kernel is in use.  The
-    mask is the sign of the BLAS product, and a zero point contributes
-    nothing.
+    Each sum makes one pass over the ``tiles`` of points and sources in
+    order.  A tile's preactivations are formed afresh and turned in place
+    into a float 0/1 mask, which then meets one matrix product, so results
+    are deterministic and no n x m array is held.  The sources are read on
+    every call and must not change while the kernel is in use.  The mask is
+    the sign of the BLAS product, which may fuse multiply-adds.
     """
 
-    def __init__(self, sources, signs, scale: float, X):
-        self.sources, self.X = _operands(sources, X)
-        self.n, self.d = self.X.shape
-        self.signs = np.asarray(signs, dtype=float)
-        self.scale = float(scale)
-
-    def _preactivations(self):
+    def _masks(self):
         for rows, cols in tiles(self.n, len(self.sources)):
-            yield rows, cols, self.X[rows] @ self.sources[cols].T
+            pre = self.X[rows] @ self.sources[cols].T
+            yield rows, cols, np.greater_equal(pre, 0.0, out=pre)
 
-    def _masked(self, values):
-        """[s_j . x >= 0] (v_j . x) per tile; the preactivations are reused
-        when ``values`` is the source matrix itself."""
-        V = np.asarray(values, dtype=float)
-        for rows, cols, pre in self._preactivations():
-            proj = pre if values is self.sources else self.X[rows] @ V[cols].T
-            proj *= pre >= 0
-            yield rows, cols, proj
+    def mask_sum(self, R: np.ndarray) -> np.ndarray:
+        """M @ R, shape (n, c)."""
+        out = np.zeros((self.n, R.shape[1]))
+        for rows, cols, mask in self._masks():
+            out[rows] += mask @ R[cols]
+        return out
 
-    def margins(self, values) -> np.ndarray:
-        """scale * sum_j a_j [s_j . x >= 0] (v_j . x) at every point, shape (n,)."""
-        out = np.zeros(self.n)
-        for rows, cols, proj in self._masked(values):
-            out[rows] += proj @ self.signs[cols]
-        return self.scale * out
-
-    def moments(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """``margins(values)`` and scale * sum_j [s_j . x >= 0] (v_j . x)^2
-        at every point; signs do not enter the second."""
-        first, second = np.zeros(self.n), np.zeros(self.n)
-        for rows, cols, proj in self._masked(values):
-            first[rows] += proj @ self.signs[cols]
-            second[rows] += np.einsum("ij,ij->i", proj, proj)
-        return self.scale * first, self.scale * second
-
-    def adjoint(self, coeff) -> np.ndarray:
-        """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""
-        c = np.asarray(coeff, dtype=float)
-        acc = np.zeros(self.sources.shape)
-        for rows, cols, pre in self._preactivations():
-            np.multiply(pre >= 0, c[rows, None], out=pre)
-            acc[cols] += pre.T @ self.X[rows]
-        return self.scale * self.signs[:, None] * acc
+    def mask_adjoint(self, C: np.ndarray) -> np.ndarray:
+        """M^T @ C, shape (m, c)."""
+        out = np.zeros((len(self.sources), C.shape[1]))
+        for rows, cols, mask in self._masks():
+            out[cols] += mask.T @ C[rows]
+        return out

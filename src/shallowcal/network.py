@@ -10,7 +10,14 @@ temperature rho.  The weight gradient has rows
     (rho / sqrt(m)) * a_j * [w_j . x >= 0] * x
 
 and the indicator at zero preactivation is taken to be 1, so that the
-1-homogeneity identity <grad f(x; W), W> = f(x; W) is exact.
+1-homogeneity identity <grad f(x; W), W> = f(x; W) is exact.  For inputs of
+dimension at most 2 the kernel tests w_j . x >= 0 without fused
+multiply-adds, so an exactly perpendicular pair counts as active.  For
+d > 2 the indicator is the sign of the BLAS product X @ W^T, which may fuse
+multiply-adds and so round a w_j . x within rounding of zero to either
+sign.  An unfused mask costs more than three times as much per pass (33 ms
+against 9 ms for one masked sum at n = 1024, m = 4096, d = 4 on a 2-vCPU
+x86_64 machine with OpenBLAS), so the dense path keeps the BLAS sign.
 
 Randomness contract: networks are initialized from ``numpy.random.default_rng``
 (PCG64); the stream is consumed as all of W (row-major, standard normal via

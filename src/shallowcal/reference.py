@@ -24,15 +24,15 @@ augmented-inputs) are provided instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator
 from .kernel import kernel
-from .metrics import expected_logistic_loss, logistic_loss_derivative
-from .network import FrozenFeatures, Network, freeze_features, frozen_forward_batch
+from .metrics import expected_logistic_loss
+from .network import Network, freeze_features, frozen_forward_batch
 
 __all__ = [
     "GapResult",
@@ -45,7 +45,6 @@ __all__ = [
     "linear_teacher",
     "model_from_config",
     "sample_reference",
-    "train_frozen_features",
     "zero_model",
 ]
 
@@ -170,10 +169,7 @@ class SampledReference:
     d: int
     rho: float
     net_seed: int | None
-    dist_from_init: float = field(init=False)
-
-    def __post_init__(self):
-        self.dist_from_init = float("nan")
+    dist_from_init: float
 
 
 def sample_reference(model: InfiniteWidthModel, net: Network) -> SampledReference:
@@ -181,21 +177,23 @@ def sample_reference(model: InfiniteWidthModel, net: Network) -> SampledReferenc
     if model.dim != net.d:
         raise ValueError(f"model dim {model.dim} != network dim {net.d}")
     mapped = np.asarray(model.weight_map(net.init_weights), dtype=float)
-    ubar = net.signs[:, None] * mapped / (net.rho * np.sqrt(net.m)) + net.init_weights
-    ref = SampledReference(
+    offset = net.signs[:, None] * mapped / (net.rho * np.sqrt(net.m))
+    # The bound is checked on the offset itself: Ubar - W0 recomputed by
+    # subtraction cancels when the offset is tiny against W0 (large rho).
+    if net.rho * np.linalg.norm(offset) > model.norm_bound * (1 + 1e-9) + 1e-12:
+        raise AssertionError(
+            "sampled reference violates rho * ||Ubar - W0|| <= norm bound"
+        )
+    ubar = offset + net.init_weights
+    return SampledReference(
         ubar=ubar,
         model_name=model.name,
         m=net.m,
         d=net.d,
         rho=net.rho,
         net_seed=net.seed,
+        dist_from_init=float(np.linalg.norm(ubar - net.init_weights)),
     )
-    ref.dist_from_init = float(np.linalg.norm(ubar - net.init_weights))
-    if net.rho * ref.dist_from_init > model.norm_bound * (1 + 1e-9) + 1e-12:
-        raise AssertionError(
-            "sampled reference violates rho * ||Ubar - W0|| <= norm bound"
-        )
-    return ref
 
 
 @dataclass
@@ -260,30 +258,3 @@ def gap_experiment(
         gap=gap,
         se=risk_se,
     )
-
-
-def train_frozen_features(
-    ff: FrozenFeatures,
-    X: np.ndarray,
-    y: np.ndarray,
-    eta: float,
-    steps: int,
-    V0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient descent on the convex frozen-feature objective.
-
-    Starts from the feature source matrix (so the initial predictor equals
-    the network it was frozen from) unless V0 is given.  Used as the
-    trained-to-convergence linear oracle and for norm-criterion experiments
-    on frozen features.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    V = np.array(ff.sign_source if V0 is None else V0, dtype=float)
-    n = X.shape[0]
-    K = kernel(ff.sign_source, ff.signs, ff.scale, X)
-    for _ in range(steps):
-        margins = y * K.margins(V)
-        coeff = logistic_loss_derivative(margins) * y / n
-        V -= eta * K.adjoint(coeff)
-    return V

@@ -18,8 +18,8 @@ noise indicates an implementation bug, which is exactly what the monitors
 exist to catch.
 
 Iterate selection keeps the recorded iterate of minimal empirical risk among
-those within the early stopping radius of the initialization, breaking ties
-toward the earliest index.
+those within the early stopping radius of the initialization whose risk did
+not diverge, breaking ties toward the earliest index.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "empirical_risk",
     "frozen_empirical_risk",
     "gd_step",
-    "monitor_smoothness",
-    "regret_certificate",
     "train",
     "write_trajectory",
 ]
@@ -206,19 +204,22 @@ def _risk_and_grad(W, signs, scale, X, y, refs):
     Returns (empirical risk, full-batch gradient, frozen risks of each ref
     matrix under W's activation pattern, and the function V -> frozen risk
     of V under that pattern).  One kernel of W serves all of them, so the
-    results are deterministic; the function reads W, so call it before W
-    changes.
+    results are deterministic: the margins at W and at every reference come
+    from one masked sum, and the gradient from one adjoint.  The function
+    reads W, so call it before W changes.
     """
     n = X.shape[0]
     K = kernel(W, signs, scale, X)
 
-    def frozen_risk(V):
-        return float(logistic_loss(K.margins(V) * y).sum()) / n
+    def mean_loss(margins):
+        return float(logistic_loss(margins * y).sum()) / n
 
-    margins = K.margins(W) * y
-    coeff = logistic_loss_derivative(margins) * y / n
-    risk = float(logistic_loss(margins).sum()) / n
-    return risk, K.adjoint(coeff), [frozen_risk(Z) for Z in refs], frozen_risk
+    def frozen_risk(V):
+        return mean_loss(K.margins(V))
+
+    f, *ref_margins = K.margins_many([W, *refs])
+    coeff = logistic_loss_derivative(f * y) * y / n
+    return mean_loss(f), K.adjoint(coeff), [mean_loss(g) for g in ref_margins], frozen_risk
 
 
 def train(
@@ -283,7 +284,7 @@ def train(
         traj.records.append(IterateRecord(i, risk, dist, grad_norm, resid))
         for r, Z in enumerate(ref_mats):
             dist_sq_ref[r].append(float(np.sum((net.weights - Z) ** 2)))
-        if dist <= cfg.r_gd and math.isfinite(risk) and (best is None or risk < best[0]):
+        if dist <= cfg.r_gd and not diverged and (best is None or risk < best[0]):
             best = (risk, i, net.weights.copy())
         if not step:
             break
@@ -307,27 +308,6 @@ def train(
     elif not diverged:
         traj.status = "no-selection"
     return traj
-
-
-def monitor_smoothness(traj: Trajectory) -> np.ndarray:
-    """Per-step smoothness residuals recorded along the run."""
-    return np.array([rec.smooth_resid for rec in traj.records[:-1]])
-
-
-def regret_certificate(
-    net: Network, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, Z: np.ndarray
-) -> RegretCertificate:
-    """Certificate against a reference chosen after the fact.
-
-    Frozen risks are never stored as matrices, so the run is replayed
-    deterministically from the network's initialization with the reference
-    attached; the network passed in is left untouched.
-    """
-    from .network import clone_initial
-
-    replay = clone_initial(net)
-    traj = train(replay, X, y, cfg, monitors=False, regret_refs={"Z": Z})
-    return traj.certificates["Z"]
 
 
 def write_trajectory(traj: Trajectory, csv_path, json_path=None) -> None:

@@ -9,6 +9,9 @@ exact and exact ties s.x == 0 are frequent; the float tests use Gaussian
 data at realistic sizes.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,7 +191,7 @@ class TestDenseKernel:
         assert_close(first, 0.7 * proj @ signs)
         assert_close(second, 0.7 * (proj**2).sum(axis=1))
         assert_close(K.adjoint(c), 0.7 * signs[:, None] * ((act * c[:, None]).T @ X))
-        # the source matrix itself takes the preactivation shortcut
+        # the source matrix itself is read like any other values matrix
         assert_close(K.margins(S), K.margins(S.copy()))
 
     def test_kernel_picks_by_dimension(self):
@@ -199,6 +202,78 @@ class TestDenseKernel:
             kernel(np.ones((3, 2)), signs, 1.0, np.ones(2))
         with pytest.raises(ValueError):
             kernel(np.ones((3, 3)), signs, 1.0, np.ones((4, 2)))
+
+
+@st.composite
+def masked_sum_problems(draw):
+    """(X, S, R, C, values, signs) on the grid with d in {1, 2, 3}: every
+    product and sum is exact, so both kernels must match the plain mask."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 20))
+    c = draw(st.integers(1, 4))
+    X = draw(matrix(n, d))
+    if n > 1 and draw(st.booleans()):
+        X[draw(st.integers(1, n - 1)) :] = X[0]
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    values = [draw(matrix(m, d)) for _ in range(draw(st.integers(1, 3)))]
+    return X, draw(matrix(m, d)), draw(matrix(m, c)), draw(matrix(n, c)), values, signs
+
+
+class TestMaskedSums:
+    @pytest.mark.parametrize("budget", [1, 64 * 7, kernel_module._CHUNK_BUDGET])
+    @settings(max_examples=100, deadline=None)
+    @given(masked_sum_problems())
+    def test_against_plain_mask(self, budget, prob):
+        X, S, R, C, values, signs = prob
+        M = (X @ S.T >= 0).astype(float)
+        backends = [DenseKernel] + ([ArcKernel] if X.shape[1] <= 2 else [])
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
+            for backend in backends:
+                K = backend(S, signs, 0.75, X)
+                np.testing.assert_array_equal(K.mask_sum(R), M @ R)
+                np.testing.assert_array_equal(K.mask_adjoint(C), M.T @ C)
+                many = K.margins_many(values)
+                for V, got in zip(values, many):
+                    assert_close(got, 0.75 * ((X @ V.T) * M) @ signs)
+                    np.testing.assert_allclose(got, K.margins(V), rtol=1e-13, atol=0)
+                first, second = K.moments(values[0])
+                assert_close(first, many[0])
+                assert_close(second, 0.75 * ((X @ values[0].T) ** 2 * M).sum(axis=1))
+
+    def test_batched_margins_match_single_on_float_data(self):
+        rng = np.random.default_rng(23)
+        n, m, d = 300, 2500, 4
+        X = rng.standard_normal((n, d)) / 2.0
+        S = rng.standard_normal((m, d))
+        signs = rng.choice([-1.0, 1.0], m)
+        values = [S, S + 0.1 * rng.standard_normal((m, d)), rng.standard_normal((m, d))]
+        K = kernel(S, signs, 0.3, X)
+        for got, V in zip(K.margins_many(values), values):
+            want = K.margins(V)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_trainer_step_holds_no_n_by_m_array(self):
+        # One step with two references at n = 1024, m = 4096, d = 4: one
+        # n x m float array would be 32 MiB; the tiles keep the traced peak
+        # to a few tiles plus O((n + m) c) floats for c = 3 d columns.
+        rng = np.random.default_rng(24)
+        n, m, d = 1024, 4096, 4
+        X = rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        W = rng.standard_normal((m, d))
+        refs = [W + 0.1, rng.standard_normal((m, d))]
+        signs = rng.choice([-1.0, 1.0], m)
+        y = rng.choice([-1.0, 1.0], n)
+        tracemalloc.start()
+        try:
+            _risk_and_grad(W, signs, 0.3, X, y, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * 8 * kernel_module._CHUNK_BUDGET + 4 * 8 * (n + m) * 3 * d
+        assert bound < 0.1 * 8 * n * m
+        assert peak < bound
 
 
 class TestTieRule:

@@ -81,6 +81,20 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_large_rho_run_exits_diverged(self, tmp_path, capsys):
+        # The sampled reference at rho = 1e8 used to fail its norm check by
+        # cancellation and end in a traceback; the run diverges at iterate 0.
+        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8, "rho": 1e8})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_flat_dict()))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(path), "--out-dir", str(out)])
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "diverged"
+        assert report["trajectory_summary"]["selected_index"] is None
+        assert "status: diverged" in capsys.readouterr().out
+
 
 class TestBoundCommand:
     def test_bound_report(self, small_config, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shallowcal.distributions import make_distribution, evaluator, population_risk
+from shallowcal.distributions import derived_seed, make_distribution
 from shallowcal.metrics import LOG2
 from shallowcal.network import (
     Network,
@@ -21,10 +21,8 @@ from shallowcal.reference import (
     linear_teacher,
     model_from_config,
     sample_reference,
-    train_frozen_features,
     zero_model,
 )
-from shallowcal.trainer import frozen_empirical_risk
 
 
 def zero_weight_net(m, d, rho=1.0):
@@ -132,6 +130,17 @@ class TestSampleReference:
                 ref = sample_reference(model, net)
                 assert net.rho * ref.dist_from_init <= model.norm_bound * (1 + 1e-9)
 
+    def test_bound_checked_on_offset_at_large_rho(self):
+        # The offset is near the rounding of W0 at rho = 1e8, so rho times
+        # the distance recomputed by subtraction exceeds the bound, while
+        # rho times the offset norm stays within it.
+        net = init_network(16, 1, 1e8, seed=derived_seed(2, 2))
+        model = linear_teacher([2.0])
+        ref = sample_reference(model, net)
+        assert net.rho * ref.dist_from_init > model.norm_bound * (1 + 1e-9)
+        offset = net.signs[:, None] * model.weight_map(net.init_weights) / (net.rho * 4.0)
+        np.testing.assert_array_equal(ref.ubar, offset + net.init_weights)
+
     def test_dimension_mismatch(self):
         net = init_network(8, 2, 1.0, seed=13)
         with pytest.raises(ValueError):
@@ -163,21 +172,3 @@ class TestGapExperiment:
         d = res.to_dict()
         assert set(d) == {"m", "rho", "frozen_risk", "infinite_risk", "gap", "se"}
         assert d["gap"] >= 1.0
-
-
-class TestFrozenTraining:
-    def test_converges_toward_bayes_on_easy_task(self):
-        dist = make_distribution("logistic-1d", c=2.0)
-        from shallowcal.distributions import sample as draw
-
-        samp = draw(dist, 512, seed=16)
-        net = init_network(512, 1, 1.0, seed=17)
-        ff = freeze_features(net, at_init=True)
-        before = frozen_empirical_risk(ff, net.init_weights, samp.points, samp.labels)
-        V = train_frozen_features(ff, samp.points, samp.labels, eta=4.0, steps=300)
-        after = frozen_empirical_risk(ff, V, samp.points, samp.labels)
-        assert after < before
-        pop = population_risk(
-            dist, lambda P: frozen_forward_batch(ff, V, P), evaluator(dist)
-        )
-        assert pop.breakdown.excess_logistic < 0.05

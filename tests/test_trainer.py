@@ -15,8 +15,6 @@ from shallowcal.trainer import (
     empirical_risk,
     frozen_empirical_risk,
     gd_step,
-    monitor_smoothness,
-    regret_certificate,
     train,
     write_trajectory,
 )
@@ -199,7 +197,7 @@ class TestMonitors:
         net = manual_net([1.0, -1.0], [[-1.0, 0.0], [-2.0, 0.0]])
         X, y = np.array([[1.0, 0.0]]), np.array([1.0])
         traj = train(net, X, y, TrainConfig(eta=1.0, t_max=2))
-        resids = monitor_smoothness(traj)
+        resids = [rec.smooth_resid for rec in traj.records[:-1]]
         assert np.array_equal(resids, np.zeros(2))
 
     def test_residual_floor_on_pinned_runs(self):
@@ -266,22 +264,6 @@ class TestRegretCertificate:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=12)
         traj = train(net, X, y, cfg, regret_refs={"Ubar": ref.ubar})
         assert traj.certificates["Ubar"].holds()
-
-    def test_post_hoc_certificate_matches_train_time(self):
-        net, X, y = easy_setup(m=128, n=100, seed=18)
-        Z = net.init_weights + 0.3
-        cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=5)
-        pristine = clone_initial(net)
-        traj = train(net, X, y, cfg, regret_refs={"Z": Z.copy()})
-        replayed = regret_certificate(pristine, X, y, cfg, Z)
-        assert replayed.holds()
-        np.testing.assert_array_equal(
-            replayed.frozen_next, traj.certificates["Z"].frozen_next
-        )
-        np.testing.assert_array_equal(
-            replayed.frozen_ref, traj.certificates["Z"].frozen_ref
-        )
-        assert replayed.sides() == traj.certificates["Z"].sides()
 
 
 class TestAgainstStepReplay:
