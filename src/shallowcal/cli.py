@@ -18,6 +18,7 @@ from . import diagnostics, harness, interpolation
 from .distributions import make_distribution
 
 EXIT_OK = 0
+EXIT_USAGE = 1
 EXIT_MONITOR = 2
 EXIT_DIVERGED = 3
 
@@ -44,8 +45,22 @@ def _write_csv(rows, fieldnames, path: Path) -> None:
     print(f"wrote {path}")
 
 
+def _write_result(result: dict, fmt: str, out: Path, stem: str) -> None:
+    """``<stem>.json``, or with csv the rows in ``<stem>.csv`` and the rest
+    in ``<stem>_summary.json``."""
+    if fmt == "csv":
+        rows = result.pop("rows")
+        _write_csv(rows, list(rows[0].keys()), out / f"{stem}.csv")
+        _write_json(result, out / f"{stem}_summary.json")
+    else:
+        _write_json(result, out / f"{stem}.json")
+
+
 def _dist_params(args) -> dict:
-    return json.loads(args.dist_params) if args.dist_params else {}
+    params = json.loads(args.dist_params) if args.dist_params else {}
+    if not isinstance(params, dict):
+        raise ValueError(f"--dist-params must be a JSON object, got {args.dist_params}")
+    return params
 
 
 def _report_exit(report) -> int:
@@ -93,13 +108,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) if args.axis == "eps" else int(v) for v in args.values.split(",")]
     result = harness.sweep(base, args.axis, values, seeds=args.seeds, root_seed=args.seed or 0)
     print(f"root seed: {args.seed or 0}")
-    out = Path(args.out_dir)
-    if args.format == "csv":
-        rows = result.pop("rows")
-        _write_csv(rows, list(rows[0].keys()), out / "sweep.csv")
-        _write_json(result, out / "sweep_summary.json")
-    else:
-        _write_json(result, out / "sweep.json")
+    _write_result(result, args.format, Path(args.out_dir), "sweep")
     return EXIT_OK
 
 
@@ -114,13 +123,7 @@ def cmd_consistency(args) -> int:
     )
     result = harness.sweep(base, "n", n_grid, seeds=args.seeds, root_seed=args.seed or 0)
     print(f"root seed: {args.seed or 0}")
-    out = Path(args.out_dir)
-    if args.format == "csv":
-        rows = result.pop("rows")
-        _write_csv(rows, list(rows[0].keys()), out / "consistency.csv")
-        _write_json(result, out / "consistency_summary.json")
-    else:
-        _write_json(result, out / "consistency.json")
+    _write_result(result, args.format, Path(args.out_dir), "consistency")
     return EXIT_OK
 
 
@@ -247,7 +250,6 @@ def cmd_bound(args) -> int:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=["n", "m", "eps"], required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -279,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="step-smooth-1d")
     p.add_argument("--dist-params", default=None)
     p.add_argument("--augment-bias", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p)
     p.set_defaults(func=cmd_consistency)
 
@@ -318,12 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is EXIT_MONITOR here.
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_USAGE
     except harness.CellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED if exc.status == "diverged" else EXIT_MONITOR

@@ -8,15 +8,11 @@ discontinuities), seeded Monte Carlo otherwise.
 
 Population quantities are always computed against the true conditional
 model, never estimated from sampled labels.
-
-Also ships the IDX (big-endian) image/label reader used for binary
-classification on real digit data; pixels are scaled by 1/(255 sqrt(d)) and
-then projected onto the unit ball, a choice recorded in the sample metadata.
 """
 
 from __future__ import annotations
 
-import struct
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,14 +30,10 @@ __all__ = [
     "builtin_distributions",
     "derived_seed",
     "evaluator",
-    "load_idx",
     "make_distribution",
     "population_risk",
     "sample",
 ]
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 _NORM_SLACK = 1e-12
 
@@ -55,8 +47,6 @@ def derived_seed(root: int, *path: int) -> int:
 class LabeledSample:
     points: np.ndarray
     labels: np.ndarray
-    seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -126,7 +116,7 @@ def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
         raise AssertionError("marginal sampler produced a point outside the unit ball")
     p = dist.cond_prob(X)
     y = np.where(rng.uniform(size=n) < p, 1.0, -1.0)
-    return LabeledSample(points=X, labels=y, seed=seed)
+    return LabeledSample(points=X, labels=y)
 
 
 def _gauss_legendre_panels(lo, hi, nodes, breakpoints, pdf):
@@ -147,15 +137,13 @@ def _gauss_legendre_panels(lo, hi, nodes, breakpoints, pdf):
     return np.concatenate(points), np.concatenate(weights)
 
 
-def evaluator(dist: Distribution, nodes: int | None = None) -> PopulationEvaluator:
+def evaluator(dist: Distribution) -> PopulationEvaluator:
     if dist.eval_scheme == "quadrature":
         if dist.dim != 1 or dist.support is None:
             raise ValueError("quadrature evaluation requires a 1-d supported marginal")
         lo, hi = dist.support
         pdf = lambda x: np.full_like(x, 1.0 / (hi - lo))
-        x, w = _gauss_legendre_panels(
-            lo, hi, nodes or dist.quad_nodes, dist.breakpoints, pdf
-        )
+        x, w = _gauss_legendre_panels(lo, hi, dist.quad_nodes, dist.breakpoints, pdf)
         return PopulationEvaluator(
             points=x[:, None],
             weights=w,
@@ -163,7 +151,7 @@ def evaluator(dist: Distribution, nodes: int | None = None) -> PopulationEvaluat
         )
     if dist.eval_scheme == "mc":
         rng = np.random.default_rng(dist.mc_eval_seed)
-        k = nodes or dist.mc_eval_n
+        k = dist.mc_eval_n
         X = dist.sample_x(rng, k)
         return PopulationEvaluator(
             points=X,
@@ -343,56 +331,8 @@ def builtin_distributions() -> dict:
 def make_distribution(name: str, **params) -> Distribution:
     if name not in _CATALOG:
         raise ValueError(f"unknown distribution {name!r}; have {sorted(_CATALOG)}")
-    return _CATALOG[name](**params)
-
-
-def _read_idx(path, expected_magic, expected_ndim):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 * (1 + expected_ndim):
-        raise ValueError(f"{path}: truncated IDX header")
-    magic = struct.unpack(">i", raw[:4])[0]
-    if magic != expected_magic:
-        raise ValueError(f"{path}: bad IDX magic {magic:#010x}")
-    dims = struct.unpack(f">{expected_ndim}i", raw[4 : 4 * (1 + expected_ndim)])
-    body = raw[4 * (1 + expected_ndim) :]
-    expected_bytes = int(np.prod(dims))
-    if len(body) != expected_bytes:
-        raise ValueError(
-            f"{path}: expected {expected_bytes} data bytes, found {len(body)}"
-        )
-    return np.frombuffer(body, dtype=np.uint8).reshape(dims)
-
-
-def load_idx(path_images, path_labels, class_pair: tuple[int, int]) -> LabeledSample:
-    """Load a two-class subset of an IDX image/label pair.
-
-    Class ``class_pair[0]`` maps to +1 and ``class_pair[1]`` to -1.  Images
-    are flattened, scaled by 1/(255 sqrt(d)), and projected onto the unit
-    ball by dividing by max(1, ||x||).
-    """
-    a, b = class_pair
-    if a == b:
-        raise ValueError("class pair must be two distinct classes")
-    images = _read_idx(path_images, IDX_IMAGE_MAGIC, 3)
-    labels = _read_idx(path_labels, IDX_LABEL_MAGIC, 1)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError("image and label counts disagree")
-    keep = (labels == a) | (labels == b)
-    if not np.any(labels == a) or not np.any(labels == b):
-        raise ValueError(f"class pair {class_pair} absent from label file")
-    X = images[keep].reshape(keep.sum(), -1).astype(float)
-    d = X.shape[1]
-    X /= 255.0 * np.sqrt(d)
-    norms = np.linalg.norm(X, axis=1)
-    X /= np.maximum(1.0, norms)[:, None]
-    y = np.where(labels[keep] == a, 1.0, -1.0)
-    return LabeledSample(
-        points=X,
-        labels=y,
-        meta={
-            "source": "idx",
-            "class_pair": [int(a), int(b)],
-            "scaling": "pixel / (255 sqrt(d)), then divide by max(1, ||x||)",
-        },
-    )
+    factory = _CATALOG[name]
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(map(repr, unknown))}")
+    return factory(**params)

@@ -115,6 +115,8 @@ class RegimeConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if abs(self.eta * self.rho**2 - 4.0) > 1e-9:
             raise ValueError("configs must satisfy eta * rho^2 = 4")
+        if not isinstance(self.dist_params, dict):
+            raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
 
     @property
     def input_dim(self) -> int:
@@ -468,9 +470,7 @@ def _selected_predictor(net: Network, traj: Trajectory, augment_bias: bool):
     return predictor
 
 
-def run_experiment(
-    cfg: RegimeConfig, delta: float = 0.05, with_reference: bool = True
-) -> ExperimentReport:
+def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> ExperimentReport:
     """Full pipeline: sample, initialize, train with monitors, select the
     early-stopped iterate, and measure its population risk decomposition
     against the true conditional model.
@@ -535,7 +535,6 @@ def run_experiment(
                 ref_risk,
                 emp_ref_risk=emp_ref_risk,
                 kbin=max(kbin, 0.0),
-                delta=delta,
             ).to_dict()
             reference_block = {
                 "model": cfg.ref_config,

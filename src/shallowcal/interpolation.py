@@ -33,7 +33,6 @@ __all__ = [
     "excess_zero_one_exact",
     "knn_rule",
     "one_nn_rule",
-    "piecewise_linear_value",
     "sorted_sample",
     "wrong_pairs",
 ]
@@ -113,18 +112,6 @@ def knn_rule(s: SortedSample1D, k: int) -> PiecewiseConstantRule:
     window_sums = csum[k:] - csum[:-k]
     signs = np.where(window_sums > 0, 1.0, -1.0)
     return PiecewiseConstantRule(edges=edges, signs=signs, kind=f"{k}nn")
-
-
-def piecewise_linear_value(s: SortedSample1D):
-    """Real-valued linear interpolant of the labels (constant outside the
-    data range).  A second local interpolation rule; its sign pattern
-    coincides with 1-NN almost everywhere because a segment between
-    opposite labels crosses zero exactly at the midpoint."""
-
-    def value(q):
-        return np.interp(np.asarray(q, dtype=float), s.x, s.y)
-
-    return value
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

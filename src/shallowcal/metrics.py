@@ -30,7 +30,6 @@ __all__ = [
     "expected_logistic_loss",
     "logistic_loss",
     "logistic_loss_derivative",
-    "multiplicative_ratio_bound",
     "risk_breakdown",
     "sigmoid",
     "sign_convention",
@@ -82,19 +81,6 @@ def sign_convention(margin):
     margin = np.asarray(margin, dtype=float)
     out = np.where(margin >= 0, 1.0, -1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def multiplicative_ratio_bound(a: float, b: float) -> tuple[float, float]:
-    """Return (loss(-a)/loss(-b), exp(a-b)) for a >= b.
-
-    The first component never exceeds the second; the pair is returned so
-    callers can monitor the inequality directly.
-    """
-    if not (a >= b):
-        raise ValueError(f"requires a >= b, got a={a}, b={b}")
-    # loss(-a) = ln(1 + e^a) = softplus(a)
-    ratio = np.logaddexp(0.0, a) / np.logaddexp(0.0, b)
-    return float(ratio), float(np.exp(a - b))
 
 
 def binary_kl(p, q):
@@ -178,11 +164,16 @@ def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
     if np.any((p < 0) | (p > 1)):
         raise ValueError("conditional probabilities must lie in [0, 1]")
 
-    logistic_risk = float(w @ expected_logistic_loss(m, p))
-    bayes_logistic = float(w @ binary_entropy(p))
+    losses = expected_logistic_loss(m, p)
+    entropies = binary_entropy(p)
+    logistic_risk = float(w @ losses)
+    bayes_logistic = float(w @ entropies)
 
+    # Pointwise KL(p, sigmoid(f)) is the expected loss less the entropy, which
+    # reads log sigmoid(f) = -loss(f) and log(1 - sigmoid(f)) = -loss(-f) off
+    # f itself; binary_kl(p, sigmoid(f)) loses 1 - sigmoid(f) past f ~ 17.
+    kl = float(w @ (losses - entropies))
     phi = sigmoid(m)
-    kl = float(w @ binary_kl(p, phi))
     l2_sq = float(w @ (phi - p) ** 2)
 
     predicted_sign = sign_convention(m)

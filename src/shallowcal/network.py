@@ -28,7 +28,6 @@ package on a given NumPy build.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,6 @@ from .kernel import kernel
 
 __all__ = [
     "FrozenFeatures",
-    "MAGIC",
     "Network",
     "augment_batch",
     "clone_initial",
@@ -45,12 +43,7 @@ __all__ = [
     "freeze_features",
     "frozen_forward_batch",
     "init_network",
-    "load_network",
-    "save_network",
 ]
-
-MAGIC = b"SRLN1"
-_HEADER = struct.Struct("<qqd")
 
 
 @dataclass
@@ -186,44 +179,3 @@ def augment_batch(X: np.ndarray, assert_unit_ball: bool = False) -> np.ndarray:
             raise ValueError("input norms exceed 1")
     ones = np.ones((X.shape[0], 1))
     return np.hstack([X, ones]) / np.sqrt(2.0)
-
-
-def save_network(net: Network, path) -> None:
-    """Binary format: magic "SRLN1"; m, d as little-endian int64; rho as
-    little-endian float64; signs as int8; W then W0 as row-major little-endian
-    float64."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(net.m, net.d, net.rho))
-        fh.write(net.signs.astype(np.int8).tobytes())
-        fh.write(net.weights.astype("<f8").tobytes(order="C"))
-        fh.write(net.init_weights.astype("<f8").tobytes(order="C"))
-
-
-def load_network(path) -> Network:
-    """Read a file written by ``save_network``; a file that is not exactly
-    one such network (bad magic, short header, nonpositive sizes, missing
-    or trailing bytes) raises ValueError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"bad magic {raw[: len(MAGIC)]!r}, expected {MAGIC!r}")
-    body = len(MAGIC) + _HEADER.size
-    if len(raw) < body:
-        raise ValueError("truncated network header")
-    m, d, rho = _HEADER.unpack_from(raw, len(MAGIC))
-    if m < 1 or d < 1:
-        raise ValueError(f"network sizes must be positive, got m={m}, d={d}")
-    size = body + m + 2 * m * d * 8
-    if len(raw) != size:
-        raise ValueError(f"network file has {len(raw)} bytes, expected {size}")
-    signs = np.frombuffer(raw, dtype=np.int8, count=m, offset=body).astype(float)
-    mats = np.frombuffer(raw, dtype="<f8", count=2 * m * d, offset=body + m).reshape(2, m, d)
-    return Network(
-        m=m,
-        d=d,
-        rho=rho,
-        signs=signs,
-        weights=mats[0].astype(float),
-        init_weights=mats[1].astype(float),
-    )

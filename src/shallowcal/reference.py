@@ -60,7 +60,6 @@ class InfiniteWidthModel:
     dim: int
     mc_features: int = 100_000
     mc_seed: int = 0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.norm_bound < 0:
@@ -81,7 +80,7 @@ class InfiniteWidthModel:
 
 def zero_model(dim: int, **kw) -> InfiniteWidthModel:
     return InfiniteWidthModel(
-        weight_map=lambda V: np.zeros_like(V), norm_bound=0.0, dim=dim, name="zero", **kw
+        weight_map=lambda V: np.zeros_like(V), norm_bound=0.0, dim=dim, **kw
     )
 
 
@@ -91,7 +90,6 @@ def constant_model(vector, **kw) -> InfiniteWidthModel:
         weight_map=lambda V: np.broadcast_to(w, V.shape).copy(),
         norm_bound=float(np.linalg.norm(w)),
         dim=len(w),
-        name="constant",
         **kw,
     )
 
@@ -102,10 +100,7 @@ def linear_teacher(theta, **kw) -> InfiniteWidthModel:
     A Gaussian direction lands on either side of any hyperplane through the
     origin with probability 1/2, so the integral halves the inner product.
     """
-    theta = np.asarray(theta, dtype=float)
-    model = constant_model(2.0 * theta, **kw)
-    model.name = "linear-teacher"
-    return model
+    return constant_model(2.0 * np.asarray(theta, dtype=float), **kw)
 
 
 def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
@@ -113,9 +108,7 @@ def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
     induced predictor is x -> <theta, x> + bias."""
     theta = np.asarray(theta, dtype=float)
     w = 2.0 * np.sqrt(2.0) * np.concatenate([theta, [bias]])
-    model = constant_model(w, **kw)
-    model.name = "affine-teacher"
-    return model
+    return constant_model(w, **kw)
 
 
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
@@ -164,11 +157,6 @@ class SampledReference:
     """Finite-width reference matrix coupled to a network's initialization."""
 
     ubar: np.ndarray
-    model_name: str
-    m: int
-    d: int
-    rho: float
-    net_seed: int | None
     dist_from_init: float
 
 
@@ -186,13 +174,7 @@ def sample_reference(model: InfiniteWidthModel, net: Network) -> SampledReferenc
         )
     ubar = offset + net.init_weights
     return SampledReference(
-        ubar=ubar,
-        model_name=model.name,
-        m=net.m,
-        d=net.d,
-        rho=net.rho,
-        net_seed=net.seed,
-        dist_from_init=float(np.linalg.norm(ubar - net.init_weights)),
+        ubar=ubar, dist_from_init=float(np.linalg.norm(ubar - net.init_weights))
     )
 
 

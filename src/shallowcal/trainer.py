@@ -112,11 +112,11 @@ class RegretCertificate:
         rhs = self.dist_sq[0] + 2 * self.eta * float(self.frozen_ref[:t].sum())
         return lhs, rhs
 
-    def holds(self, tol: float = REGRET_TOL, every_prefix: bool = True) -> bool:
-        horizons = range(len(self.frozen_next) + 1) if every_prefix else [None]
-        for t in horizons:
+    def holds(self) -> bool:
+        """Whether the inequality holds at every prefix, to ``REGRET_TOL``."""
+        for t in range(len(self.frozen_next) + 1):
             lhs, rhs = self.sides(t)
-            if lhs > rhs + tol * max(1.0, rhs):
+            if lhs > rhs + REGRET_TOL * max(1.0, rhs):
                 return False
         return True
 
@@ -140,14 +140,14 @@ class Trajectory:
             return None
         return self.records[self.selected_index].emp_risk
 
-    def smoothness_ok(self, tol: float = SMOOTHNESS_TOL) -> bool:
+    def smoothness_ok(self) -> bool:
         for rec in self.records[:-1]:
-            if rec.smooth_resid < -tol * max(1.0, rec.emp_risk):
+            if rec.smooth_resid < -SMOOTHNESS_TOL * max(1.0, rec.emp_risk):
                 return False
         return True
 
-    def regret_ok(self, tol: float = REGRET_TOL) -> bool:
-        return all(c.holds(tol) for c in self.certificates.values())
+    def regret_ok(self) -> bool:
+        return all(c.holds() for c in self.certificates.values())
 
     def monitor_verdicts(self) -> dict:
         return {

@@ -57,13 +57,22 @@ class TestTrainCommand:
             lambda cfg: {k: v for k, v in cfg.items() if k != "eta"},  # missing key
             lambda cfg: {**cfg, "rho": "large"},  # non-numeric number
             lambda cfg: {**cfg, "m": "128"},  # non-numeric integer
+            lambda cfg: {**cfg, "dist_params": [1]},  # distribution parameters not an object
+            lambda cfg: {**cfg, "dist_params": {"bogus": 1}},  # unknown distribution parameter
         ],
-        ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int"],
+        ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
+             "dist-params-not-object", "unknown-dist-param"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
         code = main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("params", ["[1]", '{"bogus": 1}'], ids=["not-object", "unknown-param"])
+    def test_malformed_dist_params_are_usage_errors(self, tmp_path, capsys, params):
+        code = main(["train", "--dist-params", params, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
@@ -94,6 +103,21 @@ class TestTrainCommand:
         assert report["status"] == "diverged"
         assert report["trajectory_summary"]["selected_index"] is None
         assert "status: diverged" in capsys.readouterr().out
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--bogus"], ["lemma-check", "--lemma", "no-such"], ["train", "--format", "csv"]],
+        ids=["unknown-flag", "unknown-lemma", "format-not-read"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["train", "--help"]) == 0
+        assert "--format" not in capsys.readouterr().out
 
 
 class TestBoundCommand:

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from shallowcal.distributions import (
     bayes_zero_one_risk,
     builtin_distributions,
     evaluator,
-    load_idx,
     make_distribution,
     population_risk,
     sample,
@@ -139,63 +137,3 @@ class TestCatalogConstants:
         out = population_risk(dist, lambda P: 4.0 * P[:, 0])
         assert out.logistic_se is not None
         assert out.breakdown.excess_logistic <= 5 * out.logistic_se + 1e-6
-
-
-def write_idx_fixture(tmp_path, labels, pixel_scale=200):
-    """Four 4x4 images with the given labels."""
-    n = len(labels)
-    rng = np.random.default_rng(7)
-    images = rng.integers(0, pixel_scale, size=(n, 4, 4), endpoint=True).astype(np.uint8)
-    img_path = tmp_path / "images.idx3"
-    lab_path = tmp_path / "labels.idx1"
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", 0x00000803, n, 4, 4))
-        fh.write(images.tobytes())
-    with open(lab_path, "wb") as fh:
-        fh.write(struct.pack(">ii", 0x00000801, n))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
-    return img_path, lab_path, images
-
-
-class TestIdxLoader:
-    def test_round_trip_mapping_and_norms(self, tmp_path):
-        img, lab, raw = write_idx_fixture(tmp_path, [1, 5, 1, 5])
-        samp = load_idx(img, lab, (1, 5))
-        assert samp.n == 4
-        np.testing.assert_array_equal(samp.labels, [1.0, -1.0, 1.0, -1.0])
-        assert np.all(np.linalg.norm(samp.points, axis=1) <= 1 + 1e-12)
-        d = 16
-        expect0 = raw[0].reshape(-1) / (255 * math.sqrt(d))
-        nrm = np.linalg.norm(expect0)
-        np.testing.assert_allclose(samp.points[0], expect0 / max(1.0, nrm), rtol=1e-12)
-        assert samp.meta["class_pair"] == [1, 5]
-
-    def test_filters_other_classes(self, tmp_path):
-        img, lab, _ = write_idx_fixture(tmp_path, [1, 5, 3, 5, 1, 7])
-        samp = load_idx(img, lab, (1, 5))
-        assert samp.n == 4
-
-    def test_degenerate_pair_rejected(self, tmp_path):
-        img, lab, _ = write_idx_fixture(tmp_path, [3, 3, 3, 3])
-        with pytest.raises(ValueError):
-            load_idx(img, lab, (3, 3))
-
-    def test_absent_class_rejected(self, tmp_path):
-        img, lab, _ = write_idx_fixture(tmp_path, [1, 1, 1, 1])
-        with pytest.raises(ValueError):
-            load_idx(img, lab, (1, 5))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        img, lab, _ = write_idx_fixture(tmp_path, [1, 5])
-        data = img.read_bytes()
-        img.write_bytes(data[:-5])
-        with pytest.raises(ValueError):
-            load_idx(img, lab, (1, 5))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        img, lab, _ = write_idx_fixture(tmp_path, [1, 5])
-        data = bytearray(lab.read_bytes())
-        data[3] = 0x99
-        lab.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
-            load_idx(img, lab, (1, 5))

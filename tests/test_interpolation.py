@@ -13,7 +13,6 @@ from shallowcal.interpolation import (
     excess_zero_one_exact,
     knn_rule,
     one_nn_rule,
-    piecewise_linear_value,
     sorted_sample,
     wrong_pairs,
 )
@@ -118,18 +117,6 @@ class TestKNN:
             if np.min(np.diff(np.sort(dists))) < 1e-12:
                 continue  # skip exact distance ties, convention-dependent
             assert rule.predict(q) == vote
-
-
-class TestPiecewiseLinear:
-    def test_member_of_interpolation_class(self):
-        rng = np.random.default_rng(3)
-        s = fixed_sample(rng.uniform(0, 1, 20), rng.choice([-1.0, 1.0], 20))
-        value = piecewise_linear_value(s)
-        np.testing.assert_allclose(value(s.x), s.y, atol=1e-12)
-        for i in range(s.n - 1):
-            if s.y[i] == s.y[i + 1]:
-                grid = np.linspace(s.x[i], s.x[i + 1], 17)
-                assert np.all(value(grid) * s.y[i] > 0)
 
 
 class TestExactExcess:

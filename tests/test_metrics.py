@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shallowcal.metrics import (
     LOG2,
@@ -9,7 +11,6 @@ from shallowcal.metrics import (
     binary_kl,
     logistic_loss,
     logistic_loss_derivative,
-    multiplicative_ratio_bound,
     risk_breakdown,
     sigmoid,
     sign_convention,
@@ -67,27 +68,6 @@ class TestSigmoid:
 
 
 class TestMultiplicativeRatio:
-    def test_equality_case(self):
-        assert multiplicative_ratio_bound(0.0, 0.0) == (1.0, 1.0)
-
-    def test_one_zero(self):
-        ratio, bound = multiplicative_ratio_bound(1.0, 0.0)
-        assert ratio == pytest.approx(math.log(1 + math.e) / math.log(2), rel=1e-14)
-        assert bound == pytest.approx(math.e, rel=1e-15)
-        assert ratio <= bound
-
-    def test_wide_pair(self):
-        ratio, bound = multiplicative_ratio_bound(5.0, -5.0)
-        # direct evaluation of ln(1+e^5)/ln(1+e^-5)
-        expect = math.log(1 + math.exp(5)) / math.log1p(math.exp(-5))
-        assert ratio == pytest.approx(expect, rel=1e-13)
-        assert bound == pytest.approx(math.exp(10.0), rel=1e-15)
-        assert ratio <= bound
-
-    def test_rejects_reversed_arguments(self):
-        with pytest.raises(ValueError):
-            multiplicative_ratio_bound(-1.0, 0.0)
-
     def test_property_on_random_pairs(self):
         # 1e5 random ordered pairs: ratio never exceeds the bound
         rng = np.random.default_rng(3)
@@ -180,6 +160,26 @@ class TestRiskBreakdown:
             assert abs(b.binary_kl - b.excess_logistic) <= 1e-9
             assert 0.5 * b.excess_zero_one**2 <= 2 * b.l2_calibration_sq + 1e-9
             assert 2 * b.l2_calibration_sq <= b.binary_kl + 1e-9
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_chain_property(self, points):
+        margins, p, w = (np.array(column) for column in zip(*points))
+        assume(w.sum() > 0)
+        b = risk_breakdown(margins, p, w / w.sum())
+        assert abs(b.binary_kl - b.excess_logistic) <= 1e-9
+        assert 0.5 * b.excess_zero_one**2 <= 2 * b.l2_calibration_sq + 1e-9
+        assert 2 * b.l2_calibration_sq <= b.binary_kl + 1e-9
 
     def test_serializes_flat(self):
         b = risk_breakdown([1.0], [0.6], [1.0])

@@ -1,15 +1,8 @@
-import struct
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shallowcal.kernel import kernel
 from shallowcal.network import (
-    MAGIC,
     Network,
     augment_batch,
     clone_initial,
@@ -17,8 +10,6 @@ from shallowcal.network import (
     freeze_features,
     frozen_forward_batch,
     init_network,
-    load_network,
-    save_network,
 )
 
 
@@ -201,67 +192,3 @@ class TestAugment:
         out = augment_batch(X)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out[1], [0.0, 0.0, 1 / np.sqrt(2)])
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        net = init_network(37, 5, 0.33, seed=20)
-        net.weights += 0.125  # make weights differ from the snapshot
-        path = tmp_path / "net.srln"
-        save_network(net, path)
-        back = load_network(path)
-        assert back.m == net.m and back.d == net.d and back.rho == net.rho
-        assert np.array_equal(back.signs, net.signs)
-        assert np.array_equal(back.weights, net.weights)
-        assert np.array_equal(back.init_weights, net.init_weights)
-
-    def test_header_layout(self, tmp_path):
-        net = init_network(3, 2, 1.5, seed=21)
-        path = tmp_path / "net.srln"
-        save_network(net, path)
-        raw = path.read_bytes()
-        assert raw[:5] == MAGIC
-        assert int.from_bytes(raw[5:13], "little") == 3
-        assert int.from_bytes(raw[13:21], "little") == 2
-        assert len(raw) == 5 + 8 + 8 + 8 + 3 + 2 * 3 * 2 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.srln"
-        path.write_bytes(b"NOPE!" + b"\0" * 64)
-        with pytest.raises(ValueError):
-            load_network(path)
-
-    @pytest.mark.parametrize("m,d", [(0, 2), (-1, 2), (3, 0), (3, -4)])
-    def test_nonpositive_sizes_rejected(self, tmp_path, m, d):
-        path = tmp_path / "net.srln"
-        path.write_bytes(MAGIC + struct.pack("<qqd", m, d, 1.0) + b"\0" * 64)
-        with pytest.raises(ValueError):
-            load_network(path)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 3),
-        st.integers(0, 2**32 - 1),
-        st.data(),
-    )
-    def test_truncated_or_extended_file(self, m, d, seed, data):
-        net = init_network(m, d, 0.5, seed=seed)
-        net.weights += 0.25
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "net.srln"
-            save_network(net, path)
-            raw = path.read_bytes()
-            cut = data.draw(st.integers(0, len(raw) + 24), label="length")
-            tail = data.draw(st.binary(min_size=max(0, cut - len(raw)),
-                                       max_size=max(0, cut - len(raw))), label="tail")
-            path.write_bytes(raw[:cut] + tail)
-            if cut != len(raw):
-                with pytest.raises(ValueError):
-                    load_network(path)
-                return
-            back = load_network(path)
-        assert (back.m, back.d, back.rho) == (net.m, net.d, net.rho)
-        assert np.array_equal(back.signs, net.signs)
-        assert np.array_equal(back.weights, net.weights)
-        assert np.array_equal(back.init_weights, net.init_weights)

@@ -253,7 +253,7 @@ class TestRegretCertificate:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=12)
         traj = train(net, X, y, cfg, regret_refs=refs)
         for cert in traj.certificates.values():
-            assert cert.holds(tol=1e-8, every_prefix=True)
+            assert cert.holds()
             lhs, rhs = cert.sides()
             assert lhs <= rhs + 1e-8 * max(1.0, rhs)
 
