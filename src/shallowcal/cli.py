@@ -11,11 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import diagnostics, harness, interpolation
 from .distributions import make_distribution
+from .network import freeze_features
+from .trainer import train, write_trajectory
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,8 +98,6 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_dict(), out / "report.json")
     if report.trajectory is not None:
-        from .trainer import write_trajectory
-
         write_trajectory(
             report.trajectory, out / "trajectory.csv", out / "trajectory_meta.json"
         )
@@ -158,26 +161,24 @@ def cmd_lemma_check(args) -> int:
 
 
 def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
-    """Small pinned training context shared by the run-based checks."""
-    from .network import freeze_features, init_network
-    from .trainer import TrainConfig, train
-
-    dist = make_distribution("logistic-1d", c=2.0)
-    samp_seed = harness.derived_seed(seed, 1)
-    net_seed = harness.derived_seed(seed, 2)
-    from .distributions import sample as draw_sample
-
-    samp = draw_sample(dist, 512, samp_seed)
-    m = args.m
-    rho = float(m) ** -0.125
-    net = init_network(m, 1, rho, net_seed)
-    cfg = TrainConfig(eta=4.0 / rho**2, t_max=10)
+    """Small pinned training context shared by the run-based checks: the
+    clairvoyant logistic-1d (c = 2) run at width --m (uncapped) with
+    n = 512 and t = 10."""
+    run = harness.derive_regime(
+        "clairvoyant",
+        0.5,
+        dist_name="logistic-1d",
+        dist_params={"c": 2.0},
+        seed=seed,
+        cap=math.inf,
+        overrides={"m": args.m, "n": 512, "eps_gd": 1 / 80},
+    )
+    dist, X, y, net, _ = harness.prepare_run(run)
+    cfg = run.train_config()
     if lemma == "flip-count":
         before = net.init_weights.copy()
-        train(net, samp.points, samp.labels, cfg, monitors=True)
-        stats = diagnostics.activation_flip_count(
-            before, net.weights, samp.points, delta=args.delta
-        )
+        train(net, X, y, cfg, monitors=True)
+        stats = diagnostics.activation_flip_count(before, net.weights, X, delta=args.delta)
         return {
             "lemma_id": lemma,
             "max_flips": stats.max_flips,
@@ -187,7 +188,7 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
             "verdict": "pass" if stats.max_flips <= stats.bound else "fail",
         }
     if lemma == "sphere-gap":
-        train(net, samp.points, samp.labels, cfg, monitors=True)
+        train(net, X, y, cfg, monitors=True)
         rep = diagnostics.sphere_linearization_gap(net, net.weights, delta=args.delta)
         return {
             "lemma_id": lemma,
@@ -198,9 +199,7 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
             "verdict": "pass" if rep.sup_gap <= rep.bound else "fail",
         }
     if lemma == "risk-ratio":
-        rep = diagnostics.risk_ratio_check(
-            net, samp.points, samp.labels, cfg, net.init_weights, delta=args.delta
-        )
+        rep = diagnostics.risk_ratio_check(net, X, y, cfg, net.init_weights, delta=args.delta)
         return {
             "lemma_id": lemma,
             "max_ratio": rep.max_ratio,
@@ -210,15 +209,11 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
         }
     # gen-gap
     ff = freeze_features(net, at_init=True)
-    rng_dir = harness.derived_seed(seed, 3)
-    import numpy as np
-
-    delta_dir = np.random.default_rng(rng_dir).standard_normal(net.weights.shape)
+    rng = np.random.default_rng(harness.derived_seed(seed, 3))
+    delta_dir = rng.standard_normal(net.weights.shape)
     delta_dir /= np.linalg.norm(delta_dir)
     V = net.init_weights + delta_dir
-    rep = diagnostics.generalization_gap(
-        ff, V, samp.points, samp.labels, dist, delta=args.delta
-    )
+    rep = diagnostics.generalization_gap(ff, V, X, y, dist, delta=args.delta)
     return {
         "lemma_id": lemma,
         "population_risk": rep.population_risk,

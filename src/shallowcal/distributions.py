@@ -37,6 +37,11 @@ __all__ = [
 
 _NORM_SLACK = 1e-12
 
+# Gauss-Legendre nodes of the 1-d quadrature evaluator, and the seed of the
+# Monte Carlo evaluator's point set.
+_QUAD_NODES = 512
+_MC_EVAL_SEED = 2024
+
 
 def derived_seed(root: int, *path: int) -> int:
     """Documented seed-splitting rule: SeedSequence((root, *path))."""
@@ -97,8 +102,6 @@ class Distribution:
     wrong_pair_interval: tuple[float, float] | None = None
     documented: dict = field(default_factory=dict)
     mc_eval_n: int = 1 << 14
-    mc_eval_seed: int = 2024
-    quad_nodes: int = 512
 
     def cond_prob(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -143,20 +146,20 @@ def evaluator(dist: Distribution) -> PopulationEvaluator:
             raise ValueError("quadrature evaluation requires a 1-d supported marginal")
         lo, hi = dist.support
         pdf = lambda x: np.full_like(x, 1.0 / (hi - lo))
-        x, w = _gauss_legendre_panels(lo, hi, dist.quad_nodes, dist.breakpoints, pdf)
+        x, w = _gauss_legendre_panels(lo, hi, _QUAD_NODES, dist.breakpoints, pdf)
         return PopulationEvaluator(
             points=x[:, None],
             weights=w,
             provenance={"scheme": "quadrature", "nodes": int(len(x))},
         )
     if dist.eval_scheme == "mc":
-        rng = np.random.default_rng(dist.mc_eval_seed)
+        rng = np.random.default_rng(_MC_EVAL_SEED)
         k = dist.mc_eval_n
         X = dist.sample_x(rng, k)
         return PopulationEvaluator(
             points=X,
             weights=np.full(k, 1.0 / k),
-            provenance={"scheme": "mc", "points": int(k), "seed": dist.mc_eval_seed},
+            provenance={"scheme": "mc", "points": int(k), "seed": _MC_EVAL_SEED},
         )
     raise ValueError(f"unknown eval scheme {dist.eval_scheme!r}")
 

@@ -45,10 +45,11 @@ from .distributions import (
     derived_seed,
     evaluator,
     make_distribution,
+    population_risk,
     sample as draw_sample,
 )
-from .metrics import LOG2, expected_logistic_loss
-from .network import Network, augment_batch, forward_batch, init_network
+from .metrics import LOG2, expected_logistic_loss, spread
+from .network import augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
     infinite_forward_batch,
@@ -69,6 +70,7 @@ __all__ = [
     "derive_regime",
     "derived_seed",
     "json_safe",
+    "prepare_run",
     "run_experiment",
     "sweep",
 ]
@@ -117,11 +119,22 @@ class RegimeConfig:
             raise ValueError("configs must satisfy eta * rho^2 = 4")
         if not isinstance(self.dist_params, dict):
             raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
+        if self.ref_config is not None and not isinstance(self.ref_config, dict):
+            raise ValueError(f"ref_config must be null or a JSON object, got {self.ref_config!r}")
 
     @property
     def input_dim(self) -> int:
         base = make_distribution(self.dist_name, **self.dist_params).dim
         return base + 1 if self.augment_bias else base
+
+    def lift(self, points: np.ndarray) -> np.ndarray:
+        """Network inputs for task points: the bias lift when ``augment_bias``."""
+        return augment_batch(points) if self.augment_bias else np.asarray(points, dtype=float)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            eta=self.eta, t_max=self.t, eps_gd=self.eps_gd, r_gd=self.r_gd, seed=self.seed
+        )
 
     def to_flat_dict(self) -> dict:
         out = asdict(self)
@@ -168,28 +181,46 @@ def default_reference_for(
     noisy tasks get bounded affine surrogates on augmented inputs.
     """
     if dist_name == "logistic-1d":
-        c = float(dist_params.get("c", 2.0))
-        if augment_bias:
-            return {"kind": "affine-teacher", "theta": [c], "bias": 0.0}
-        return {"kind": "linear-teacher", "theta": [c]}
-    if dist_name == "constant-1d":
-        p = float(dist_params.get("p", 0.75))
-        p = min(max(p, 1e-6), 1 - 1e-6)
-        logit = math.log(p / (1 - p))
-        if augment_bias:
-            return {"kind": "affine-teacher", "theta": [0.0], "bias": logit}
-        return {"kind": "linear-teacher", "theta": [0.0]}
-    if dist_name == "step-smooth-1d":
-        width = float(dist_params.get("width", 0.1))
-        slope = 0.4 / width  # logit slope of p at the transition center
-        if augment_bias:
-            return {"kind": "affine-teacher", "theta": [slope], "bias": 0.0}
-        return {"kind": "linear-teacher", "theta": [slope]}
-    if dist_name == "step-1d":
-        if augment_bias:
-            return {"kind": "affine-teacher", "theta": [4.0], "bias": 0.0}
-        return {"kind": "linear-teacher", "theta": [4.0]}
-    return None
+        slope, bias = float(dist_params.get("c", 2.0)), 0.0
+    elif dist_name == "constant-1d":
+        p = min(max(float(dist_params.get("p", 0.75)), 1e-6), 1 - 1e-6)
+        slope, bias = 0.0, math.log(p / (1 - p))
+    elif dist_name == "step-smooth-1d":  # logit slope of p at the transition center
+        slope, bias = 0.4 / float(dist_params.get("width", 0.1)), 0.0
+    elif dist_name == "step-1d":
+        slope, bias = 4.0, 0.0
+    else:
+        return None
+    if augment_bias:
+        return {"kind": "affine-teacher", "theta": [slope], "bias": bias}
+    return {"kind": "linear-teacher", "theta": [slope]}
+
+
+def _coupling(regime: str, m: int, radius_scale: float, rho=None, r_gd=None):
+    """(rho, eta, r_gd) of a width-m run: rho = m^(-1/8) (1 in the easy
+    regime), eta = 4/rho^2, radius R/rho in the clairvoyant regime and
+    infinite otherwise.  A pinned rho or r_gd replaces the derived one."""
+    rho = (1.0 if regime == "easy" else float(m) ** -0.125) if rho is None else float(rho)
+    if r_gd is None:
+        r_gd = radius_scale / rho if regime == "clairvoyant" else math.inf
+    return rho, 4.0 / rho**2, float(r_gd)
+
+
+def _build(regime, m, cap, rho=None, r_gd=None, capped=False, **fields) -> RegimeConfig:
+    """The presets' one constructor: round the width m up, cap it, couple
+    rho, eta and r_gd to it and pair the task with its default reference."""
+    m = _snap_ceil(float(m))
+    if m > cap:
+        m, capped = cap, True
+    rho, eta, r_gd = _coupling(regime, m, fields["radius_scale"], rho, r_gd)
+    fields["dist_params"] = dict(fields["dist_params"] or {})
+    ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
+    return RegimeConfig(
+        regime=regime, m=m, rho=rho, eta=eta, r_gd=r_gd, ref_config=ref, capped=capped, **fields
+    )
+
+
+_OVERRIDE_KEYS = ("m", "n", "eps_gd", "rho", "r_gd")
 
 
 def derive_regime(
@@ -207,8 +238,9 @@ def derive_regime(
 
     ``radius_scale`` is the norm bound R of the intended reference model
     (floored at 4 when the bound calculator runs).  ``overrides`` may pin
-    individual derived fields (e.g. a smaller m for a quick run); rho and
-    eta are re-derived from an overridden m to keep the couplings intact.
+    the derived fields m, n, eps_gd, rho and r_gd (e.g. a smaller m for a
+    quick run); any other key is a ValueError.  rho, eta and r_gd are
+    re-derived from an overridden m to keep the couplings intact.
     """
     if regime == "consistency":
         raise ValueError("use derive_consistency for the consistency schedule")
@@ -216,56 +248,21 @@ def derive_regime(
         raise ValueError(f"unknown regime {regime!r}")
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
-    dist_params = dict(dist_params or {})
     overrides = dict(overrides or {})
-
+    unknown = sorted(set(overrides) - set(_OVERRIDE_KEYS))
+    if unknown:
+        raise ValueError(f"unknown overrides {unknown}; accepted: {', '.join(_OVERRIDE_KEYS)}")
     eps_gd = float(overrides.get("eps_gd", eps))
-    t = _snap_ceil(1.0 / (8.0 * eps_gd))
-    capped = False
-
-    n_raw = overrides.get("n", 1.0 / eps**2)
-    n = _snap_ceil(float(n_raw))
-    if n > cap:
-        n, capped = cap, True
-
+    n = _snap_ceil(float(overrides.get("n", 1.0 / eps**2)))
     if regime == "easy":
-        m_raw = overrides.get("m", radius_scale**8)
-    elif regime == "clairvoyant":
-        m_raw = overrides.get("m", eps**-8.0)
-    else:  # worstcase
-        m_raw = overrides.get("m", eps ** (-40.0 / 3.0))
-    m = _snap_ceil(float(m_raw))
-    if m > cap:
-        m, capped = cap, True
-
-    rho = 1.0 if regime == "easy" else float(m) ** -0.125
-    if "rho" in overrides:
-        rho = float(overrides["rho"])
-    eta = 4.0 / rho**2
-    r_gd = radius_scale / rho if regime == "clairvoyant" else math.inf
-    if "r_gd" in overrides:
-        r_gd = float(overrides["r_gd"])
-
-    ref = overrides.get(
-        "ref_config", default_reference_for(dist_name, dist_params, augment_bias)
-    )
-    return RegimeConfig(
-        regime=regime,
-        eps=eps,
-        rho=rho,
-        m=m,
-        n=n,
-        eta=eta,
-        t=t,
-        eps_gd=eps_gd,
-        r_gd=r_gd,
-        seed=seed,
-        radius_scale=radius_scale,
-        dist_name=dist_name,
-        dist_params=dist_params,
-        ref_config=ref,
-        augment_bias=augment_bias,
-        capped=capped,
+        m = radius_scale**8
+    else:
+        m = eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
+    return _build(
+        regime, overrides.get("m", m), cap, rho=overrides.get("rho"), r_gd=overrides.get("r_gd"),
+        capped=n > cap, n=min(n, cap), t=_snap_ceil(1.0 / (8.0 * eps_gd)), eps_gd=eps_gd,
+        eps=eps, seed=seed, radius_scale=radius_scale, dist_name=dist_name,
+        dist_params=dist_params, augment_bias=augment_bias,
     )
 
 
@@ -284,34 +281,11 @@ def derive_consistency(
         raise ValueError("n must be at least 2")
     if not 0 < xi < 1:
         raise ValueError("xi must lie strictly inside (0, 1)")
-    dist_params = dict(dist_params or {})
-    capped = False
-    m_raw = float(n) ** ((40.0 / 3.0) * (1.0 - xi))
-    m = _snap_ceil(m_raw)
-    if m > cap:
-        m, capped = cap, True
-    rho = float(m) ** -0.125
-    eta = 4.0 / rho**2
-    eps_gd = float(n) ** (xi - 1.0)
-    t = _snap_ceil(float(n) ** (1.0 - xi) / 8.0)
-    ref = default_reference_for(dist_name, dist_params, augment_bias)
-    return RegimeConfig(
-        regime="consistency",
-        xi=xi,
-        rho=rho,
-        m=m,
-        n=int(n),
-        eta=eta,
-        t=t,
-        eps_gd=eps_gd,
-        r_gd=math.inf,
-        seed=seed,
-        radius_scale=radius_scale,
-        dist_name=dist_name,
-        dist_params=dist_params,
-        ref_config=ref,
-        augment_bias=augment_bias,
-        capped=capped,
+    return _build(
+        "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
+        n=int(n), t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
+        xi=xi, seed=seed, radius_scale=radius_scale, dist_name=dist_name,
+        dist_params=dist_params, augment_bias=augment_bias,
     )
 
 
@@ -460,14 +434,19 @@ def json_safe(obj):
     return obj
 
 
-def _selected_predictor(net: Network, traj: Trajectory, augment_bias: bool):
-    eval_net = dataclasses.replace(net, weights=traj.selected_weights)
+def prepare_run(cfg: RegimeConfig):
+    """Sample the data and initialize the network of one run.
 
-    def predictor(P):
-        P = augment_batch(P) if augment_bias else np.asarray(P, dtype=float)
-        return forward_batch(eval_net, P)
-
-    return predictor
+    Returns ``(dist, X, y, net, seeds)``: the task, the lifted inputs
+    (``cfg.lift``), the labels, the width-m network and the provenance
+    seeds.  The seed rule splits the root: k=1 data, k=2 network.
+    """
+    seeds = {"data_seed": derived_seed(cfg.seed, 1), "net_seed": derived_seed(cfg.seed, 2)}
+    dist = make_distribution(cfg.dist_name, **cfg.dist_params)
+    samp = draw_sample(dist, cfg.n, seeds["data_seed"])
+    X = cfg.lift(samp.points)
+    net = init_network(cfg.m, X.shape[1], cfg.rho, seeds["net_seed"])
+    return dist, X, samp.labels, net, seeds
 
 
 def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> ExperimentReport:
@@ -480,15 +459,7 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
     smoothness monitor and the initialization regret certificate still run.
     Sweeps use this mode since their cells only consume risk metrics.
     """
-    dist = make_distribution(cfg.dist_name, **cfg.dist_params)
-    data_seed = derived_seed(cfg.seed, 1)
-    net_seed = derived_seed(cfg.seed, 2)
-
-    samp = draw_sample(dist, cfg.n, data_seed)
-    X = augment_batch(samp.points) if cfg.augment_bias else samp.points
-    y = samp.labels
-
-    net = init_network(cfg.m, cfg.input_dim, cfg.rho, net_seed)
+    dist, X, y, net, seeds = prepare_run(cfg)
     model: InfiniteWidthModel | None = None
     refs = {"W0": net.init_weights.copy()}
     sampled_ref = None
@@ -497,10 +468,7 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
         sampled_ref = sample_reference(model, net)
         refs["Ubar"] = sampled_ref.ubar
 
-    tcfg = TrainConfig(
-        eta=cfg.eta, t_max=cfg.t, eps_gd=cfg.eps_gd, r_gd=cfg.r_gd, seed=cfg.seed
-    )
-    traj = train(net, X, y, tcfg, monitors=True, regret_refs=refs)
+    traj = train(net, X, y, cfg.train_config(), monitors=True, regret_refs=refs)
 
     ev = evaluator(dist)
     bayes = {
@@ -512,16 +480,13 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
     bound_terms = None
     reference_block = None
     if traj.selected_weights is not None:
-        predictor = _selected_predictor(net, traj, cfg.augment_bias)
-        from .distributions import population_risk as pop_risk
-
-        pop = pop_risk(dist, predictor, ev)
+        selected = dataclasses.replace(net, weights=traj.selected_weights)
+        pop = population_risk(dist, lambda P: forward_batch(selected, cfg.lift(P)), ev)
         risk = pop.breakdown.to_dict()
         risk["logistic_se"] = pop.logistic_se
 
         if model is not None:
-            points = augment_batch(ev.points) if cfg.augment_bias else ev.points
-            inf_margins, _ = infinite_forward_batch(model, points)
+            inf_margins, _ = infinite_forward_batch(model, cfg.lift(ev.points))
             p = dist.cond_prob(ev.points)
             ref_risk = float(ev.weights @ expected_logistic_loss(inf_margins, p))
             kbin = ref_risk - bayes["logistic"]
@@ -568,8 +533,7 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
         reference=reference_block,
         trajectory_summary=trajectory_summary,
         provenance={
-            "data_seed": data_seed,
-            "net_seed": net_seed,
+            **seeds,
             "evaluator": ev.provenance,
             "seed_rule": "SeedSequence((root, k)): k=1 data, k=2 network",
         },
@@ -610,11 +574,10 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
                 seed=base.seed,
             )
         return dataclasses.replace(base, n=int(value))
-    if axis == "m":
-        m = int(value)
-        rho = 1.0 if base.regime == "easy" else float(m) ** -0.125
-        r_gd = base.radius_scale / rho if base.regime == "clairvoyant" else base.r_gd
-        return dataclasses.replace(base, m=m, rho=rho, eta=4.0 / rho**2, r_gd=r_gd)
+    if axis == "m":  # uncapped, like the n axis
+        pinned = None if base.regime == "clairvoyant" else base.r_gd
+        rho, eta, r_gd = _coupling(base.regime, int(value), base.radius_scale, r_gd=pinned)
+        return dataclasses.replace(base, m=int(value), rho=rho, eta=eta, r_gd=r_gd)
     raise ValueError(f"unknown sweep axis {axis!r}; use one of n, m, eps")
 
 
@@ -654,15 +617,10 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
                     **{k: report.risk[k] for k in metrics},
                 }
             )
-        cell = {"value": value, "n": cfg.n, "m": cfg.m, "t": cfg.t, "rho": cfg.rho}
-        for key, vals in metrics.items():
-            arr = np.array(vals)
-            cell[key] = {
-                "median": float(np.median(arr)),
-                "q25": float(np.percentile(arr, 25)),
-                "q75": float(np.percentile(arr, 75)),
-            }
-        cells.append(cell)
+        cells.append(
+            {"value": value, "n": cfg.n, "m": cfg.m, "t": cfg.t, "rho": cfg.rho,
+             **{key: spread(vals) for key, vals in metrics.items()}}
+        )
 
     medians = [c["excess_logistic"]["median"] for c in cells]
     steps = np.diff(medians)

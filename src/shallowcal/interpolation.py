@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, derived_seed, sample as draw_sample
+from .metrics import spread
 
 __all__ = [
     "PiecewiseConstantRule",
@@ -40,11 +41,10 @@ __all__ = [
 
 @dataclass
 class SortedSample1D:
-    """Sample sorted by abscissa, with the permutation back to draw order."""
+    """Sample sorted by abscissa."""
 
     x: np.ndarray
     y: np.ndarray
-    order: np.ndarray
 
     @property
     def n(self) -> int:
@@ -57,7 +57,7 @@ def sorted_sample(points, labels) -> SortedSample1D:
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("need a nonempty 1-d sample with one label per point")
     order = np.argsort(x, kind="stable")
-    return SortedSample1D(x=x[order], y=y[order], order=order)
+    return SortedSample1D(x=x[order], y=y[order])
 
 
 @dataclass
@@ -71,7 +71,6 @@ class PiecewiseConstantRule:
 
     edges: np.ndarray
     signs: np.ndarray
-    kind: str = "rule"
 
     def __post_init__(self):
         if len(self.signs) != len(self.edges) + 1:
@@ -87,7 +86,7 @@ class PiecewiseConstantRule:
 def one_nn_rule(s: SortedSample1D) -> PiecewiseConstantRule:
     """Nearest-neighbor sign rule; ties at midpoints go to the left point."""
     edges = (s.x[:-1] + s.x[1:]) / 2.0
-    return PiecewiseConstantRule(edges=edges, signs=s.y.copy(), kind="1nn")
+    return PiecewiseConstantRule(edges=edges, signs=s.y.copy())
 
 
 def default_k(n: int) -> int:
@@ -111,7 +110,7 @@ def knn_rule(s: SortedSample1D, k: int) -> PiecewiseConstantRule:
     csum = np.concatenate([[0.0], np.cumsum(s.y)])
     window_sums = csum[k:] - csum[:-k]
     signs = np.where(window_sums > 0, 1.0, -1.0)
-    return PiecewiseConstantRule(edges=edges, signs=signs, kind=f"{k}nn")
+    return PiecewiseConstantRule(edges=edges, signs=signs)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -247,12 +246,7 @@ def excess_risk_comparison(
     summary = {}
     for n in n_grid:
         for rule in dict.fromkeys(r["rule"] for r in rows if r["n"] == n):
-            vals = np.array(
+            summary[f"n={n},rule={rule}"] = spread(
                 [r["excess_z"] for r in rows if r["n"] == n and r["rule"] == rule]
             )
-            summary[f"n={n},rule={rule}"] = {
-                "median": float(np.median(vals)),
-                "q25": float(np.percentile(vals, 25)),
-                "q75": float(np.percentile(vals, 75)),
-            }
     return rows, summary

@@ -33,11 +33,22 @@ __all__ = [
     "risk_breakdown",
     "sigmoid",
     "sign_convention",
+    "spread",
 ]
 
 LOG2 = math.log(2.0)
 
 _WEIGHT_TOL = 1e-9
+
+
+def spread(values) -> dict:
+    """Median and quartiles of a sample, the summary of every repeated cell."""
+    values = np.asarray(values, dtype=float)
+    return {
+        "median": float(np.median(values)),
+        "q25": float(np.percentile(values, 25)),
+        "q75": float(np.percentile(values, 75)),
+    }
 
 
 def logistic_loss(margin):

@@ -60,7 +60,6 @@ class Network:
     signs: np.ndarray
     weights: np.ndarray
     init_weights: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
@@ -101,7 +100,6 @@ def init_network(m: int, d: int, rho: float, seed: int) -> Network:
         signs=signs,
         weights=weights,
         init_weights=weights.copy(),
-        seed=seed,
     )
 
 
@@ -114,7 +112,6 @@ def clone_initial(net: Network) -> Network:
         signs=net.signs.copy(),
         weights=net.init_weights.copy(),
         init_weights=net.init_weights.copy(),
-        seed=net.seed,
     )
 
 
@@ -169,13 +166,9 @@ def frozen_forward_batch(ff: FrozenFeatures, V: np.ndarray, X: np.ndarray) -> np
     return kernel(ff.sign_source, ff.signs, ff.scale, X).margins(V)
 
 
-def augment_batch(X: np.ndarray, assert_unit_ball: bool = False) -> np.ndarray:
+def augment_batch(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("augment_batch expects an (n, d) array")
-    if assert_unit_ball:
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms > 1 + 1e-12):
-            raise ValueError("input norms exceed 1")
     ones = np.ones((X.shape[0], 1))
     return np.hstack([X, ones]) / np.sqrt(2.0)

@@ -113,17 +113,20 @@ def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
 
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
     """Build a built-in model from a config dict, e.g.
-    {"kind": "constant", "vector": [...]}."""
+    {"kind": "constant", "vector": [...]}.  A missing field is a ValueError."""
     kind = cfg.get("kind")
     extra = {k: cfg[k] for k in ("mc_features", "mc_seed") if k in cfg}
-    if kind == "zero":
-        return zero_model(int(cfg["dim"]), **extra)
-    if kind == "constant":
-        return constant_model(cfg["vector"], **extra)
-    if kind == "linear-teacher":
-        return linear_teacher(cfg["theta"], **extra)
-    if kind == "affine-teacher":
-        return affine_teacher(cfg["theta"], float(cfg["bias"]), **extra)
+    try:
+        if kind == "zero":
+            return zero_model(int(cfg["dim"]), **extra)
+        if kind == "constant":
+            return constant_model(cfg["vector"], **extra)
+        if kind == "linear-teacher":
+            return linear_teacher(cfg["theta"], **extra)
+        if kind == "affine-teacher":
+            return affine_teacher(cfg["theta"], float(cfg["bias"]), **extra)
+    except KeyError as exc:
+        raise ValueError(f"reference model {kind!r} needs field {exc.args[0]!r}") from None
     raise ValueError(f"unknown reference model kind {kind!r}")
 
 

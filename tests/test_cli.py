@@ -59,9 +59,13 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "m": "128"},  # non-numeric integer
             lambda cfg: {**cfg, "dist_params": [1]},  # distribution parameters not an object
             lambda cfg: {**cfg, "dist_params": {"bogus": 1}},  # unknown distribution parameter
+            lambda cfg: {**cfg, "ref_config": [1]},  # reference model not an object
+            lambda cfg: {**cfg, "ref_config": {"kind": "constant"}},  # no "vector"
+            lambda cfg: {**cfg, "ref_config": {"kind": "zero"}},  # no "dim"
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
-             "dist-params-not-object", "unknown-dist-param"],
+             "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
+             "ref-config-no-vector", "ref-config-no-dim"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"

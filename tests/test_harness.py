@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shallowcal import harness
 from shallowcal.distributions import make_distribution, sample as draw_sample
 from shallowcal.harness import (
     DESK_CAP,
@@ -62,6 +65,11 @@ class TestDeriveRegime:
     def test_overrides(self):
         cfg = derive_regime("easy", 0.1, overrides={"m": 512, "n": 256})
         assert cfg.m == 512 and cfg.n == 256 and cfg.rho == 1.0
+
+    @pytest.mark.parametrize("overrides", [{"M": 16, "n": 8}, {"ref_config": None}])
+    def test_unknown_override_is_error(self, overrides):
+        with pytest.raises(ValueError, match="m, n, eps_gd, rho, r_gd"):
+            derive_regime("easy", 0.5, overrides=overrides)
 
 
 class TestDeriveConsistency:
@@ -273,6 +281,45 @@ class TestSweep:
     def test_seeds_disjoint_across_cells(self):
         seeds = {derived_seed(0, ci, t) for ci in range(4) for t in range(8)}
         assert len(seeds) == 32
+
+    @staticmethod
+    def cell_configs(monkeypatch, base, axis, values):
+        """The configuration of every run of a sweep, with training stubbed out."""
+        runs = []
+
+        def record(cfg, with_reference=True):
+            runs.append(cfg)
+            risk = {"excess_logistic": 0.1, "l2_calibration_sq": 0.1, "excess_zero_one": 0.1}
+            return SimpleNamespace(status="ok", risk=risk)
+
+        monkeypatch.setattr(harness, "run_experiment", record)
+        sweep(base, axis, values, seeds=5)
+        return runs[::5]
+
+    @pytest.mark.parametrize("regime", ["easy", "clairvoyant", "worstcase"])
+    def test_m_axis_keeps_coupling(self, monkeypatch, regime):
+        base = derive_regime(regime, 0.5, overrides={"m": 64, "n": 64})
+        for m, cell in zip([64, 300], self.cell_configs(monkeypatch, base, "m", [64, 300])):
+            expect = derive_regime(regime, 0.5, overrides={"m": m, "n": 64})
+            assert (cell.m, cell.rho, cell.eta, cell.r_gd) == (m, expect.rho, expect.eta, expect.r_gd)
+
+    def test_m_axis_consistency_coupling(self, monkeypatch):
+        base = derive_consistency(64, 0.5)
+        for m, cell in zip([64, 300], self.cell_configs(monkeypatch, base, "m", [64, 300])):
+            assert (cell.m, cell.rho, cell.r_gd) == (m, m**-0.125, math.inf)
+            assert cell.eta == pytest.approx(4 * m**0.25, rel=1e-14)
+
+    @pytest.mark.parametrize("regime", ["easy", "clairvoyant", "worstcase"])
+    def test_eps_axis_derives_each_cell(self, monkeypatch, regime):
+        base = derive_regime(
+            regime, 0.5, dist_name="constant-1d", augment_bias=True, seed=4,
+            overrides={"m": 64, "n": 64},
+        )
+        for eps, cell in zip([0.5, 0.4], self.cell_configs(monkeypatch, base, "eps", [0.5, 0.4])):
+            expect = derive_regime(
+                regime, eps, dist_name="constant-1d", augment_bias=True, seed=4
+            )
+            assert dataclasses.replace(cell, seed=4) == expect
 
     def test_small_n_sweep(self):
         base = derive_regime(

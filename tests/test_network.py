@@ -182,11 +182,6 @@ class TestAugment:
         np.testing.assert_allclose(out, np.array([0.6, 0.8, 1.0]) / np.sqrt(2))
         assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-15)
 
-    def test_norm_flag(self):
-        with pytest.raises(ValueError):
-            augment_batch(np.array([[0.6, 0.0], [1.2, 0.0]]), assert_unit_ball=True)
-        augment_batch(np.array([[1.2, 0.0]]))  # no flag, no check
-
     def test_batch(self):
         X = np.array([[0.3, -0.4], [0.0, 0.0]])
         out = augment_batch(X)
