@@ -239,7 +239,8 @@ def derive_regime(
     ``radius_scale`` is the norm bound R of the intended reference model
     (floored at 4 when the bound calculator runs).  ``overrides`` may pin
     the derived fields m, n, eps_gd, rho and r_gd (e.g. a smaller m for a
-    quick run); any other key is a ValueError.  rho, eta and r_gd are
+    quick run); any other key is a ValueError, and so is an eps small
+    enough that a derived size overflows.  rho, eta and r_gd are
     re-derived from an overridden m to keep the couplings intact.
     """
     if regime == "consistency":
@@ -253,14 +254,18 @@ def derive_regime(
     if unknown:
         raise ValueError(f"unknown overrides {unknown}; accepted: {', '.join(_OVERRIDE_KEYS)}")
     eps_gd = float(overrides.get("eps_gd", eps))
-    n = _snap_ceil(float(overrides.get("n", 1.0 / eps**2)))
-    if regime == "easy":
-        m = radius_scale**8
-    else:
-        m = eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
+    try:
+        n = _snap_ceil(float(overrides.get("n", 1.0 / eps**2)))
+        t = _snap_ceil(1.0 / (8.0 * eps_gd))
+        if regime == "easy":
+            m = radius_scale**8
+        else:
+            m = eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"eps = {eps!r} is too small: a derived size is not finite") from None
     return _build(
         regime, overrides.get("m", m), cap, rho=overrides.get("rho"), r_gd=overrides.get("r_gd"),
-        capped=n > cap, n=min(n, cap), t=_snap_ceil(1.0 / (8.0 * eps_gd)), eps_gd=eps_gd,
+        capped=n > cap, n=min(n, cap), t=t, eps_gd=eps_gd,
         eps=eps, seed=seed, radius_scale=radius_scale, dist_name=dist_name,
         dist_params=dist_params, augment_bias=augment_bias,
     )
@@ -575,6 +580,8 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
             )
         return dataclasses.replace(base, n=int(value))
     if axis == "m":  # uncapped, like the n axis
+        if int(value) < 1:
+            raise ValueError(f"sweep widths must be at least 1, got {value}")
         pinned = None if base.regime == "clairvoyant" else base.r_gd
         rho, eta, r_gd = _coupling(base.regime, int(value), base.radius_scale, r_gd=pinned)
         return dataclasses.replace(base, m=int(value), rho=rho, eta=eta, r_gd=r_gd)
@@ -593,10 +600,10 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
         raise ValueError("sweep needs at least 2 axis values")
     if seeds < 5:
         raise ValueError("sweep needs at least 5 seeds per cell")
+    configs = [_cell_config(base, axis, value) for value in values]  # all checked before any run
     cells = []
     rows = []
-    for ci, value in enumerate(values):
-        cfg = _cell_config(base, axis, value)
+    for ci, (value, cfg) in enumerate(zip(values, configs)):
         metrics = {"excess_logistic": [], "l2_calibration_sq": [], "excess_zero_one": []}
         for trial in range(seeds):
             run_cfg = dataclasses.replace(cfg, seed=derived_seed(root_seed, ci, trial))

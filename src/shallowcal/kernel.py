@@ -27,6 +27,13 @@ source matrix on one point set; it is the only place that chooses a backend:
   mask is formed once per pass as a float 0/1 array and meets one matrix
   product whose inner dimension is the tile width; every temporary is at
   most ``_CHUNK_BUDGET`` scalars.
+
+``adjoint_margins(coeff)`` returns the adjoint G and the margins of G
+together: the trainer's frozen risk along a step W - eta G has margins
+f - eta * margins(G), linear in eta.  The shared code composes the two
+passes; ``DenseKernel`` fuses them into one pass over full-height strips,
+where each strip's mask is complete for every point, so a strip's rows of G
+are final as soon as they are formed and meet the same mask again at once.
 """
 
 from __future__ import annotations
@@ -37,18 +44,25 @@ __all__ = ["ArcKernel", "DenseKernel", "kernel", "tiles"]
 
 # Scalars in one tile of the dense kernel: 512 KiB of float64, so the
 # preactivations, their mask and the masked products of a tile stay in a
-# core's L2 cache, and a tile is at most 1024 sources wide, so one block of
-# sources stays cached while the blocks of points pass over it (Goto & van
-# de Geijn, ACM TOMS 2008).  Every pass re-forms each tile's mask once, which
-# costs less than streaming a stored n x m mask through main memory.
+# core's L2 cache.  Up to _CHUNK_BUDGET // 64 = 1024 points, a tile is a
+# full-height strip of _CHUNK_BUDGET // n sources; for more points it is at
+# most 1024 sources wide, so one block of sources stays cached while the
+# blocks of points pass over it (Goto & van de Geijn, ACM TOMS 2008).  Every
+# pass forms each tile's mask once, which costs less than streaming a stored
+# n x m mask through main memory, and the fused ``adjoint_margins`` pass
+# serves two sums from each strip's one mask.
 _CHUNK_BUDGET = 1 << 16
 
 
 def tiles(n: int, m: int) -> list[tuple[slice, slice]]:
     """(points, sources) slice pairs tiling the n x m grid in a fixed order:
-    blocks of at most ``_CHUNK_BUDGET // 64`` sources, and within each, blocks
-    of points, each tile at most ``_CHUNK_BUDGET`` scalars (one row at least)."""
-    width = max(1, min(m, _CHUNK_BUDGET // 64))
+    blocks of sources, and within each, blocks of points, each tile at most
+    ``_CHUNK_BUDGET`` scalars (one row at least).  Up to
+    ``_CHUNK_BUDGET // 64`` points each block of sources is one full-height
+    strip of ``_CHUNK_BUDGET // n`` sources; above that, a block is at most
+    ``_CHUNK_BUDGET // 64`` sources wide."""
+    tall = max(1, n if n <= _CHUNK_BUDGET // 64 else 64)
+    width = max(1, min(m, _CHUNK_BUDGET // tall))
     step = max(1, _CHUNK_BUDGET // width)
     return [
         (slice(lo, min(n, lo + step)), slice(c0, min(m, c0 + width)))
@@ -152,8 +166,16 @@ class _MaskedSums:
 
     def adjoint(self, coeff) -> np.ndarray:
         """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""
-        C = np.asarray(coeff, dtype=float)[:, None] * self.X
-        return self.scale * self.signs[:, None] * self.mask_adjoint(C)
+        return self.scale * self.signs[:, None] * self.mask_adjoint(self._weighted(coeff))
+
+    def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
+        """``adjoint(coeff)`` and the ``margins`` of it, shape (m, d) and (n,)."""
+        G = self.adjoint(coeff)
+        return G, self.margins(G)
+
+    def _weighted(self, coeff) -> np.ndarray:
+        """The rows c_k x_k the adjoint sums."""
+        return np.asarray(coeff, dtype=float)[:, None] * self.X
 
 
 class ArcKernel(_MaskedSums):
@@ -267,15 +289,17 @@ class DenseKernel(_MaskedSums):
     """Masked sums by dense products, for points of any dimension.
 
     Each sum makes one pass over the ``tiles`` of points and sources in
-    order.  A tile's preactivations are formed afresh and turned in place
-    into a float 0/1 mask, which then meets one matrix product, so results
+    order, and ``adjoint_margins`` one pass for two sums when the tiles are
+    full-height strips.  A tile's preactivations are formed afresh and
+    turned in place into a float 0/1 mask, which then meets matrix
+    products, so results
     are deterministic and no n x m array is held.  The sources are read on
     every call and must not change while the kernel is in use.  The mask is
     the sign of the BLAS product, which may fuse multiply-adds.
     """
 
-    def _masks(self):
-        for rows, cols in tiles(self.n, len(self.sources)):
+    def _masks(self, grid=None):
+        for rows, cols in tiles(self.n, len(self.sources)) if grid is None else grid:
             pre = self.X[rows] @ self.sources[cols].T
             yield rows, cols, np.greater_equal(pre, 0.0, out=pre)
 
@@ -292,3 +316,19 @@ class DenseKernel(_MaskedSums):
         for rows, cols, mask in self._masks():
             out[cols] += mask.T @ C[rows]
         return out
+
+    def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
+        """``adjoint(coeff)`` and the ``margins`` of it from one pass when the
+        tiles are full-height strips: a strip's mask is complete for every
+        point, so its rows of G are final and meet the same mask again at
+        once.  Shorter tiles fall back to the two passes."""
+        grid = tiles(self.n, len(self.sources))
+        if any(rows.stop - rows.start < self.n for rows, _ in grid):
+            return super().adjoint_margins(coeff)
+        C = self._weighted(coeff)
+        G = np.empty_like(self.sources)
+        S = np.zeros((self.n, self.d))
+        for _, cols, mask in self._masks(grid):
+            G[cols] = self.scale * self.signs[cols, None] * (mask.T @ C)
+            S += mask @ (self.signs[cols, None] * G[cols])
+        return G, self._rowdot(S)

@@ -160,7 +160,7 @@ class Trajectory:
 def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of the network over a labeled sample."""
     X, y = _check_sample(X, y, net.d)
-    risk, _, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
+    risk, _, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), upto="risk")
     return risk
 
 
@@ -169,7 +169,7 @@ def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarra
     if eta <= 0:
         raise ValueError("eta must be positive")
     X, y = _check_sample(X, y, net.d)
-    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs=())
+    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), upto="grad")
     net.weights -= eta * grad
     return grad
 
@@ -198,15 +198,18 @@ def _check_sample(X, y, d):
     return X, y
 
 
-def _risk_and_grad(W, signs, scale, X, y, refs):
+def _risk_and_grad(W, signs, scale, X, y, refs, upto="step"):
     """One pass over the sample at weights W.
 
-    Returns (empirical risk, full-batch gradient, frozen risks of each ref
-    matrix under W's activation pattern, and the function V -> frozen risk
-    of V under that pattern).  One kernel of W serves all of them, so the
-    results are deterministic: the margins at W and at every reference come
-    from one masked sum, and the gradient from one adjoint.  The function
-    reads W, so call it before W changes.
+    Returns (empirical risk, full-batch gradient G, frozen risks of each ref
+    matrix under W's activation pattern, and the frozen risk along the step:
+    the function eta -> frozen risk of W - eta G under that pattern).  One kernel of W serves all
+    of them, so the results are deterministic: the margins at W and at every
+    reference come from one masked sum.  Frozen margins are linear in their
+    values matrix, so those along the step are f - eta g, with f the margins
+    at W and g the margins of G, which ``adjoint_margins`` returns with G.
+    ``upto`` stops early for callers that need less: "risk" returns no
+    gradient and "grad" no frozen risk (None in their places).
     """
     n = X.shape[0]
     K = kernel(W, signs, scale, X)
@@ -214,12 +217,15 @@ def _risk_and_grad(W, signs, scale, X, y, refs):
     def mean_loss(margins):
         return float(logistic_loss(margins * y).sum()) / n
 
-    def frozen_risk(V):
-        return mean_loss(K.margins(V))
-
     f, *ref_margins = K.margins_many([W, *refs])
+    ref_risks = [mean_loss(r) for r in ref_margins]
+    if upto == "risk":
+        return mean_loss(f), None, ref_risks, None
     coeff = logistic_loss_derivative(f * y) * y / n
-    return mean_loss(f), K.adjoint(coeff), [mean_loss(g) for g in ref_margins], frozen_risk
+    if upto == "grad":
+        return mean_loss(f), K.adjoint(coeff), ref_risks, None
+    grad, g = K.adjoint_margins(coeff)
+    return mean_loss(f), grad, ref_risks, lambda eta: mean_loss(f - eta * g)
 
 
 def train(
@@ -261,11 +267,13 @@ def train(
     frozen_ref: list[list[float]] = [[] for _ in ref_names]
     dist_sq_ref: list[list[float]] = [[] for _ in ref_names]
 
+    frozen = monitors or bool(ref_mats)
     best = None  # (risk, index, weights copy)
     for i in range(cfg.t_max + 1):
         last = i == cfg.t_max
-        risk, grad, ref_risks, frozen_risk = _risk_and_grad(
-            net.weights, net.signs, net.scale, X, y, () if last else ref_mats
+        risk, grad, ref_risks, frozen_along = _risk_and_grad(
+            net.weights, net.signs, net.scale, X, y, () if last else ref_mats,
+            upto="step" if frozen and not last else "grad",
         )
         diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
         step = not (last or diverged)
@@ -273,7 +281,7 @@ def train(
         resid = float("nan")
         if step:
             W_next = net.weights - cfg.eta * grad
-            frozen_at_next = frozen_risk(W_next) if monitors or ref_mats else float("nan")
+            frozen_at_next = frozen_along(cfg.eta) if frozen else float("nan")
             if monitors:
                 resid = (risk - frozen_at_next) - 0.5 * cfg.eta * grad_norm**2
             frozen_next.append(frozen_at_next)

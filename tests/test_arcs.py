@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shallowcal import kernel as kernel_module
 from shallowcal.kernel import ArcKernel, DenseKernel, kernel
@@ -94,12 +95,13 @@ class TestAgainstDense:
         X, W, V, signs = prob
         y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                         min_size=len(X), max_size=len(X))))
+        eta = data.draw(st.floats(0.0, 16.0))
         risk, grad, refs, frozen = _risk_and_grad(W, signs, 0.3, X, y, [V])
         d_risk, d_grad, d_refs, d_frozen = _risk_and_grad(pad(W), signs, 0.3, pad(X), y, [pad(V)])
         assert risk == pytest.approx(d_risk, rel=RTOL)
         assert refs[0] == pytest.approx(d_refs[0], rel=RTOL)
         assert_close(grad, d_grad[:, : W.shape[1]])
-        assert frozen(V + W) == pytest.approx(d_frozen(pad(V + W)), rel=RTOL)
+        assert frozen(eta) == pytest.approx(d_frozen(eta), rel=RTOL)
 
     @settings(max_examples=100, deadline=None)
     @given(problems())
@@ -274,6 +276,69 @@ class TestMaskedSums:
         bound = 2 * 8 * kernel_module._CHUNK_BUDGET + 4 * 8 * (n + m) * 3 * d
         assert bound < 0.1 * 8 * n * m
         assert peak < bound
+
+
+@st.composite
+def fused_problems(draw, d_options=(1, 2, 3, 4)):
+    """(X, S, coeff, signs) on the grid: up to 8 points and up to 300
+    sources, so a 512-scalar budget cuts the grid into many strips."""
+    d = draw(st.sampled_from(d_options))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 300))
+    signs = draw(hnp.arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
+    return (draw(hnp.arrays(float, (n, d), elements=grid)),
+            draw(hnp.arrays(float, (m, d), elements=grid)),
+            draw(hnp.arrays(float, n, elements=grid)), signs)
+
+
+class TestAdjointMargins:
+    """``adjoint_margins`` against ``adjoint`` followed by ``margins``: the
+    fused dense pass over full-height strips, its fallback for shorter
+    tiles, and the arc kernel."""
+
+    # 512 scalars: n <= 8 points give full-height strips 512 // n wide;
+    # 4 scalars: n > 4 points give tiles 4 rows high, so the fallback.
+    @pytest.mark.parametrize("budget", [512, 4, kernel_module._CHUNK_BUDGET])
+    @settings(max_examples=50, deadline=None)
+    @given(fused_problems())
+    def test_dense_matches_composition_on_grid(self, budget, prob):
+        X, S, c, signs = prob
+        M = (X @ S.T >= 0).astype(float)
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
+            K = DenseKernel(S, signs, 0.75, X)
+            G, g = K.adjoint_margins(c)
+            np.testing.assert_array_equal(G, K.adjoint(c))
+            np.testing.assert_array_equal(g, K.margins(G))
+        np.testing.assert_array_equal(G, 0.75 * signs[:, None] * (M.T @ (c[:, None] * X)))
+
+    @pytest.mark.parametrize("n,m,budget", [(8, 300, 512), (8, 300, 4), (300, 2500, None)],
+                             ids=["strips", "fallback", "default-budget"])
+    def test_dense_matches_composition_on_gaussian_data(self, n, m, budget):
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((n, 4)) / 2.0
+        S = rng.standard_normal((m, 4))
+        signs = rng.choice([-1.0, 1.0], m)
+        c = rng.standard_normal(n)
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget or kernel_module._CHUNK_BUDGET):
+            strips = all(r.stop - r.start == n for r, _ in kernel_module.tiles(n, m))
+            assert strips == (budget != 4)
+            K = DenseKernel(S, signs, 0.3, X)
+            G, g = K.adjoint_margins(c)
+            want_G = K.adjoint(c)
+            want_g = K.margins(want_G)
+        assert np.max(np.abs(G - want_G)) <= 1e-13 * np.max(np.abs(want_G))
+        assert np.max(np.abs(g - want_g)) <= 1e-13 * np.max(np.abs(want_g))
+
+    @pytest.mark.parametrize("budget", [512, kernel_module._CHUNK_BUDGET])
+    @settings(max_examples=50, deadline=None)
+    @given(fused_problems(d_options=(1, 2)))
+    def test_arc_agrees_with_dense(self, budget, prob):
+        X, W, c, signs = prob
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
+            G, g = ArcKernel(W, signs, 0.75, X).adjoint_margins(c)
+            d_G, d_g = DenseKernel(pad(W), signs, 0.75, pad(X)).adjoint_margins(c)
+        assert_close(G, d_G[:, : W.shape[1]])
+        assert_close(g, d_g)
 
 
 class TestTieRule:

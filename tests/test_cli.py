@@ -94,6 +94,14 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("regime,eps", [("worstcase", "1e-30"), ("clairvoyant", "1e-300")])
+    def test_tiny_eps_is_usage_error(self, tmp_path, capsys, regime, eps):
+        # m = eps^(-40/3) overflows at 1e-30; eps^2 underflows to 0 at 1e-300
+        code = main(["train", "--regime", regime, "--eps", eps, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_large_rho_run_exits_diverged(self, tmp_path, capsys):
         # The sampled reference at rho = 1e8 used to fail its norm check by
         # cancellation and end in a traceback; the run diverges at iterate 0.
@@ -245,3 +253,13 @@ class TestSweepCommand:
              "--values", "64", "--seeds", "5", "--out-dir", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("values", ["0,64", "-64,64", "64,0"])
+    def test_width_below_one_is_usage_error(self, small_config, tmp_path, monkeypatch, capsys, values):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        code = main(["sweep", "--config", str(small_config), "--axis", "m", f"--values={values}",
+                     "--seeds", "5", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sweep widths must be at least 1")
+        assert runs == []

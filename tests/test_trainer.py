@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from shallowcal.distributions import make_distribution, sample
+from shallowcal.kernel import DenseKernel
 from shallowcal.metrics import LOG2
 from shallowcal.network import Network, clone_initial, freeze_features, init_network
 from shallowcal.reference import linear_teacher, sample_reference
@@ -15,6 +17,7 @@ from shallowcal.trainer import (
     empirical_risk,
     frozen_empirical_risk,
     gd_step,
+    _risk_and_grad,
     train,
     write_trajectory,
 )
@@ -352,6 +355,65 @@ class TestDivergenceGuard:
         # initialization always qualifies at radius 0
         assert traj.selected_index == 0
         assert traj.status == "ok"
+
+
+class TestMaskPasses:
+    """How often the dense path forms W's activation mask, counted as the
+    area of the mask tiles formed over the n x m grid."""
+
+    @staticmethod
+    def grids_covered(n, m, call):
+        area = []
+        masks = DenseKernel._masks
+
+        def counting(self, *args):
+            for rows, cols, mask in masks(self, *args):
+                area.append(mask.size)
+                yield rows, cols, mask
+
+        with mock.patch.object(DenseKernel, "_masks", counting):
+            call()
+        return sum(area) / (n * m)
+
+    @staticmethod
+    def setup(n, m=300, d=3):
+        dist = make_distribution("sphere-cap-teacher", d=d)
+        samp = sample(dist, n, seed=31)
+        return init_network(m, d, float(m) ** -0.125, seed=32), samp.points, samp.labels
+
+    def test_monitored_step_forms_the_mask_twice(self):
+        # Up to 1024 points the tiles are full-height strips: one pass for
+        # the margins at W and the references, one fused pass for the
+        # gradient and the frozen risk along the step.
+        net, X, y = self.setup(1024)
+        refs = [net.weights + 0.1, -net.weights]
+
+        def step():
+            *_, frozen_along = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs)
+            frozen_along(0.5)
+
+        assert self.grids_covered(1024, 300, step) == 2
+        # a monitored run of one step: the step, then the last iterate's gradient
+        run = lambda: train(net, X, y, TrainConfig(eta=1.0, t_max=1), regret_refs={"W0": refs[0]})
+        assert self.grids_covered(1024, 300, run) == 2 + 2
+
+    @pytest.mark.parametrize(
+        "call,passes",
+        [
+            (lambda net, X, y: empirical_risk(net, X, y), 1),
+            (lambda net, X, y: gd_step(net, X, y, 1.0), 2),
+            # three iterates; the last takes no step
+            (lambda net, X, y: train(net, X, y, TrainConfig(eta=1.0, t_max=2), monitors=False), 6),
+            (lambda net, X, y: train(net, X, y, TrainConfig(eta=1.0, t_max=2),
+                                     regret_refs={"W0": net.init_weights}), 3 + 3 + 2),
+        ],
+        ids=["empirical-risk", "gd-step", "unmonitored-train", "monitored-train"],
+    )
+    def test_callers_pay_only_for_what_they_read(self, call, passes):
+        # Past 1024 points the tiles are shorter than the sample, so the
+        # frozen risk along the step costs a pass of its own.
+        net, X, y = self.setup(1025)
+        assert self.grids_covered(1025, 300, lambda: call(net, X, y)) == passes
 
 
 class TestSerialization:
