@@ -13,6 +13,11 @@ exactly: the excess equals the integral of |2 p(x) - 1| over the decision
 cells that disagree with the Bayes sign, and that integral is evaluated
 cell by cell with Gauss-Legendre panels split at every declared
 discontinuity, so there is no Monte Carlo noise in the reported numbers.
+
+The pipeline sorts each sample once (``sorted_sample``) and is linear in n
+after that.  The rules' edges come out of the sorted points already sorted,
+which ``PiecewiseConstantRule`` checks; ``excess_zero_one_exact`` walks them
+in order and integrates the wrong pieces in blocks of ``_GL_BLOCK``.
 """
 
 from __future__ import annotations
@@ -52,12 +57,24 @@ class SortedSample1D:
 
 
 def sorted_sample(points, labels) -> SortedSample1D:
+    """Sort a labeled 1-d sample by abscissa; the one sort of the pipeline.
+
+    The unstable default sort is used, since distinct keys have only one
+    sorted order.  When two adjacent sorted keys compare equal the stable
+    sort is made instead, so tied points keep their input order.
+    """
     x = np.asarray(points, dtype=float).reshape(-1)
     y = np.asarray(labels, dtype=float).reshape(-1)
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("need a nonempty 1-d sample with one label per point")
-    order = np.argsort(x, kind="stable")
-    return SortedSample1D(x=x[order], y=y[order])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample points must be finite")
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+    return SortedSample1D(x=xs, y=y[order])
 
 
 @dataclass
@@ -66,15 +83,21 @@ class PiecewiseConstantRule:
 
     Cells are (-inf, e_0], (e_0, e_1], ..., (e_last, inf): a query exactly
     on an edge belongs to the cell on its left, which realizes the
-    midpoint-tie-goes-left convention of the neighbor rules.
+    midpoint-tie-goes-left convention of the neighbor rules.  Edges must be
+    sorted (ties allowed) and free of NaN: ``predict`` binary-searches them
+    and ``excess_zero_one_exact`` walks them in order.
     """
 
     edges: np.ndarray
     signs: np.ndarray
 
     def __post_init__(self):
+        self.edges = np.asarray(self.edges, dtype=float)
+        self.signs = np.asarray(self.signs)
         if len(self.signs) != len(self.edges) + 1:
             raise ValueError("need exactly one sign per cell")
+        if np.any(np.isnan(self.edges)) or np.any(self.edges[1:] < self.edges[:-1]):
+            raise ValueError("rule edges must be sorted and free of NaN")
 
     def predict(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -114,22 +137,47 @@ def knn_rule(s: SortedSample1D, k: int) -> PiecewiseConstantRule:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Wrong pieces are integrated this many at a time, so the node arrays stay
+# at _GL_BLOCK x 16 whatever the number of pieces.
+_GL_BLOCK = 4096
 
 
-def _pieces_for(dist: Distribution, edges: np.ndarray):
+def _pieces(rule: PiecewiseConstantRule, dist: Distribution):
+    """Ends, midpoints and rule signs of the support's pieces, in order.
+
+    The pieces are the gaps between the distinct values of the support
+    ends, the rule's edges and the declared cuts of p, all clipped to the
+    support.  The rule's bounds ``[lo, *edges, hi]`` are already sorted and
+    bound its cells in order; the few cuts are inserted into the cell each
+    one splits and take that cell's sign.  A piece [a, b] of cell j has
+    e_(j-1) <= a < mid <= b <= e_j, so ``predict`` would give it sign j,
+    unless a and b are adjacent doubles and the midpoint rounds down onto
+    a: those pieces are looked up with ``predict``.
+    """
     if dist.dim != 1 or dist.support is None or dist.cdf is None:
         raise ValueError("exact integration needs a 1-d marginal with a CDF")
     lo, hi = dist.support
-    cuts = np.concatenate(
-        [
-            [lo, hi],
-            np.asarray(edges, dtype=float),
-            np.asarray(dist.breakpoints, dtype=float),
-            np.asarray(dist.half_crossings, dtype=float),
-        ]
-    )
-    cuts = np.unique(np.clip(cuts, lo, hi))
-    return cuts[:-1], cuts[1:]
+    bounds = np.clip(np.concatenate([[lo], rule.edges, [hi]]), lo, hi)
+    cuts = np.asarray(tuple(dist.breakpoints) + tuple(dist.half_crossings), dtype=float)
+    cuts = np.sort(np.clip(cuts, lo, hi))
+    signs = rule.signs
+    # Each insert or mask below copies n-long arrays, so it is made only
+    # when it changes something; a rule with no cut to insert and no
+    # zero-width piece to drop is the common case.
+    if len(cuts):
+        at = np.searchsorted(bounds[1:-1], cuts, side="right") + 1
+        bounds = np.insert(bounds, at, cuts)
+        signs = np.insert(signs, at, signs[at - 1])
+    a, b = bounds[:-1], bounds[1:]
+    keep = b > a
+    if not np.all(keep):
+        a, b, signs = a[keep], b[keep], signs[keep]
+    mids = (a + b) / 2.0
+    tie = mids == a
+    if np.any(tie):
+        signs = signs.copy()
+        signs[tie] = rule.predict(mids[tie])
+    return a, b, mids, signs
 
 
 def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> float:
@@ -139,13 +187,12 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
     Bayes sign.  Piece boundaries include every rule edge and every
     declared discontinuity or 1/2-crossing of p, so the integrand is smooth
     on each piece and the Gauss-Legendre panels are exact for the
-    piecewise-constant built-ins.
+    piecewise-constant built-ins.  The work is linear in the number of
+    edges: the pieces come from one walk over the sorted edges (no sort,
+    no search per piece), and the wrong pieces are integrated in blocks of
+    ``_GL_BLOCK``, whose values are summed once at the end.
     """
-    a, b = _pieces_for(dist, rule.edges)
-    keep = b > a
-    a, b = a[keep], b[keep]
-    mids = (a + b) / 2.0
-    rule_sign = rule.predict(mids)
+    a, b, mids, rule_sign = _pieces(rule, dist)
     p_mid = dist.cond_prob(mids[:, None])
     bayes_sign = np.where(p_mid >= 0.5, 1.0, -1.0)
     wrong = rule_sign != bayes_sign
@@ -153,12 +200,15 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
         return 0.0
     aw, bw = a[wrong], b[wrong]
     half = (bw - aw) / 2.0
-    nodes = aw[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-    p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
     lo, hi = dist.support
     pdf = 1.0 / (hi - lo)
-    integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
-    piece_vals = (integrand * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    piece_vals = np.empty(len(aw))
+    for start in range(0, len(aw), _GL_BLOCK):
+        blk = slice(start, start + _GL_BLOCK)
+        nodes = aw[blk, None] + half[blk, None] * (_GL_NODES[None, :] + 1.0)
+        p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
+        integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
+        piece_vals[blk] = (integrand * _GL_WEIGHTS[None, :]).sum(axis=1) * half[blk]
     return float(piece_vals.sum())
 
 
@@ -215,11 +265,28 @@ def excess_risk_comparison(
     Returns (rows, summary): one row per (n, trial, rule) with the exact
     excess and, for 1-NN, the wrong-pair covered mass; the summary holds
     per-cell medians and quartiles.  Per-trial seeds are derived from the
-    root seed through ``SeedSequence((seed, n_index, trial))``.
+    root seed through ``SeedSequence((seed, n_index, trial))``.  The whole
+    grid is checked before any trial runs: ``trials`` and every n must be at
+    least 1, no n may repeat (rows and summary keys would collide), and
+    ``k_for_n(n)`` must be odd and at most n.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if len(n_grid) == 0:
+        raise ValueError("n_grid must name at least one sample size")
+    if len({int(n) for n in n_grid}) != len(n_grid):
+        raise ValueError(f"n_grid names a sample size twice: {list(n_grid)}")
+    ks = []
+    for n in n_grid:
+        if int(n) < 1:
+            raise ValueError(f"sample size n={n} must be at least 1")
+        k = k_for_n(int(n))
+        if k % 2 == 0 or not 1 <= k <= int(n):
+            raise ValueError(f"k={k} for n={n} must be odd and lie in [1, n]")
+        ks.append(k)
     rows = []
     track_pairs = dist.wrong_pair_interval is not None
-    for n_idx, n in enumerate(n_grid):
+    for n_idx, (n, k) in enumerate(zip(n_grid, ks)):
         for trial in range(trials):
             samp = draw_sample(dist, int(n), derived_seed(seed, n_idx, trial))
             s = sorted_sample(samp.points[:, 0], samp.labels)
@@ -233,7 +300,6 @@ def excess_risk_comparison(
                     raise AssertionError(
                         f"1-NN excess {ex_1nn} below wrong-pair floor {floor}"
                     )
-            k = k_for_n(int(n))
             ex_knn = excess_zero_one_exact(knn_rule(s, k), dist)
             rows.append(
                 {"n": int(n), "trial": trial, "rule": "1nn",

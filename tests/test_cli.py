@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from shallowcal import diagnostics, harness
+from shallowcal import diagnostics, harness, interpolation
 from shallowcal.cli import build_parser, main
 from shallowcal.diagnostics import LemmaCheckReport
 from shallowcal.distributions import sample as draw_sample
@@ -181,6 +181,26 @@ class TestInterpCommand:
         assert set(rows[0]) == {"n", "trial", "rule", "excess_z", "covered_mass"}
         summary = json.loads((out / "interp_lb_summary.json").read_text())
         assert any(key.startswith("n=50") for key in summary)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "out"
+        code = main(["interp-lb", "--n-grid", "50", f"--trials={trials}", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: trials")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,bad", [("1", "1"), ("2", "2"), ("1000,1", "1")])
+    def test_bad_n_is_usage_error_before_any_trial(self, tmp_path, monkeypatch, capsys, grid, bad):
+        drawn = []
+        monkeypatch.setattr(interpolation, "draw_sample", lambda *a: drawn.append(a))
+        out = tmp_path / "out"
+        code = main(["interp-lb", "--n-grid", grid, "--trials", "2", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n={bad} " in err
+        assert drawn == []
+        assert not out.exists()
 
 
 class TestLemmaCheckCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,9 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shallowcal import interpolation
 from shallowcal.distributions import make_distribution, sample
 from shallowcal.interpolation import (
+    PiecewiseConstantRule,
     default_k,
     excess_risk_comparison,
     excess_zero_one_exact,
@@ -20,6 +25,39 @@ from shallowcal.interpolation import (
 
 def fixed_sample(xs, ys):
     return sorted_sample(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+
+
+def excess_unique_predict(rule, dist):
+    """Reference integral: cut the support with np.unique, sign each piece
+    with rule.predict and integrate all wrong pieces in one node array."""
+    lo, hi = dist.support
+    cuts = np.concatenate(
+        [
+            [lo, hi],
+            np.asarray(rule.edges, dtype=float),
+            np.asarray(dist.breakpoints, dtype=float),
+            np.asarray(dist.half_crossings, dtype=float),
+        ]
+    )
+    cuts = np.unique(np.clip(cuts, lo, hi))
+    a, b = cuts[:-1], cuts[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
+    mids = (a + b) / 2.0
+    rule_sign = rule.predict(mids)
+    p_mid = dist.cond_prob(mids[:, None])
+    bayes_sign = np.where(p_mid >= 0.5, 1.0, -1.0)
+    wrong = rule_sign != bayes_sign
+    if not np.any(wrong):
+        return 0.0
+    aw, bw = a[wrong], b[wrong]
+    half = (bw - aw) / 2.0
+    nodes = aw[:, None] + half[:, None] * (interpolation._GL_NODES[None, :] + 1.0)
+    p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
+    pdf = 1.0 / (hi - lo)
+    integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
+    piece_vals = (integrand * interpolation._GL_WEIGHTS[None, :]).sum(axis=1) * half
+    return float(piece_vals.sum())
 
 
 def wrong_pairs_loop(s, dist):
@@ -155,6 +193,159 @@ class TestExactExcess:
         vals = (rule.predict(xs) != bayes) * np.abs(2 * p - 1)
         mc, se = vals.mean(), vals.std(ddof=1) / np.sqrt(len(xs))
         assert abs(exact - mc) <= 5 * se
+
+
+DISTS = {
+    "constant-1d[0,1]": make_distribution("constant-1d", p=0.75, lo=0.0, hi=1.0),
+    "constant-1d[-1,1]": make_distribution("constant-1d", p=0.25),
+    "step-1d": make_distribution("step-1d"),
+    "step-smooth-1d": make_distribution("step-smooth-1d", width=0.1),
+    "logistic-1d": make_distribution("logistic-1d", c=-3.0),
+}
+
+
+@st.composite
+def labeled_points(draw):
+    """(dist, x, y) with tied points, points outside the support, on its
+    ends and on the distribution's cuts, and runs of adjacent doubles."""
+    dist = DISTS[draw(st.sampled_from(sorted(DISTS)))]
+    lo, hi = dist.support
+    base = draw(st.floats(lo, hi))
+    pool = [lo, hi, lo - 0.25, hi + 0.25, -0.0, 0.0, (lo + hi) / 2, *dist.breakpoints, *dist.half_crossings]
+    pool += [base + j * np.spacing(base) for j in range(-3, 4)]
+    n = draw(st.integers(1, 40))
+    point = st.one_of(st.sampled_from(pool), st.floats(lo - 0.5, hi + 0.5))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return dist, x, y
+
+
+def rules_of(s):
+    return [one_nn_rule(s)] + [knn_rule(s, k) for k in (1, 3, 5) if k <= s.n]
+
+
+class TestLinearWalk:
+    """``sorted_sample`` and ``excess_zero_one_exact`` against the stable
+    sort and the np.unique + predict integral, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(labeled_points())
+    def test_sorted_sample_is_the_stable_order(self, case):
+        _, x, y = case
+        s = sorted_sample(x, y)
+        order = np.argsort(x, kind="stable")
+        np.testing.assert_array_equal(s.x, x[order])
+        np.testing.assert_array_equal(np.signbit(s.x), np.signbit(x[order]))
+        np.testing.assert_array_equal(s.y, y[order])
+
+    @settings(max_examples=400, deadline=None)
+    @given(labeled_points())
+    def test_excess_matches_unique_predict_bitwise(self, case):
+        dist, x, y = case
+        s = sorted_sample(x, y)
+        for rule in rules_of(s):
+            assert excess_zero_one_exact(rule, dist).hex() == excess_unique_predict(rule, dist).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_forced_ties_keep_input_order(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.choice([0.25, 0.5, -0.0, 0.0], n)
+        y = np.arange(n, dtype=float)
+        s = sorted_sample(x, y)
+        order = np.argsort(x, kind="stable")
+        np.testing.assert_array_equal(s.y, y[order])
+        np.testing.assert_array_equal(np.signbit(s.x), np.signbit(x[order]))
+
+    def test_one_ulp_pieces_take_the_sign_predict_gives(self):
+        # A piece one ulp wide has its midpoint rounded onto one of its
+        # ends; on the left end, predict gives it the sign of the cell to
+        # the left.  The outer cells are right, so only these pieces add to
+        # the excess.
+        dist = DISTS["constant-1d[0,1]"]
+        ulp = np.spacing(0.3)
+        edges = 0.3 + np.arange(13) * ulp
+        signs = np.tile([1.0, -1.0], 7)
+        signs[-1] = 1.0
+        rule = PiecewiseConstantRule(edges=edges, signs=signs)
+        x = 0.3 + np.array([0, 2, 3, 5, 6, 8, 9, 11, 12]) * ulp
+        y = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+        rules = [rule, *rules_of(sorted_sample(x, y))]
+        for rule in rules:
+            assert excess_zero_one_exact(rule, dist).hex() == excess_unique_predict(rule, dist).hex()
+        for rule in rules[:2]:
+            assert 0.0 < excess_zero_one_exact(rule, dist) < 1e-14
+
+    @pytest.mark.parametrize("name", ["constant-1d[0,1]", "logistic-1d"])
+    def test_more_wrong_pieces_than_one_block(self, name):
+        dist = DISTS[name]
+        samp = sample(dist, 12 * interpolation._GL_BLOCK, 21)
+        s = sorted_sample(samp.points[:, 0], samp.labels)
+        bayes = np.where(dist.cond_prob(s.x[:, None]) >= 0.5, 1.0, -1.0)
+        assert np.sum(s.y != bayes) > 2 * interpolation._GL_BLOCK
+        for rule in rules_of(s):
+            assert excess_zero_one_exact(rule, dist).hex() == excess_unique_predict(rule, dist).hex()
+
+    def test_nodes_are_evaluated_block_by_block(self):
+        base = DISTS["constant-1d[0,1]"]
+        rows = []
+
+        def recorded(X):
+            rows.append(len(X))
+            return base.cond_prob_raw(X)
+
+        dist = dataclasses.replace(base, cond_prob_raw=recorded)
+        samp = sample(base, 12 * interpolation._GL_BLOCK, 22)
+        s = sorted_sample(samp.points[:, 0], samp.labels)
+        wrong = int(np.sum(s.y == -1.0))
+        excess_zero_one_exact(one_nn_rule(s), dist)
+        node_rows = rows[1:]  # rows[0] holds the piece midpoints
+        assert sum(node_rows) == 16 * wrong
+        assert max(node_rows) == 16 * interpolation._GL_BLOCK
+        assert len(node_rows) == -(-wrong // interpolation._GL_BLOCK)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("edges", [[0.5, 0.2], [0.1, np.nan], [np.nan], [0.2, np.nan, 0.1]])
+    def test_rule_rejects_unsorted_or_nan_edges(self, edges):
+        with pytest.raises(ValueError, match="sorted"):
+            PiecewiseConstantRule(edges=np.array(edges), signs=np.ones(len(edges) + 1))
+
+    def test_rule_accepts_tied_and_infinite_edges(self):
+        rule = PiecewiseConstantRule(edges=[-np.inf, 0.5, 0.5, np.inf], signs=[1, -1, 1, -1, 1])
+        assert rule.predict(0.7) == -1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sorted_sample_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sorted_sample(np.array([0.1, bad, 0.5]), np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_comparison_needs_a_trial(self, trials):
+        dist = DISTS["constant-1d[0,1]"]
+        with pytest.raises(ValueError, match="trials"):
+            excess_risk_comparison(dist, [50], trials=trials)
+
+    @pytest.mark.parametrize(
+        "n_grid,k_for_n,bad",
+        [
+            ([1], default_k, "n=1"),
+            ([2], default_k, "n=2"),
+            ([1000, 1], default_k, "n=1"),
+            ([50, 0], default_k, "n=0"),
+            ([50, -5], default_k, "n=-5"),
+            ([50, 100], lambda n: 4 if n == 100 else 3, "n=100"),
+            ([], default_k, "n_grid"),
+            ([100, 50, 100], default_k, "twice"),
+        ],
+        ids=["1", "2", "1000,1", "50,0", "50,-5", "even-k", "empty", "100,50,100"],
+    )
+    def test_comparison_checks_grid_before_any_trial(self, monkeypatch, n_grid, k_for_n, bad):
+        drawn = []
+        monkeypatch.setattr(interpolation, "draw_sample", lambda *a: drawn.append(a))
+        dist = DISTS["constant-1d[0,1]"]
+        with pytest.raises(ValueError, match=rf"{bad}\b"):
+            excess_risk_comparison(dist, n_grid, trials=2, k_for_n=k_for_n)
+        assert drawn == []
 
 
 class TestWrongPairs:
