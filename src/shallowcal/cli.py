@@ -131,7 +131,14 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_interp_lb(args) -> int:
-    dist = make_distribution(args.dist, **{**_dist_params(args), **({"p": args.p} if args.dist == "constant-1d" else {})})
+    params = _dist_params(args)
+    if args.p is not None:
+        if args.dist != "constant-1d":
+            raise ValueError(f"--p applies to constant-1d only, not {args.dist}")
+        if "p" in params:
+            raise ValueError("give p in --p or in --dist-params, not both")
+        params["p"] = args.p
+    dist = make_distribution(args.dist, **params)
     n_grid = [int(v) for v in args.n_grid.split(",")]
     rows, summary = interpolation.excess_risk_comparison(
         dist, n_grid, trials=args.trials, seed=args.seed or 0
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interp-lb", help="local interpolation inconsistency table")
     p.add_argument("--dist", default="constant-1d")
     p.add_argument("--dist-params", default='{"lo": 0.0, "hi": 1.0}')
-    p.add_argument("--p", type=float, default=0.75)
+    p.add_argument("--p", type=float, default=None, help="p of constant-1d (default 0.75)")
     p.add_argument("--n-grid", default="100,1000,10000")
     p.add_argument("--trials", type=int, default=50)
     _add_common(p)

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, derived_seed, evaluator, sample as draw_sample
+from .distributions import Distribution, derived_seed, population_risk, sample as draw_sample
 from .kernel import tiles
-from .metrics import expected_logistic_loss
 from .network import (
     FrozenFeatures,
     Network,
@@ -317,10 +316,7 @@ def generalization_gap(
     """Population minus empirical logistic risk of a frozen-feature predictor,
     next to the norm-based rate 80 rho R (d ln(e m^2 d^3/delta))^(3/2)/sqrt(n)."""
     V = np.asarray(V, dtype=float)
-    ev = evaluator(dist)
-    margins = frozen_forward_batch(ff, V, ev.points)
-    p = dist.cond_prob(ev.points)
-    pop = float(ev.weights @ expected_logistic_loss(margins, p))
+    pop = population_risk(dist, lambda P: frozen_forward_batch(ff, V, P)).breakdown.logistic_risk
     emp = frozen_empirical_risk(ff, V, X, y)
     n = len(y)
     d = ff.d

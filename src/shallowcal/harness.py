@@ -48,7 +48,7 @@ from .distributions import (
     population_risk,
     sample as draw_sample,
 )
-from .metrics import LOG2, expected_logistic_loss, spread
+from .metrics import LOG2, spread
 from .network import augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
@@ -491,10 +491,10 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
         risk["logistic_se"] = pop.logistic_se
 
         if model is not None:
-            inf_margins, _ = infinite_forward_batch(model, cfg.lift(ev.points))
-            p = dist.cond_prob(ev.points)
-            ref_risk = float(ev.weights @ expected_logistic_loss(inf_margins, p))
-            kbin = ref_risk - bayes["logistic"]
+            ref = population_risk(
+                dist, lambda P: infinite_forward_batch(model, cfg.lift(P))[0], ev
+            ).breakdown
+            ref_risk, kbin = ref.logistic_risk, ref.excess_logistic
             # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
             # risk; a run with a selected iterate took its first step.
             emp_ref_risk = float(traj.certificates["Ubar"].frozen_ref[0])

@@ -1,7 +1,7 @@
 """The masked margin, the package's core operation, and its adjoint.
 
-Every predictor, gradient, frozen-feature risk and Monte Carlo reference in
-the package is the masked margin
+Every predictor, gradient and frozen-feature risk in the package is the
+masked margin
 
     f_k = scale * sum_j a_j [s_j . x_k >= 0] (v_j . x_k)
 
@@ -11,8 +11,9 @@ times x_k . (M @ (a * V))_k, and the adjoint is scale * a * (M^T @ (c * X)).
 So each backend supplies only ``mask_sum(R) = M @ R`` (n x c) and
 ``mask_adjoint(C) = M^T @ C`` (m x c), and shared code builds ``margins``,
 ``margins_many`` (several values matrices read by one ``mask_sum`` of the
-stacked a * V), ``moments`` (through the d(d+1)/2 upper-triangle columns of
-v_j v_j^T) and ``adjoint`` on them.  ``kernel`` returns the object for one
+stacked a * V) and ``adjoint`` on them.  The Monte Carlo reference calls
+``mask_sum`` directly, on a ones column: it needs only the number of
+directions active at each point.  ``kernel`` returns the object for one
 source matrix on one point set; it is the only place that chooses a backend:
 
 * ``ArcKernel`` for inputs of dimension at most 2.  In the plane, the closed
@@ -115,7 +116,7 @@ def _ranks(ring: np.ndarray, keys: np.ndarray, order: np.ndarray, side: str) -> 
 
 
 class _MaskedSums:
-    """Margins, moments and adjoint of one source matrix on one point set,
+    """Margins and adjoint of one source matrix on one point set,
     built on the backend's ``mask_sum`` and ``mask_adjoint``."""
 
     def __init__(self, sources, signs, scale: float, X):
@@ -143,26 +144,6 @@ class _MaskedSums:
     def margins(self, values) -> np.ndarray:
         """scale * sum_j a_j [s_j . x >= 0] (v_j . x) at every point, shape (n,)."""
         return self.margins_many([values])[0]
-
-    def moments(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """``margins(values)`` and scale * sum_j [s_j . x >= 0] (v_j . x)^2
-        at every point; signs do not enter the second."""
-        V = np.asarray(values, dtype=float)
-        d = self.d
-        pairs = list(zip(*np.triu_indices(d)))
-        R = np.empty((len(V), d + len(pairs)))
-        np.multiply(self.signs[:, None], V, out=R[:, :d])
-        for c, (i, j) in enumerate(pairs):
-            np.multiply(V[:, i], V[:, j], out=R[:, d + c])
-        S = self.mask_sum(R)
-        x = self.X
-        terms = [
-            (1.0 if i == j else 2.0) * x[:, i] * x[:, j] * S[:, d + c]
-            for c, (i, j) in enumerate(pairs)
-        ]
-        second = self.scale * sum(terms[1:], terms[0])
-        second[self._nonfinite] = np.nan
-        return self._rowdot(S[:, :d]), second
 
     def adjoint(self, coeff) -> np.ndarray:
         """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""

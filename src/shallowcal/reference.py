@@ -1,23 +1,24 @@
 """Infinite-width random-feature reference models.
 
-A model is a deterministic weight map u: R^d -> R^d with bounded output
-norm; its predictor integrates the gradient features over the standard
-Gaussian measure,
+A model is a constant weight map u(v) = w on R^d, held as the vector w; its
+predictor integrates the gradient features over the standard Gaussian
+measure,
 
-    f(x; u) = integral <u(v), x> [v . x >= 0] dN(v),
+    f(x; w) = integral <w, x> [v . x >= 0] dN(v),
 
 and is evaluated by Monte Carlo over a seeded feature sample that is shared
 across all evaluation points of one call, so risk comparisons are smooth
-in x and reproducible.
+in x and reproducible.  Since <w, x> does not depend on v, the estimate at
+x is <w, x> c/M, where c counts the M sampled directions active at x.
 
 Given a concrete network, the model also induces a canonical finite-width
 reference matrix coupled to the initialization, row-wise
 
-    ubar_j = a_j u(w0_j) / (rho sqrt(m)) + w0_j,
+    ubar_j = a_j w / (rho sqrt(m)) + w0_j,
 
-which satisfies ||Ubar - W0|| <= sup_v ||u(v)|| / rho by construction.
+which satisfies rho ||Ubar - W0|| = ||w|| by construction.
 
-Constructing a weight map from an arbitrary conditional probability model is
+Constructing a reference from an arbitrary conditional probability model is
 out of scope; constructive teachers (zero, constant, linear, affine-on-
 augmented-inputs) are provided instead.
 """
@@ -25,21 +26,18 @@ augmented-inputs) are provided instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution, PopulationEvaluator, evaluator
+from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
 from .kernel import kernel
-from .metrics import expected_logistic_loss
-from .network import Network, freeze_features, frozen_forward_batch
+from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
     "GapResult",
     "InfiniteWidthModel",
     "SampledReference",
     "affine_teacher",
-    "constant_model",
     "gap_experiment",
     "infinite_forward_batch",
     "linear_teacher",
@@ -48,50 +46,38 @@ __all__ = [
     "zero_model",
 ]
 
-_NORM_CHECK_DRAWS = 10_000
-
 
 @dataclass
 class InfiniteWidthModel:
-    """Weight map with certified norm bound and Monte Carlo evaluation budget."""
+    """Constant weight map u(v) = ``vector`` and its Monte Carlo budget."""
 
-    weight_map: Callable[[np.ndarray], np.ndarray]
-    norm_bound: float
-    dim: int
+    vector: np.ndarray
     mc_features: int = 100_000
     mc_seed: int = 0
 
     def __post_init__(self):
-        if self.norm_bound < 0:
-            raise ValueError("norm bound must be nonnegative")
+        self.vector = np.asarray(self.vector, dtype=float)
+        if self.vector.ndim != 1 or not np.isfinite(self.vector).all():
+            raise ValueError(f"reference vector must be finite and 1-d: {self.vector.tolist()}")
         if self.mc_features < 2:
             raise ValueError("need at least 2 Monte Carlo features")
-        rng = np.random.default_rng(12345)
-        draws = rng.standard_normal((_NORM_CHECK_DRAWS, self.dim))
-        out = np.asarray(self.weight_map(draws), dtype=float)
-        if out.shape != draws.shape:
-            raise ValueError("weight map must send (k, d) arrays to (k, d) arrays")
-        worst = float(np.linalg.norm(out, axis=1).max())
-        if worst > self.norm_bound * (1 + 1e-12) + 1e-12:
-            raise ValueError(
-                f"weight map norm {worst} exceeds declared bound {self.norm_bound}"
-            )
+
+    @property
+    def dim(self) -> int:
+        return len(self.vector)
+
+    @property
+    def norm_bound(self) -> float:
+        """sup_v ||u(v)||, which is ||w|| for a constant map."""
+        return float(np.linalg.norm(self.vector))
+
+    def weight_map(self, V) -> np.ndarray:
+        """u(v) = w at every row of V."""
+        return np.broadcast_to(self.vector, np.shape(V)).copy()
 
 
 def zero_model(dim: int, **kw) -> InfiniteWidthModel:
-    return InfiniteWidthModel(
-        weight_map=lambda V: np.zeros_like(V), norm_bound=0.0, dim=dim, **kw
-    )
-
-
-def constant_model(vector, **kw) -> InfiniteWidthModel:
-    w = np.asarray(vector, dtype=float)
-    return InfiniteWidthModel(
-        weight_map=lambda V: np.broadcast_to(w, V.shape).copy(),
-        norm_bound=float(np.linalg.norm(w)),
-        dim=len(w),
-        **kw,
-    )
+    return InfiniteWidthModel(np.zeros(dim), **kw)
 
 
 def linear_teacher(theta, **kw) -> InfiniteWidthModel:
@@ -100,15 +86,14 @@ def linear_teacher(theta, **kw) -> InfiniteWidthModel:
     A Gaussian direction lands on either side of any hyperplane through the
     origin with probability 1/2, so the integral halves the inner product.
     """
-    return constant_model(2.0 * np.asarray(theta, dtype=float), **kw)
+    return InfiniteWidthModel(2.0 * np.asarray(theta, dtype=float), **kw)
 
 
 def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
     """Teacher on bias-augmented inputs (x, 1)/sqrt(2) in R^(d+1) whose
     induced predictor is x -> <theta, x> + bias."""
     theta = np.asarray(theta, dtype=float)
-    w = 2.0 * np.sqrt(2.0) * np.concatenate([theta, [bias]])
-    return constant_model(w, **kw)
+    return InfiniteWidthModel(2.0 * np.sqrt(2.0) * np.concatenate([theta, [bias]]), **kw)
 
 
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
@@ -120,7 +105,7 @@ def model_from_config(cfg: dict) -> InfiniteWidthModel:
         if kind == "zero":
             return zero_model(int(cfg["dim"]), **extra)
         if kind == "constant":
-            return constant_model(cfg["vector"], **extra)
+            return InfiniteWidthModel(cfg["vector"], **extra)
         if kind == "linear-teacher":
             return linear_teacher(cfg["theta"], **extra)
         if kind == "affine-teacher":
@@ -139,19 +124,23 @@ def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:
 def infinite_forward_batch(
     model: InfiniteWidthModel, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimates of f(x; u) with per-point standard errors.
+    """Monte Carlo estimates of f(x; w) with per-point standard errors.
 
     The feature sample is drawn once from the model's seed and shared by
-    all rows of X; the directions are the kernel's sources, with scale 1/M.
+    all rows of X.  Each direction contributes <w, x> or 0 at x, so the
+    estimate is <w, x> c/M and the second moment <w, x>^2 c/M, where c, the
+    number of directions active at x, is one ``mask_sum`` of a ones column
+    with the directions as the kernel's sources.  Non-finite points get NaN.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
-    dirs = _mc_directions(model)
-    A = np.asarray(model.weight_map(dirs), dtype=float)
-    est, second = kernel(dirs, np.ones(M), 1.0 / M, X).moments(A)
-    var = np.maximum(second - est**2, 0.0) / (M - 1)
+    ones = np.ones((M, 1))
+    count = kernel(_mc_directions(model), ones[:, 0], 1.0, X).mask_sum(ones)[:, 0]
+    lin = np.where(np.isfinite(X).all(axis=1), X @ model.vector, np.nan)
+    est = lin * count / M
+    var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)
     return est, np.sqrt(var)
 
 
@@ -164,11 +153,10 @@ class SampledReference:
 
 
 def sample_reference(model: InfiniteWidthModel, net: Network) -> SampledReference:
-    """Rows ubar_j = a_j u(w0_j) / (rho sqrt(m)) + w0_j."""
+    """Rows ubar_j = a_j w / (rho sqrt(m)) + w0_j."""
     if model.dim != net.d:
         raise ValueError(f"model dim {model.dim} != network dim {net.d}")
-    mapped = np.asarray(model.weight_map(net.init_weights), dtype=float)
-    offset = net.signs[:, None] * mapped / (net.rho * np.sqrt(net.m))
+    offset = net.signs[:, None] * model.vector / (net.rho * np.sqrt(net.m))
     # The bound is checked on the offset itself: Ubar - W0 recomputed by
     # subtraction cancels when the offset is tiny against W0 (large rho).
     if net.rho * np.linalg.norm(offset) > model.norm_bound * (1 + 1e-9) + 1e-12:
@@ -216,21 +204,19 @@ def gap_experiment(
     se is a conservative propagation of the per-point Monte Carlo feature
     noise through the 1-Lipschitz loss.
     """
-    from .network import augment_batch
-
     ev = ev or evaluator(dist)
-    p = dist.cond_prob(ev.points)
-    w = ev.weights
     points = augment_batch(ev.points) if augment_inputs else ev.points
+
+    def risk(margins):
+        return population_risk(dist, lambda _: margins, ev).breakdown.logistic_risk
 
     ref = sample_reference(model, net)
     ff = freeze_features(net, at_init=True)
-    frozen_margins = frozen_forward_batch(ff, ref.ubar, points)
-    frozen_risk = float(w @ expected_logistic_loss(frozen_margins, p))
+    frozen_risk = risk(frozen_forward_batch(ff, ref.ubar, points))
 
     inf_margins, inf_se = infinite_forward_batch(model, points)
-    infinite_risk = float(w @ expected_logistic_loss(inf_margins, p))
-    risk_se = float(w @ inf_se)
+    infinite_risk = risk(inf_margins)
+    risk_se = float(ev.weights @ inf_se)
 
     if frozen_risk <= 0 or infinite_risk <= 0:
         raise ValueError("degenerate (zero) risk in gap experiment")

@@ -113,10 +113,11 @@ class RegretCertificate:
         return lhs, rhs
 
     def holds(self) -> bool:
-        """Whether the inequality holds at every prefix, to ``REGRET_TOL``."""
+        """Whether the inequality holds at every prefix, to ``REGRET_TOL``;
+        a NaN side fails it."""
         for t in range(len(self.frozen_next) + 1):
             lhs, rhs = self.sides(t)
-            if lhs > rhs + REGRET_TOL * max(1.0, rhs):
+            if not lhs <= rhs + REGRET_TOL * max(1.0, rhs):
                 return False
         return True
 

@@ -21,7 +21,12 @@ from hypothesis.extra import numpy as hnp
 from shallowcal import kernel as kernel_module
 from shallowcal.kernel import ArcKernel, DenseKernel, kernel
 from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
-from shallowcal.reference import _mc_directions, affine_teacher, infinite_forward_batch
+from shallowcal.reference import (
+    InfiniteWidthModel,
+    _mc_directions,
+    affine_teacher,
+    infinite_forward_batch,
+)
 from shallowcal.trainer import TrainConfig, _risk_and_grad, train
 
 RTOL = 1e-12
@@ -71,6 +76,26 @@ def dense_mc(model, X):
     est = contrib.sum(axis=1) / M
     var = np.maximum((contrib**2).sum(axis=1) - M * est**2, 0.0) / (M * (M - 1))
     return est, np.sqrt(var)
+
+
+@st.composite
+def monte_carlo_problems(draw):
+    """(model, X) on the grid with d in {1, 2, 3, 4} and up to 64
+    directions; zero points and points with a non-finite coordinate come
+    up often."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    X = draw(hnp.arrays(float, (n, d), elements=grid))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        X[k] = 0.0
+    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 max_size=2)):
+        X[k, j] = v
+    vector = draw(hnp.arrays(float, d, elements=grid))
+    model = InfiniteWidthModel(vector, mc_features=draw(st.integers(2, 64)),
+                               mc_seed=draw(st.integers(0, 1000)))
+    return model, X
 
 
 class TestAgainstDense:
@@ -144,17 +169,28 @@ class TestAgainstDense:
         np.testing.assert_allclose(se, d_se, rtol=1e-9, atol=1e-15)
         assert est[3] == 0.0 and se[3] == 0.0
 
-    @settings(max_examples=100, deadline=None)
-    @given(problems())
-    def test_monte_carlo_sums_on_grid(self, prob):
-        X, W, V, _ = prob
-        M = len(W)
-        arcs = ArcKernel(W, np.ones(M), 1.0 / M, X)
-        contrib = (X @ V.T) * (X @ W.T >= 0)
-        first, second = arcs.moments(V)
-        assert np.array_equal(first, arcs.margins(V))
-        assert_close(first, contrib.sum(axis=1) / M)
-        assert_close(second, (contrib**2).sum(axis=1) / M)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(monte_carlo_problems())
+    def test_monte_carlo_on_grid(self, prob):
+        model, X = prob
+        est, se = infinite_forward_batch(model, X)
+        finite = np.isfinite(X).all(axis=1)
+        assert np.isnan(est[~finite]).all() and np.isnan(se[~finite]).all()
+        d_est, d_se = dense_mc(model, X[finite])
+        np.testing.assert_array_equal(est[finite], d_est)
+        np.testing.assert_allclose(se[finite], d_se, rtol=1e-9, atol=1e-15)
+        zero = (X == 0).all(axis=1)
+        assert np.all(est[zero] == 0.0) and np.all(se[zero] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_estimate_is_scaled_count(self, d):
+        rng = np.random.default_rng(30 + d)
+        X = rng.standard_normal((300, d)) / 2.0
+        model = InfiniteWidthModel(rng.standard_normal(d), mc_features=5000, mc_seed=d)
+        count = np.count_nonzero(X @ _mc_directions(model).T >= 0, axis=1)
+        est, _ = infinite_forward_batch(model, X)
+        np.testing.assert_array_equal(est, (X @ model.vector) * count / model.mc_features)
 
 
 class TestDenseKernel:
@@ -169,13 +205,13 @@ class TestDenseKernel:
         c = rng.standard_normal(200)
         one = DenseKernel(S, signs, 0.3, X)
         assert len(kernel_module.tiles(200, 50)) == 1
-        ref = (one.margins(V), *one.moments(V), one.adjoint(c), one.margins(S))
+        ref = (one.margins(V), one.adjoint(c), one.margins(S))
         monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", budget)
         rows, cols = kernel_module.tiles(200, 50)[-1]
         assert rows.stop - rows.start < 64 or budget == 1
         assert cols.stop == 50 and rows.stop == 200
         tiled = DenseKernel(S, signs, 0.3, X)
-        got = (tiled.margins(V), *tiled.moments(V), tiled.adjoint(c), tiled.margins(S))
+        got = (tiled.margins(V), tiled.adjoint(c), tiled.margins(S))
         for a, b in zip(got, ref):
             assert_close(a, b)
 
@@ -188,10 +224,7 @@ class TestDenseKernel:
         act = X @ S.T >= 0
         proj = (X @ V.T) * act
         K = DenseKernel(S, signs, 0.7, X)
-        first, second = K.moments(V)
         assert_close(K.margins(V), 0.7 * proj @ signs)
-        assert_close(first, 0.7 * proj @ signs)
-        assert_close(second, 0.7 * (proj**2).sum(axis=1))
         assert_close(K.adjoint(c), 0.7 * signs[:, None] * ((act * c[:, None]).T @ X))
         # the source matrix itself is read like any other values matrix
         assert_close(K.margins(S), K.margins(S.copy()))
@@ -239,9 +272,6 @@ class TestMaskedSums:
                 for V, got in zip(values, many):
                     assert_close(got, 0.75 * ((X @ V.T) * M) @ signs)
                     np.testing.assert_allclose(got, K.margins(V), rtol=1e-13, atol=0)
-                first, second = K.moments(values[0])
-                assert_close(first, many[0])
-                assert_close(second, 0.75 * ((X @ values[0].T) ** 2 * M).sum(axis=1))
 
     def test_batched_margins_match_single_on_float_data(self):
         rng = np.random.default_rng(23)
@@ -276,6 +306,20 @@ class TestMaskedSums:
         bound = 2 * 8 * kernel_module._CHUNK_BUDGET + 4 * 8 * (n + m) * 3 * d
         assert bound < 0.1 * 8 * n * m
         assert peak < bound
+
+    def test_monte_carlo_pass_holds_no_values_matrix(self):
+        # d = 4, M = 100k directions, 512 points: the directions are 3.1 MiB,
+        # a 512 x M mask would be 391 MiB, and an M x (d + d(d+1)/2) values
+        # matrix of second moments 10.7 MiB.
+        model = InfiniteWidthModel(np.ones(4), mc_features=100_000, mc_seed=1)
+        X = np.random.default_rng(26).standard_normal((512, 4)) / 2.0
+        tracemalloc.start()
+        try:
+            infinite_forward_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @st.composite
@@ -411,8 +455,6 @@ class TestDeterminism:
         one, two = ArcKernel(W, signs, 0.1, X), ArcKernel(W, signs, 0.1, X)
         assert np.array_equal(one.margins(W), two.margins(W))
         assert np.array_equal(one.adjoint(c), two.adjoint(c))
-        for a, b in zip(one.moments(W), two.moments(W)):
-            assert np.array_equal(a, b)
 
     def test_training_runs_bitwise_identical(self):
         rng = np.random.default_rng(5)

@@ -62,10 +62,11 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "ref_config": [1]},  # reference model not an object
             lambda cfg: {**cfg, "ref_config": {"kind": "constant"}},  # no "vector"
             lambda cfg: {**cfg, "ref_config": {"kind": "zero"}},  # no "dim"
+            lambda cfg: {**cfg, "ref_config": {"kind": "linear-teacher", "theta": [float("nan")]}},
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
              "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
-             "ref-config-no-vector", "ref-config-no-dim"],
+             "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -181,6 +182,30 @@ class TestInterpCommand:
         assert set(rows[0]) == {"n", "trial", "rule", "excess_z", "covered_mass"}
         summary = json.loads((out / "interp_lb_summary.json").read_text())
         assert any(key.startswith("n=50") for key in summary)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dist", "logistic-1d", "--p", "0.6"],
+         ["--dist-params", '{"lo": 0.0, "hi": 1.0, "p": 0.6}', "--p", "0.6"]],
+        ids=["other-dist", "p-given-twice"],
+    )
+    def test_misplaced_p_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main(["interp-lb", "--n-grid", "50", "--trials", "2", "--out-dir", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_p_in_dist_params_is_used(self, tmp_path):
+        def table(*flags):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            assert main(["interp-lb", "--n-grid", "50,100", "--trials", "3", "--out-dir", str(out),
+                         *flags]) == 0
+            return (out / "interp_lb.csv").read_text()
+
+        in_params = table("--dist-params", '{"lo": 0.0, "hi": 1.0, "p": 0.6}')
+        assert in_params == table("--p", "0.6")
+        assert in_params != table()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error(self, tmp_path, capsys, trials):

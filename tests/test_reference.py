@@ -15,7 +15,6 @@ from shallowcal.network import (
 from shallowcal.reference import (
     InfiniteWidthModel,
     affine_teacher,
-    constant_model,
     gap_experiment,
     infinite_forward_batch,
     linear_teacher,
@@ -49,28 +48,28 @@ class TestInfiniteForward:
         assert est == 0.0 and se == 0.0
 
     def test_zero_input_is_exactly_zero(self):
-        model = constant_model([1.0, 2.0], mc_features=1000)
+        model = InfiniteWidthModel([1.0, 2.0], mc_features=1000)
         est, se = infinite_at(model, np.zeros(2))
         assert est == 0.0 and se == 0.0
 
     def test_constant_map_halves_inner_product(self):
         c = np.array([1.5, -0.5])
-        model = constant_model(c, mc_features=100_000, mc_seed=3)
+        model = InfiniteWidthModel(c, mc_features=100_000, mc_seed=3)
         x = np.array([0.4, 0.7])
         est, se = infinite_at(model, x)
         assert se > 0
         assert abs(est - float(c @ x) / 2.0) <= 4 * se
 
     def test_linear_in_weight_map(self):
-        base = constant_model([1.0, 1.0], mc_features=5000, mc_seed=9)
-        doubled = constant_model([2.0, 2.0], mc_features=5000, mc_seed=9)
+        base = InfiniteWidthModel([1.0, 1.0], mc_features=5000, mc_seed=9)
+        doubled = InfiniteWidthModel([2.0, 2.0], mc_features=5000, mc_seed=9)
         X = np.random.default_rng(1).uniform(-0.5, 0.5, size=(6, 2))
         est1, _ = infinite_forward_batch(base, X)
         est2, _ = infinite_forward_batch(doubled, X)
         np.testing.assert_allclose(est2, 2.0 * est1, rtol=1e-12)
 
     def test_cauchy_schwarz_envelope(self):
-        model = constant_model([2.0, -1.0], mc_features=20_000, mc_seed=4)
+        model = InfiniteWidthModel([2.0, -1.0], mc_features=20_000, mc_seed=4)
         X = np.random.default_rng(2).uniform(-1, 1, size=(20, 2))
         X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
         est, _ = infinite_forward_batch(model, X)
@@ -78,17 +77,15 @@ class TestInfiniteForward:
         assert np.all(np.abs(est) <= bound + 1e-12)
 
     def test_same_seed_identical(self):
-        model = constant_model([1.0], mc_features=10_000, mc_seed=5)
+        model = InfiniteWidthModel([1.0], mc_features=10_000, mc_seed=5)
         x = np.array([0.6])
         assert infinite_at(model, x) == infinite_at(model, x)
 
-    def test_norm_bound_spot_check_rejects_liar(self):
+    @pytest.mark.parametrize("vector", [[np.nan], [1.0, np.inf], [[1.0]], 2.0],
+                             ids=["nan", "inf", "2-d", "scalar"])
+    def test_rejects_nonfinite_or_not_1d_vector(self, vector):
         with pytest.raises(ValueError):
-            InfiniteWidthModel(
-                weight_map=lambda V: np.broadcast_to([10.0, 0.0], V.shape).copy(),
-                norm_bound=1.0,
-                dim=2,
-            )
+            InfiniteWidthModel(vector)
 
     def test_teacher_margins(self):
         theta = np.array([2.0])
@@ -126,7 +123,7 @@ class TestSampleReference:
                 d = int(rng.integers(1, 4))
                 net = init_network(m, d, float(rng.uniform(0.2, 2.0)), seed=int(rng.integers(1e6)))
                 vec = rng.standard_normal(d)
-                model = constant_model(vec)
+                model = InfiniteWidthModel(vec)
                 ref = sample_reference(model, net)
                 assert net.rho * ref.dist_from_init <= model.norm_bound * (1 + 1e-9)
 

@@ -13,6 +13,7 @@ from shallowcal.network import Network, clone_initial, freeze_features, init_net
 from shallowcal.reference import linear_teacher, sample_reference
 from shallowcal.trainer import (
     DIVERGENCE_THRESHOLD,
+    RegretCertificate,
     TrainConfig,
     empirical_risk,
     frozen_empirical_risk,
@@ -267,6 +268,13 @@ class TestRegretCertificate:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=12)
         traj = train(net, X, y, cfg, regret_refs={"Ubar": ref.ubar})
         assert traj.certificates["Ubar"].holds()
+
+    @pytest.mark.parametrize("side", ["frozen_next", "frozen_ref"])
+    def test_nan_side_fails(self, side):
+        values = {"frozen_next": np.array([0.5, 0.4]), "frozen_ref": np.array([0.6, 0.6])}
+        values[side][1] = np.nan
+        cert = RegretCertificate(name="Z", eta=1.0, dist_sq=np.array([1.0, 0.9, 0.8]), **values)
+        assert not cert.holds()
 
 
 class TestAgainstStepReplay:
