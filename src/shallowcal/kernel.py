@@ -11,10 +11,9 @@ times x_k . (M @ (a * V))_k, and the adjoint is scale * a * (M^T @ (c * X)).
 So each backend supplies only ``mask_sum(R) = M @ R`` (n x c) and
 ``mask_adjoint(C) = M^T @ C`` (m x c), and shared code builds ``margins``,
 ``margins_many`` (several values matrices read by one ``mask_sum`` of the
-stacked a * V) and ``adjoint`` on them.  The Monte Carlo reference calls
-``mask_sum`` directly, on a ones column: it needs only the number of
-directions active at each point.  ``kernel`` returns the object for one
-source matrix on one point set; it is the only place that chooses a backend:
+stacked a * V) and ``adjoint`` on them.  ``kernel`` returns the object for
+one source matrix on one point set; it is the only place that chooses a
+backend:
 
 * ``ArcKernel`` for inputs of dimension at most 2.  In the plane, the closed
   half-plane s_j . x >= 0 meets the angle-sorted points in one contiguous
@@ -35,13 +34,19 @@ f - eta * margins(G), linear in eta.  The shared code composes the two
 passes; ``DenseKernel`` fuses them into one pass over full-height strips,
 where each strip's mask is complete for every point, so a strip's rows of G
 are final as soon as they are formed and meet the same mask again at once.
+
+``count_active(sources, X)`` is ``mask_sum`` of a ones column, the number of
+sources active at each point, which is all the Monte Carlo reference needs.
+For dimension at most 2 it turns the arcs around: each point's closed
+half-plane meets the angle-sorted sources in one contiguous arc, so the
+sources are sorted once and the arc work runs over the points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArcKernel", "DenseKernel", "kernel", "tiles"]
+__all__ = ["ArcKernel", "DenseKernel", "count_active", "kernel", "tiles"]
 
 # Scalars in one tile of the dense kernel: 512 KiB of float64, so the
 # preactivations, their mask and the masked products of a tile stay in a
@@ -90,6 +95,9 @@ def kernel(sources, signs, scale: float, X):
 
 
 def _plane(A: np.ndarray) -> np.ndarray:
+    """Rows of A as planar points; A itself when it already has 2 columns."""
+    if A.shape[1] == 2:
+        return A
     out = np.zeros((A.shape[0], 2))
     out[:, : A.shape[1]] = A
     return out
@@ -102,17 +110,118 @@ def _angles(P: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _ranks(ring: np.ndarray, keys: np.ndarray, order: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(ring, keys, side)`` for many keys and a short ring.
+def _by_angle(P: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows``, indices of finite nonzero rows of the planar P, in the order
+    of their polar angles, and the sorted angles.
 
-    ``order`` sorts ``keys``.  The ring is searched in the sorted keys
-    instead, and the counts are accumulated back; this avoids one
-    unpredictable binary search per key.
+    The unstable default sort is used, since distinct angles have only one
+    sorted order.  When two adjacent sorted angles compare equal, the rows
+    are directions closer than arctan2 resolves: the stable sort is made
+    instead, and each run of equal angles is ordered counterclockwise by
+    cross products with its first row, so an arc end never splits a run out
+    of order.
     """
+    theta = _angles(P.take(rows, axis=0))
+    order = np.argsort(theta)
+    phi = theta[order]
+    if np.any(phi[1:] == phi[:-1]):
+        order = np.argsort(theta, kind="stable")
+        phi, Q = theta[order], P.take(rows[order], axis=0)
+        run = np.cumsum(np.diff(phi, prepend=phi[:1]) != 0)
+        ref = Q[np.searchsorted(run, run)]
+        order = order[np.lexsort((ref[:, 0] * Q[:, 1] - ref[:, 1] * Q[:, 0], run))]
+    return rows[order], phi
+
+
+def _ranks(ring: np.ndarray, keys: np.ndarray, order, side: str) -> np.ndarray:
+    """``np.searchsorted(ring, keys, side)``.
+
+    With ``order`` None the keys are searched in the ring directly.  When
+    the keys outnumber the ring entries, ``order`` sorts them: the ring is
+    searched in the sorted keys instead, and the counts are accumulated
+    back; this avoids one unpredictable binary search per key.
+    """
+    if order is None:
+        return np.searchsorted(ring, keys, side=side)
     q = np.searchsorted(keys[order], ring, side="right" if side == "left" else "left")
     out = np.empty(len(keys), dtype=np.intp)
     out[order] = np.cumsum(np.bincount(q, minlength=len(keys) + 1)[:-1])
     return out
+
+
+def _arcs(S: np.ndarray, P: np.ndarray, ring: np.ndarray, phi: np.ndarray):
+    """Arc [lo, hi) of every planar row of S over a ring of rows of P.
+
+    ``ring`` and ``phi`` are the rows of P and their angles from
+    ``_by_angle``.  Position p < k is ring row p and position p + k its
+    copy one turn later, so 0 <= lo < k and lo <= hi <= lo + k.  The ring
+    rows in [lo, hi) are those whose product with the row of S is >= 0; a
+    zero row of S spans the whole ring.
+    """
+    k = len(phi)
+    if k == 0:
+        return np.zeros(len(S), dtype=np.intp), np.zeros(len(S), dtype=np.intp)
+    s1, s2 = S[:, 0].copy(), S[:, 1].copy()
+    Q = P.take(ring, axis=0)
+    start = _angles(S) - 0.5 * np.pi
+    start[start < -np.pi] += 2.0 * np.pi
+    doubled = np.empty(2 * k)
+    doubled[:k] = phi
+    np.add(phi, 2.0 * np.pi, out=doubled[k:])
+    by_start = np.argsort(start) if len(S) >= 2 * k else None
+    a = _ranks(doubled, start, by_start, "left")
+    b = _ranks(doubled, start + np.pi, by_start, "right")
+    # arctan2(0, 0) = 0 gives a zero row half a circle; the settling
+    # below would widen it one point per pass, so set the full circle.
+    zero = (s1 == 0) & (s2 == 0)
+    a[zero], b[zero] = 0, k
+
+    def moves(r, end, probe, step, grow):
+        """Rows whose end must step: its probed point is active (grow) or not (trim)."""
+        room = (b[r] - a[r] < k) if grow else (b[r] > a[r])
+        q = Q.take(end[r] + probe, axis=0, mode="wrap")
+        act = s1[r] * q[:, 0] + s2[r] * q[:, 1] >= 0
+        return room & (act == grow)
+
+    # Extend the start backwards, trim inactive points off the start,
+    # extend the end forwards, trim inactive points off the end.  Only
+    # rows failing one of the four end tests can move at all.
+    steps = ((a, -1, -1, True), (a, 0, 1, False), (b, 0, 1, True), (b, -1, -1, False))
+    suspect = np.flatnonzero(np.logical_or.reduce([moves(slice(None), *s) for s in steps]))
+    for end, probe, step, grow in steps:
+        r = suspect
+        while r.size:
+            r = r[moves(r, end, probe, step, grow)]
+            end[r] += step
+    shift = np.floor_divide(a, k) * k
+    return a - shift, b - shift
+
+
+def count_active(sources, X) -> np.ndarray:
+    """Number of sources active at each row of X, shape (n,): ``mask_sum``
+    of a ones column, under the kernels' tie rules, as integers.  A point
+    with a non-finite coordinate counts 0.
+
+    For points of dimension at most 2 the arcs are turned around: the
+    nonzero sources are sorted by angle once, each point's closed
+    half-plane is the arc of them that ``_arcs`` finds and settles, and
+    every zero source is active everywhere.  Otherwise the dense kernel
+    sums a ones column.
+    """
+    sources, X = _operands(sources, X)
+    finite = np.isfinite(X).all(axis=1)
+    if X.shape[1] > 2:
+        ones = np.ones((len(sources), 1))
+        count = DenseKernel(sources, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0].astype(np.intp)
+        count[~finite] = 0
+        return count
+    S = _plane(sources)
+    kept = np.flatnonzero((S[:, 0] != 0) | (S[:, 1] != 0))
+    ring, phi = _by_angle(S, kept)
+    lo, hi = _arcs(_plane(X[finite]), S, ring, phi)
+    count = np.zeros(len(X), dtype=np.intp)
+    count[finite] = hi - lo + (len(S) - len(kept))
+    return count
 
 
 class _MaskedSums:
@@ -183,60 +292,8 @@ class ArcKernel(_MaskedSums):
         finite = np.isfinite(pts).all(axis=1)
         nonzero = (pts != 0).any(axis=1)
         self._zero = np.flatnonzero(finite & ~nonzero)
-        kept = np.flatnonzero(finite & nonzero)
-        theta = _angles(pts[kept])
-        order = np.argsort(theta, kind="stable")
-        # Directions closer than arctan2 resolves share an angle; order each
-        # such run counterclockwise by cross products with its first point.
-        phi, P = theta[order], pts[kept[order]]
-        run = np.cumsum(np.diff(phi, prepend=phi[:1]) != 0)
-        ref = P[np.searchsorted(run, run)]
-        order = order[np.lexsort((ref[:, 0] * P[:, 1] - ref[:, 1] * P[:, 0], run))]
-        self.order = kept[order]
-        self.points = pts[self.order]
-        self.lo, self.hi = self._arcs(_plane(self.sources), phi)
-
-    def _arcs(self, S: np.ndarray, phi: np.ndarray):
-        """Arc [lo, hi) of every source over the doubled sorted order.
-
-        Position p < k is sorted point p and position p + k its copy one turn
-        later, so 0 <= lo < k and lo <= hi <= lo + k.
-        """
-        k = len(phi)
-        if k == 0:
-            return np.zeros(len(S), dtype=np.intp), np.zeros(len(S), dtype=np.intp)
-        s1, s2 = S[:, 0].copy(), S[:, 1].copy()
-        start = _angles(S) - 0.5 * np.pi
-        start[start < -np.pi] += 2.0 * np.pi
-        ring = np.concatenate([phi, phi + 2.0 * np.pi])
-        by_start = np.argsort(start)
-        a = _ranks(ring, start, by_start, "left")
-        b = _ranks(ring, start + np.pi, by_start, "right")
-        # arctan2(0, 0) = 0 gives a zero row half a circle; the settling
-        # below would widen it one point per pass, so set the full circle.
-        zero = (s1 == 0) & (s2 == 0)
-        a[zero], b[zero] = 0, k
-        px, py = self.points[:, 0].copy(), self.points[:, 1].copy()
-
-        def moves(r, end, probe, step, grow):
-            """Rows whose end must step: its probed point is active (grow) or not (trim)."""
-            room = (b[r] - a[r] < k) if grow else (b[r] > a[r])
-            pos = end[r] + probe
-            act = s1[r] * px.take(pos, mode="wrap") + s2[r] * py.take(pos, mode="wrap") >= 0
-            return room & (act == grow)
-
-        # Extend the start backwards, trim inactive points off the start,
-        # extend the end forwards, trim inactive points off the end.  Only
-        # rows failing one of the four end tests can move at all.
-        steps = ((a, -1, -1, True), (a, 0, 1, False), (b, 0, 1, True), (b, -1, -1, False))
-        suspect = np.flatnonzero(np.logical_or.reduce([moves(slice(None), *s) for s in steps]))
-        for end, probe, step, grow in steps:
-            r = suspect
-            while r.size:
-                r = r[moves(r, end, probe, step, grow)]
-                end[r] += step
-        shift = np.floor_divide(a, k) * k
-        return a - shift, b - shift
+        self.order, phi = _by_angle(pts, np.flatnonzero(finite & nonzero))
+        self.lo, self.hi = _arcs(_plane(self.sources), pts, self.order, phi)
 
     def mask_sum(self, R: np.ndarray) -> np.ndarray:
         """M @ R, shape (n, c): the rows of R summed over the sources

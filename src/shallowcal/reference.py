@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
-from .kernel import kernel
+from .kernel import count_active
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class InfiniteWidthModel:
     """Constant weight map u(v) = ``vector`` and its Monte Carlo budget."""
@@ -59,8 +63,10 @@ class InfiniteWidthModel:
         self.vector = np.asarray(self.vector, dtype=float)
         if self.vector.ndim != 1 or not np.isfinite(self.vector).all():
             raise ValueError(f"reference vector must be finite and 1-d: {self.vector.tolist()}")
-        if self.mc_features < 2:
-            raise ValueError("need at least 2 Monte Carlo features")
+        if not _is_int(self.mc_features) or self.mc_features < 2:
+            raise ValueError(f"mc_features must be an integer >= 2, got {self.mc_features!r}")
+        if not _is_int(self.mc_seed) or self.mc_seed < 0:
+            raise ValueError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
 
     @property
     def dim(self) -> int:
@@ -128,16 +134,15 @@ def infinite_forward_batch(
 
     The feature sample is drawn once from the model's seed and shared by
     all rows of X.  Each direction contributes <w, x> or 0 at x, so the
-    estimate is <w, x> c/M and the second moment <w, x>^2 c/M, where c, the
-    number of directions active at x, is one ``mask_sum`` of a ones column
-    with the directions as the kernel's sources.  Non-finite points get NaN.
+    estimate is <w, x> c/M and the second moment <w, x>^2 c/M, where c is
+    the number of directions active at x, from ``kernel.count_active``.
+    Non-finite points get NaN.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
-    ones = np.ones((M, 1))
-    count = kernel(_mc_directions(model), ones[:, 0], 1.0, X).mask_sum(ones)[:, 0]
+    count = count_active(_mc_directions(model), X)
     lin = np.where(np.isfinite(X).all(axis=1), X @ model.vector, np.nan)
     est = lin * count / M
     var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)

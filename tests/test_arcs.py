@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shallowcal import kernel as kernel_module
-from shallowcal.kernel import ArcKernel, DenseKernel, kernel
+from shallowcal.kernel import ArcKernel, DenseKernel, count_active, kernel
 from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
 from shallowcal.reference import (
     InfiniteWidthModel,
@@ -193,6 +193,128 @@ class TestAgainstDense:
         np.testing.assert_array_equal(est, (X @ model.vector) * count / model.mc_features)
 
 
+@st.composite
+def count_problems(draw):
+    """(S, X) on the grid with d in {1, 2, 3, 4}: some sources are positive
+    multiples of others, so their angles tie exactly, some are zero rows;
+    zero points and points with a non-finite coordinate come up often."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    X = draw(hnp.arrays(float, (n, d), elements=grid))
+    S = draw(hnp.arrays(float, (m, d), elements=grid))
+    for j, k, c in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                           st.sampled_from([0.0, 0.5, 2.0])), max_size=6)):
+        S[j] = c * S[k]
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        X[k] = 0.0
+    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 max_size=2)):
+        X[k, j] = v
+    return S, X
+
+
+def unfused_count(S, X):
+    """Sources with s1*x1 + s2*x2 >= 0 at each planar point, summed
+    elementwise without fused multiply-add."""
+    return np.count_nonzero(S[None, :, 0] * X[:, None, 0] + S[None, :, 1] * X[:, None, 1] >= 0,
+                            axis=1)
+
+
+def old_angle_order(P):
+    """The arc kernel's sort of planar rows before the fast path: always the
+    stable sort, then each run of equal angles by cross products with its
+    first row."""
+    theta = np.arctan2(P[:, 1], P[:, 0])
+    theta[theta >= np.pi] -= 2.0 * np.pi
+    order = np.argsort(theta, kind="stable")
+    phi, Q = theta[order], P[order]
+    run = np.cumsum(np.diff(phi, prepend=phi[:1]) != 0)
+    ref = Q[np.searchsorted(run, run)]
+    return order[np.lexsort((ref[:, 0] * Q[:, 1] - ref[:, 1] * Q[:, 0], run))], phi
+
+
+class TestCountActive:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(count_problems())
+    def test_against_plain_mask_and_kernel(self, prob):
+        S, X = prob
+        finite = np.isfinite(X).all(axis=1)
+        count = count_active(S, X)
+        assert count.dtype == np.intp
+        assert np.all(count[~finite] == 0)
+        np.testing.assert_array_equal(count[finite],
+                                      np.count_nonzero(X[finite] @ S.T >= 0, axis=1))
+        ones = np.ones((len(S), 1))
+        summed = kernel(S, ones[:, 0], 1.0, X[finite]).mask_sum(ones)[:, 0]
+        np.testing.assert_array_equal(count[finite], summed)
+        assert np.all(count[finite & (X == 0).all(axis=1)] == len(S))
+
+    def test_tied_run_straddling_a_boundary(self):
+        # Sources (1, b) for twelve adjacent doubles b from 0.7: arctan2
+        # gives several pairs of them one angle.  The point (b_j, -1) has
+        # s.x = b_j - b exactly, so its boundary passes through s_j and
+        # splits s_j's tied run; (-b_j, 1) sees the run from the other end.
+        # Any input order must give the counterclockwise order in a run.
+        b = [0.7]
+        for _ in range(11):
+            b.append(np.nextafter(b[-1], 1.0))
+        b = np.array(b)
+        S = np.vstack([np.stack([np.ones_like(b), b], axis=1), [[0.2, -0.9], [-0.6, 0.1]]])
+        theta = np.arctan2(S[:12, 1], S[:12, 0])
+        assert np.any(theta[1:] == theta[:-1])
+        X = np.vstack([np.stack([b, -np.ones_like(b)], axis=1),
+                       np.stack([-b, np.ones_like(b)], axis=1)])
+        ones = np.ones((len(S), 1))
+        for seed in range(20):
+            Sp = S[np.random.default_rng(seed).permutation(len(S))]
+            count = count_active(Sp, X)
+            np.testing.assert_array_equal(count, unfused_count(Sp, X))
+            np.testing.assert_array_equal(count, ArcKernel(Sp, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
+
+    @pytest.mark.parametrize("m,n", [(3000, 500), (200_000, 512)])
+    def test_gaussian_directions_match_unfused_predicate(self, m, n):
+        rng = np.random.default_rng(m)
+        S = rng.standard_normal((m, 2))
+        X = rng.uniform(-1, 1, (n, 2))
+        want = np.concatenate([unfused_count(S, X[i : i + 16]) for i in range(0, n, 16)])
+        np.testing.assert_array_equal(count_active(S, X), want)
+
+
+class TestByAngle:
+    """The angle sort the arc kernel and ``count_active`` share: the unstable
+    default sort on distinct angles, the stable sort with ordered tied runs
+    otherwise, both the old always-stable order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 200_000])
+    def test_untied_input_takes_the_fast_path_to_the_old_order(self, n):
+        P = np.random.default_rng(n).standard_normal((n, 2))
+        rows = np.arange(n)
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("stable path")):
+            order, phi = kernel_module._by_angle(P, rows)
+        want, want_phi = old_angle_order(P)
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(phi, want_phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=grid))
+    def test_tied_input_gives_the_old_order(self, P):
+        P = P[(P != 0).any(axis=1)]
+        order, phi = kernel_module._by_angle(P, np.arange(len(P)))
+        want, want_phi = old_angle_order(P)
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(phi, want_phi)
+
+    def test_rows_index_into_the_whole_array(self):
+        P = np.array([[0.0, 0.0], [0.0, 1.0], [np.nan, 1.0], [1.0, 0.0], [-1.0, -0.0], [2.0, 0.0]])
+        rows = np.array([1, 3, 4, 5])
+        order, phi = kernel_module._by_angle(P, rows)
+        np.testing.assert_array_equal(order, [4, 3, 5, 1])
+        np.testing.assert_array_equal(phi, [-np.pi, 0.0, 0.0, np.pi / 2])
+
+
 class TestDenseKernel:
     @pytest.mark.parametrize("budget", [1, 64 * 7, 64 * 50])
     def test_tiles_agree_with_one_tile(self, monkeypatch, budget):
@@ -320,6 +442,22 @@ class TestMaskedSums:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+    def test_monte_carlo_count_at_d2_holds_no_m_by_n_array(self):
+        # d = 2, M = 200k directions, 512 points: the directions are 3.1 MiB
+        # and a 512 x M mask would be 781 MiB; the per-direction arcs of the
+        # arc kernel took 22.4 MiB, counting over the sorted directions takes
+        # a few M-long arrays.
+        model = InfiniteWidthModel(np.ones(2), mc_features=200_000, mc_seed=1)
+        X = np.random.default_rng(27).uniform(-1, 1, (512, 2))
+        tracemalloc.start()
+        try:
+            infinite_forward_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @st.composite

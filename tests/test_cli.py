@@ -63,10 +63,13 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "ref_config": {"kind": "constant"}},  # no "vector"
             lambda cfg: {**cfg, "ref_config": {"kind": "zero"}},  # no "dim"
             lambda cfg: {**cfg, "ref_config": {"kind": "linear-teacher", "theta": [float("nan")]}},
+            lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": "1000"}},
+            lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": 1000.5}},
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
              "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
-             "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta"],
+             "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta",
+             "ref-config-string-mc-features", "ref-config-float-mc-features"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"

@@ -87,6 +87,17 @@ class TestInfiniteForward:
         with pytest.raises(ValueError):
             InfiniteWidthModel(vector)
 
+    @pytest.mark.parametrize("field,value", [("mc_features", "1000"), ("mc_features", 1000.5),
+                                             ("mc_seed", "3"), ("mc_seed", 2.5), ("mc_seed", -1),
+                                             ("mc_seed", True)])
+    def test_rejects_malformed_monte_carlo_budget(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InfiniteWidthModel([1.0], **{field: value})
+
+    def test_accepts_numpy_integer_budget(self):
+        model = InfiniteWidthModel([1.0], mc_features=np.int64(1000), mc_seed=np.uint32(3))
+        assert infinite_at(model, [0.5]) == infinite_at(InfiniteWidthModel([1.0], 1000, 3), [0.5])
+
     def test_teacher_margins(self):
         theta = np.array([2.0])
         model = linear_teacher(theta, mc_features=200_000, mc_seed=6)
