@@ -72,8 +72,8 @@ def _report_exit(report) -> int:
     if report.status == "diverged":
         return EXIT_DIVERGED
     monitors = report.monitors
-    regret_ok = all(monitors.get("regret_ok", {}).values())
-    if report.status != "ok" or not monitors.get("smoothness_ok", True) or not regret_ok:
+    regret_ok = all(monitors["regret_ok"].values())
+    if report.status != "ok" or not monitors["smoothness_ok"] or not regret_ok:
         return EXIT_MONITOR
     return EXIT_OK
 
@@ -97,11 +97,8 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_dict(), out / "report.json")
-    if report.trajectory is not None:
-        write_trajectory(
-            report.trajectory, out / "trajectory.csv", out / "trajectory_meta.json"
-        )
-        print(f"wrote {out / 'trajectory.csv'}")
+    write_trajectory(report.trajectory, out / "trajectory.csv", out / "trajectory_meta.json")
+    print(f"wrote {out / 'trajectory.csv'}")
     print(f"status: {report.status}")
     return _report_exit(report)
 
@@ -153,21 +150,24 @@ def cmd_interp_lb(args) -> int:
 def cmd_lemma_check(args) -> int:
     if args.m <= 0:
         raise ValueError(f"--m must be positive, got {args.m}")
+    if not 0 < args.delta < 1:
+        raise ValueError(f"--delta must lie in (0, 1), got {args.delta}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = args.seed or 0
-    out = Path(args.out_dir)
     if args.lemma == "gauss-count":
         report = diagnostics.gaussian_row_count_check(
             m=args.m, tau=args.tau, trials=args.trials, delta=args.delta, seed=seed
-        ).to_dict()
+        )
     else:
         report = _canned_lemma_run(args.lemma, args, seed)
-    _write_json(report, out / f"lemma_{args.lemma}.json")
-    verdict = report.get("verdict", "n/a")
-    print(f"lemma {args.lemma}: {verdict}")
-    return EXIT_MONITOR if verdict == "fail" else EXIT_OK
+    result = report.to_dict()
+    _write_json(result, Path(args.out_dir) / f"lemma_{args.lemma}.json")
+    print(f"lemma {args.lemma}: {result['verdict']}")
+    return EXIT_OK if report.verdict else EXIT_MONITOR
 
 
-def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
+def _canned_lemma_run(lemma: str, args, seed: int) -> diagnostics.LemmaReport:
     """Small pinned training context shared by the run-based checks: the
     clairvoyant logistic-1d (c = 2) run at width --m (uncapped) with
     n = 512 and t = 10."""
@@ -182,54 +182,19 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> dict:
     )
     dist, X, y, net, _ = harness.prepare_run(run)
     cfg = run.train_config()
-    if lemma == "flip-count":
-        before = net.init_weights.copy()
-        train(net, X, y, cfg, monitors=True)
-        stats = diagnostics.activation_flip_count(before, net.weights, X, delta=args.delta)
-        return {
-            "lemma_id": lemma,
-            "max_flips": stats.max_flips,
-            "mean_flips": stats.mean_flips,
-            "bound_value": stats.bound,
-            "radius": stats.radius,
-            "verdict": "pass" if stats.max_flips <= stats.bound else "fail",
-        }
-    if lemma == "sphere-gap":
-        train(net, X, y, cfg, monitors=True)
-        rep = diagnostics.sphere_linearization_gap(net, net.weights, delta=args.delta)
-        return {
-            "lemma_id": lemma,
-            "sup_gap": rep.sup_gap,
-            "bound_value": rep.bound,
-            "radius": rep.radius,
-            "points": rep.points,
-            "verdict": "pass" if rep.sup_gap <= rep.bound else "fail",
-        }
     if lemma == "risk-ratio":
-        rep = diagnostics.risk_ratio_check(net, X, y, cfg, net.init_weights, delta=args.delta)
-        return {
-            "lemma_id": lemma,
-            "max_ratio": rep.max_ratio,
-            "bound_value": rep.bound,
-            "iterates": rep.iterates,
-            "verdict": "pass" if rep.max_ratio <= rep.bound else "fail",
-        }
-    # gen-gap
-    ff = freeze_features(net, at_init=True)
-    rng = np.random.default_rng(harness.derived_seed(seed, 3))
-    delta_dir = rng.standard_normal(net.weights.shape)
-    delta_dir /= np.linalg.norm(delta_dir)
-    V = net.init_weights + delta_dir
-    rep = diagnostics.generalization_gap(ff, V, X, y, dist, delta=args.delta)
-    return {
-        "lemma_id": lemma,
-        "population_risk": rep.population_risk,
-        "empirical_risk": rep.empirical_risk,
-        "gap": rep.gap,
-        "bound_value": rep.bound,
-        "n": rep.n,
-        "verdict": "pass" if abs(rep.gap) <= rep.bound else "fail",
-    }
+        return diagnostics.risk_ratio_check(net, X, y, cfg, net.init_weights, delta=args.delta)
+    if lemma == "gen-gap":
+        ff = freeze_features(net, at_init=True)
+        rng = np.random.default_rng(harness.derived_seed(seed, 3))
+        delta_dir = rng.standard_normal(net.weights.shape)
+        delta_dir /= np.linalg.norm(delta_dir)
+        V = net.init_weights + delta_dir
+        return diagnostics.generalization_gap(ff, V, X, y, dist, delta=args.delta)
+    train(net, X, y, cfg, monitors=True)
+    if lemma == "flip-count":
+        return diagnostics.activation_flip_count(net.init_weights, net.weights, X, delta=args.delta)
+    return diagnostics.sphere_linearization_gap(net, net.weights, delta=args.delta)
 
 
 def cmd_bound(args) -> int:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "FlipStats",
     "GenGapReport",
     "LemmaCheckReport",
+    "LemmaReport",
     "RiskRatioReport",
     "SphereGapReport",
     "activation_flip_count",
@@ -45,43 +47,39 @@ __all__ = [
 ]
 
 
-@dataclass
-class LemmaCheckReport:
-    """Monte Carlo verdict for one high-probability bound.
+class LemmaReport:
+    """A lemma check's outcome: its dataclass fields, a ``lemma_id`` and a
+    ``verdict`` property that states the pass rule next to ``bound_value``."""
 
-    Passes iff the observed failure frequency does not exceed the nominal
-    one by more than three binomial standard errors.
-    """
+    lemma_id: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        verdict = "pass" if self.verdict else "fail"
+        return {"lemma_id": self.lemma_id, **asdict(self), "verdict": verdict}
+
+
+@dataclass
+class LemmaCheckReport(LemmaReport):
+    """Monte Carlo verdict for one high-probability bound."""
 
     lemma_id: str
     trials: int
     observed_failures: int
+    observed_freq: float = field(init=False)
     nominal: float
     observed_max_stat: float
     bound_value: float
     details: dict
 
-    @property
-    def observed_freq(self) -> float:
-        return self.observed_failures / self.trials
+    def __post_init__(self):
+        self.observed_freq = self.observed_failures / self.trials
 
     @property
     def verdict(self) -> bool:
+        """The observed failure frequency exceeds the nominal one by at most
+        three binomial standard errors."""
         slack = 3.0 * math.sqrt(self.nominal * (1 - self.nominal) / self.trials)
         return self.observed_freq <= self.nominal + slack
-
-    def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "trials": self.trials,
-            "observed_failures": self.observed_failures,
-            "observed_freq": self.observed_freq,
-            "nominal": self.nominal,
-            "observed_max_stat": self.observed_max_stat,
-            "bound_value": self.bound_value,
-            "verdict": "pass" if self.verdict else "fail",
-            "details": self.details,
-        }
 
 
 def gaussian_row_count_check(
@@ -128,12 +126,17 @@ def gaussian_row_count_check(
 
 
 @dataclass
-class FlipStats:
+class FlipStats(LemmaReport):
+    lemma_id: ClassVar[str] = "flip-count"
     max_flips: int
     mean_flips: float
-    bound: float
+    bound_value: float
     radius: float
     band_width: float
+
+    @property
+    def verdict(self) -> bool:
+        return self.max_flips <= self.bound_value
 
 
 def activation_flip_count(
@@ -164,7 +167,7 @@ def activation_flip_count(
     return FlipStats(
         max_flips=int(flips.max()),
         mean_flips=float(flips.mean()),
-        bound=bound,
+        bound_value=bound,
         radius=radius,
         band_width=r,
     )
@@ -191,12 +194,17 @@ def sphere_points(d: int, resolution: int, seed: int = 0) -> np.ndarray:
 
 
 @dataclass
-class SphereGapReport:
+class SphereGapReport(LemmaReport):
+    lemma_id: ClassVar[str] = "sphere-gap"
     sup_gap: float
-    bound: float
+    bound_value: float
     radius: float
     points: int
     mode: str
+
+    @property
+    def verdict(self) -> bool:
+        return self.sup_gap <= self.bound_value
 
 
 def sphere_linearization_gap(
@@ -231,7 +239,7 @@ def sphere_linearization_gap(
     )
     return SphereGapReport(
         sup_gap=sup_gap,
-        bound=bound,
+        bound_value=bound,
         radius=float(np.linalg.norm(V - net.init_weights)),
         points=len(X),
         mode="grid" if net.d <= 3 else "mc",
@@ -243,13 +251,18 @@ _EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
-class RiskRatioReport:
+class RiskRatioReport(LemmaReport):
+    lemma_id: ClassVar[str] = "risk-ratio"
     max_ratio: float
-    bound: float
+    bound_value: float
     iterates: int
     radius_iterates: float
     radius_ref: float
     frozen_risks: np.ndarray
+
+    @property
+    def verdict(self) -> bool:
+        return self.max_ratio <= self.bound_value
 
 
 def risk_ratio_check(
@@ -288,7 +301,7 @@ def risk_ratio_check(
     bound = math.exp(exponent) if exponent <= _EXP_MAX else math.inf
     return RiskRatioReport(
         max_ratio=max_ratio,
-        bound=bound,
+        bound_value=bound,
         iterates=len(risks_arr),
         radius_iterates=radius,
         radius_ref=r_b,
@@ -297,12 +310,17 @@ def risk_ratio_check(
 
 
 @dataclass
-class GenGapReport:
+class GenGapReport(LemmaReport):
+    lemma_id: ClassVar[str] = "gen-gap"
     population_risk: float
     empirical_risk: float
     gap: float
-    bound: float
+    bound_value: float
     n: int
+
+    @property
+    def verdict(self) -> bool:
+        return abs(self.gap) <= self.bound_value
 
 
 def generalization_gap(
@@ -324,7 +342,7 @@ def generalization_gap(
     log_term = d * math.log(math.e * ff.m**2 * d**3 / delta)
     bound = 80.0 * ff.rho * radius * log_term**1.5 / math.sqrt(n)
     return GenGapReport(
-        population_risk=pop, empirical_risk=emp, gap=pop - emp, bound=bound, n=n
+        population_risk=pop, empirical_risk=emp, gap=pop - emp, bound_value=bound, n=n
     )
 
 

@@ -400,21 +400,12 @@ class ExperimentReport:
     reference: dict | None
     trajectory_summary: dict
     provenance: dict
-    trajectory: Trajectory | None = None  # full record; not serialized
+    trajectory: Trajectory  # full record; not serialized
 
     def to_dict(self) -> dict:
-        out = {
-            "config": self.config.to_flat_dict(),
-            "root_seed": self.root_seed,
-            "status": self.status,
-            "risk": self.risk,
-            "bayes": self.bayes,
-            "monitors": self.monitors,
-            "bound_terms": self.bound_terms,
-            "reference": self.reference,
-            "trajectory_summary": self.trajectory_summary,
-            "provenance": self.provenance,
-        }
+        fields = dataclasses.fields(self)
+        out = {f.name: getattr(self, f.name) for f in fields if f.name != "trajectory"}
+        out["config"] = self.config.to_flat_dict()
         return json_safe(out)
 
 

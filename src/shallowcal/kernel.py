@@ -154,9 +154,17 @@ def _arcs(S: np.ndarray, P: np.ndarray, ring: np.ndarray, phi: np.ndarray):
 
     ``ring`` and ``phi`` are the rows of P and their angles from
     ``_by_angle``.  Position p < k is ring row p and position p + k its
-    copy one turn later, so 0 <= lo < k and lo <= hi <= lo + k.  The ring
-    rows in [lo, hi) are those whose product with the row of S is >= 0; a
-    zero row of S spans the whole ring.
+    copy one turn later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero
+    row of S spans the whole ring.
+
+    The ends come from a search over angles and are settled with the
+    rounded predicate s1*x1 + s2*x2 >= 0: the ring rows just inside each
+    end pass it and those just outside fail it.  Only the ends are tested,
+    so [lo, hi) is exactly the set of ring rows passing the predicate
+    where those rows are contiguous in angle order.  That holds when the
+    products are exact, as on dyadic inputs, and it held on every Gaussian
+    set measured; it fails for rows a few ulps apart in direction, whose
+    rounded products can interleave across an end.
     """
     k = len(phi)
     if k == 0:
@@ -205,8 +213,10 @@ def count_active(sources, X) -> np.ndarray:
     For points of dimension at most 2 the arcs are turned around: the
     nonzero sources are sorted by angle once, each point's closed
     half-plane is the arc of them that ``_arcs`` finds and settles, and
-    every zero source is active everywhere.  Otherwise the dense kernel
-    sums a ones column.
+    every zero source is active everywhere.  The count then equals that
+    of the rounded predicate s1*x1 + s2*x2 >= 0 under ``_arcs``'s
+    condition: where the sources active at a point are contiguous in
+    angle order.  Otherwise the dense kernel sums a ones column.
     """
     sources, X = _operands(sources, X)
     finite = np.isfinite(X).all(axis=1)
@@ -275,12 +285,14 @@ class ArcKernel(_MaskedSums):
     summation order, under the same tie rule: a point with s.x == 0 is
     active, a zero source row is active on every point, and every source is
     active on a zero point.  Each arc's ends come from a search over angles
-    and are then settled with the elementwise predicate, so rounding in the
-    angles cannot move a point across an arc boundary.  The predicate is
-    s1*x1 + s2*x2 >= 0 without fused multiply-add; a BLAS product that fuses
-    can round an s.x within rounding of zero to the other sign, so the dense
-    path can disagree on such points.  The mask rows of a point with a
-    non-finite coordinate are zero.
+    and are then settled with the rounded predicate s1*x1 + s2*x2 >= 0,
+    without fused multiply-add.  The mask is that predicate's wherever the
+    points active for each source are contiguous in angle order (see
+    ``_arcs``): for exact products, such as dyadic inputs, and on every
+    Gaussian set measured, but not for clusters of rows a few ulps apart.
+    A BLAS product that fuses can round an s.x within rounding of zero to
+    the other sign, so the dense path can disagree on such points too.
+    The mask rows of a point with a non-finite coordinate are zero.
     """
 
     def __init__(self, sources, signs, scale: float, X):

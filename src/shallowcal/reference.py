@@ -25,7 +25,7 @@ augmented-inputs) are provided instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -184,14 +184,7 @@ class GapResult:
     se: float
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "rho": self.rho,
-            "frozen_risk": self.frozen_risk,
-            "infinite_risk": self.infinite_risk,
-            "gap": self.gap,
-            "se": self.se,
-        }
+        return asdict(self)
 
 
 def gap_experiment(

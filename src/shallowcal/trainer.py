@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -130,9 +130,9 @@ class Trajectory:
     rho: float
     n_examples: int
     records: list[IterateRecord] = field(default_factory=list)
+    status: str = "ok"
     selected_index: int | None = None
     selected_weights: np.ndarray | None = None
-    status: str = "ok"
     certificates: dict[str, RegretCertificate] = field(default_factory=dict)
 
     @property
@@ -338,17 +338,12 @@ def write_trajectory(traj: Trajectory, csv_path, json_path=None) -> None:
                 ]
             )
     if json_path is not None:
-        meta = {
-            "eta": traj.config.eta,
-            "t_max": traj.config.t_max,
-            "eps_gd": traj.config.eps_gd,
-            "r_gd": "inf" if math.isinf(traj.config.r_gd) else traj.config.r_gd,
-            "seed": traj.config.seed,
-            "rho": traj.rho,
-            "n_examples": traj.n_examples,
-            "status": traj.status,
-            "selected_index": traj.selected_index,
-            "monitors": traj.monitor_verdicts(),
-        }
+        # the config's fields, then every scalar field of the trajectory
+        meta = asdict(traj.config)
+        meta["r_gd"] = "inf" if math.isinf(meta["r_gd"]) else meta["r_gd"]
+        for f in fields(traj):
+            if f.name not in ("config", "records", "selected_weights", "certificates"):
+                meta[f.name] = getattr(traj, f.name)
+        meta["monitors"] = traj.monitor_verdicts()
         with open(json_path, "w") as fh:
             json.dump(meta, fh, indent=2)

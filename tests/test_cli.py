@@ -2,6 +2,7 @@ import csv
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from shallowcal import diagnostics, harness, interpolation
@@ -34,6 +35,14 @@ class TestTrainCommand:
         assert meta["status"] == "ok"
         printed = capsys.readouterr().out
         assert "root seed" in printed
+
+    def test_trajectory_meta_keys(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(small_config), "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "trajectory_meta.json").read_text())
+        assert list(meta) == ["eta", "t_max", "eps_gd", "r_gd", "seed", "rho", "n_examples",
+                              "status", "selected_index", "monitors"]
+        assert list(meta["monitors"]) == ["smoothness_ok", "regret_ok", "status"]
 
     def test_preset_run(self, tmp_path):
         out = tmp_path / "out"
@@ -258,6 +267,61 @@ class TestLemmaCheckCommand:
         assert code == 1
         assert "--m must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "lemma,flag,value",
+        [("gauss-count", "--delta", "0"), ("flip-count", "--delta", "0"),
+         ("risk-ratio", "--delta", "0"), ("sphere-gap", "--delta", "-1"),
+         ("gen-gap", "--delta", "2"), ("gen-gap", "--delta", "1"),
+         ("flip-count", "--delta", "nan"), ("gauss-count", "--trials", "0"),
+         ("sphere-gap", "--trials", "-5")],
+    )
+    def test_flag_out_of_range_is_usage_error_before_any_run(
+        self, tmp_path, monkeypatch, capsys, lemma, flag, value
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "prepare_run", lambda *a: runs.append(a))
+        monkeypatch.setattr(diagnostics, "gaussian_row_count_check", lambda **kw: runs.append(kw))
+        code = main(["lemma-check", "--lemma", lemma, "--m", "16", f"{flag}={value}",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert runs == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "lemma,keys",
+        [("sphere-gap", {"sup_gap", "radius", "points"}),
+         ("risk-ratio", {"max_ratio", "iterates"}),
+         ("gen-gap", {"population_risk", "empirical_risk", "gap", "n"})],
+    )
+    def test_run_based_lemma(self, tmp_path, capsys, lemma, keys):
+        code = main(["lemma-check", "--lemma", lemma, "--m", "64", "--seed", "7",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / f"lemma_{lemma}.json").read_text())
+        assert report["lemma_id"] == lemma
+        assert report["verdict"] == "pass"
+        assert keys | {"lemma_id", "bound_value", "verdict"} <= set(report)
+        assert f"lemma {lemma}: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "lemma,check,report",
+        [("flip-count", "activation_flip_count", diagnostics.FlipStats(9, 1.0, 8.0, 1.0, 0.1)),
+         ("sphere-gap", "sphere_linearization_gap",
+          diagnostics.SphereGapReport(0.5, 0.25, 1.0, 8, "grid")),
+         ("risk-ratio", "risk_ratio_check",
+          diagnostics.RiskRatioReport(2.0, 1.5, 2, 1.0, 0.0, np.array([0.5, 1.0]))),
+         ("gen-gap", "generalization_gap", diagnostics.GenGapReport(0.5, 0.7, -0.2, 0.1, 512))],
+    )
+    def test_failed_run_based_verdict_exits_2(
+        self, tmp_path, monkeypatch, capsys, lemma, check, report
+    ):
+        monkeypatch.setattr(diagnostics, check, lambda *a, **kw: report)
+        code = main(["lemma-check", "--lemma", lemma, "--m", "16", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"lemma {lemma}: fail" in capsys.readouterr().out
+        assert json.loads((tmp_path / f"lemma_{lemma}.json").read_text())["verdict"] == "fail"
 
     def test_unknown_lemma_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -1,9 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from shallowcal.diagnostics import (
+    FlipStats,
+    GenGapReport,
+    LemmaCheckReport,
+    RiskRatioReport,
+    SphereGapReport,
     activation_flip_count,
     gaussian_row_count_check,
     gen_gap_slope,
@@ -90,7 +96,7 @@ class TestActivationFlips:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=10)
         train(net, samp.points, samp.labels, cfg)
         stats = activation_flip_count(before, net.weights, samp.points)
-        assert stats.max_flips <= stats.bound
+        assert stats.max_flips <= stats.bound_value
 
 
 class TestSphereGap:
@@ -125,7 +131,7 @@ class TestSphereGap:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=10)
         train(net, samp.points, samp.labels, cfg)
         rep = sphere_linearization_gap(net, net.weights)
-        assert rep.sup_gap <= rep.bound
+        assert rep.sup_gap <= rep.bound_value
 
 
 class TestRiskRatio:
@@ -150,7 +156,7 @@ class TestRiskRatio:
         net = init_network(m, 1, float(m) ** -0.125, seed=18)
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=10)
         rep = risk_ratio_check(net, samp.points, samp.labels, cfg, net.init_weights)
-        assert 1.0 <= rep.max_ratio <= rep.bound
+        assert 1.0 <= rep.max_ratio <= rep.bound_value
         assert rep.iterates == 11
 
 
@@ -189,7 +195,7 @@ class TestGeneralizationGap:
         rep = generalization_gap(ff, net.init_weights, samp.points, samp.labels, dist)
         # both sides sit within O(rho) of ln 2; the gap is small at this n
         assert abs(rep.gap) <= 0.05
-        assert rep.bound > 0
+        assert rep.bound_value > 0
 
     def test_tiny_sample_no_assertion(self):
         dist = make_distribution("constant-1d", p=0.5)
@@ -208,3 +214,54 @@ class TestGeneralizationGap:
         out = gen_gap_slope(net, V, dist, n_grid=[256, 1024, 4096], seeds=5)
         assert len(out["medians"]) == 3
         assert out["slope"] < 0.0
+
+
+# Each run-based report with statistic `stat` against `bound`.
+RUN_REPORTS = {
+    "flip-count": lambda stat, bound: FlipStats(
+        max_flips=stat, mean_flips=0.5, bound_value=bound, radius=1.0, band_width=0.1
+    ),
+    "sphere-gap": lambda stat, bound: SphereGapReport(
+        sup_gap=stat, bound_value=bound, radius=1.0, points=8, mode="grid"
+    ),
+    "risk-ratio": lambda stat, bound: RiskRatioReport(
+        max_ratio=stat, bound_value=bound, iterates=2, radius_iterates=1.0, radius_ref=0.0,
+        frozen_risks=np.array([0.5, 0.5 * stat]),
+    ),
+    "gen-gap": lambda stat, bound: GenGapReport(
+        population_risk=0.25 + stat, empirical_risk=0.25, gap=stat, bound_value=bound, n=8
+    ),
+}
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("lemma", RUN_REPORTS)
+    def test_statistic_at_bound_passes_and_next_double_above_fails(self, lemma):
+        stat = 7 if lemma == "flip-count" else 7.0
+        assert RUN_REPORTS[lemma](stat, 7.0).verdict
+        # the statistic is the next double above this bound
+        assert not RUN_REPORTS[lemma](stat, math.nextafter(7.0, 0.0)).verdict
+
+    def test_gen_gap_counts_a_negative_gap_by_its_size(self):
+        make = RUN_REPORTS["gen-gap"]
+        assert make(-7.0, 7.0).verdict
+        assert not make(-math.nextafter(7.0, math.inf), 7.0).verdict
+
+    def test_gauss_count_at_zero_nominal(self):
+        # nominal 0 leaves no binomial slack: one observed failure fails
+        assert LemmaCheckReport("gauss-count", 10, 0, 0.0, 3.0, 3.0, {}).verdict
+        assert not LemmaCheckReport("gauss-count", 10, 1, 0.0, 4.0, 3.0, {}).verdict
+
+    @pytest.mark.parametrize("lemma", RUN_REPORTS)
+    def test_dict_holds_every_field_id_and_verdict(self, lemma):
+        report = RUN_REPORTS[lemma](7.0, 3.0)
+        d = report.to_dict()
+        assert set(d) == {f.name for f in fields(report)} | {"lemma_id", "verdict"}
+        assert d["lemma_id"] == lemma
+        assert d["verdict"] == "fail"
+        assert d["bound_value"] == 3.0
+
+    def test_gauss_count_dict_keeps_observed_frequency(self):
+        d = LemmaCheckReport("gauss-count", 8, 2, 0.15, 9.0, 10.0, {"m": 4}).to_dict()
+        assert d["observed_freq"] == 0.25
+        assert d["lemma_id"] == "gauss-count" and d["details"] == {"m": 4}
