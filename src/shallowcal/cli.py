@@ -152,14 +152,19 @@ def cmd_lemma_check(args) -> int:
         raise ValueError(f"--m must be positive, got {args.m}")
     if not 0 < args.delta < 1:
         raise ValueError(f"--delta must lie in (0, 1), got {args.delta}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = args.seed or 0
     if args.lemma == "gauss-count":
+        tau = 0.1 if args.tau is None else args.tau
+        trials = 2000 if args.trials is None else args.trials
+        if trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {trials}")
         report = diagnostics.gaussian_row_count_check(
-            m=args.m, tau=args.tau, trials=args.trials, delta=args.delta, seed=seed
+            m=args.m, tau=tau, trials=trials, delta=args.delta, seed=seed
         )
     else:
+        for flag in ("tau", "trials"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to gauss-count only, not {args.lemma}")
         report = _canned_lemma_run(args.lemma, args, seed)
     result = report.to_dict()
     _write_json(result, Path(args.out_dir) / f"lemma_{args.lemma}.json")
@@ -201,7 +206,7 @@ def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     terms = harness.compute_bound_terms(
         cfg,
-        radius_scale=args.radius_scale,
+        radius_scale=cfg.radius,
         ref_risk=args.ref_risk,
         emp_ref_risk=args.emp_ref_risk,
         kbin=args.kbin,
@@ -269,15 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["gauss-count", "flip-count", "sphere-gap", "risk-ratio", "gen-gap"],
     )
     p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--tau", type=float, default=None, help="gauss-count only (default 0.1)")
+    p.add_argument("--trials", type=int, default=None, help="gauss-count only (default 2000)")
     p.add_argument("--delta", type=float, default=0.05)
     _add_common(p)
     p.set_defaults(func=cmd_lemma_check)
 
     p = sub.add_parser("bound", help="evaluate the error decomposition for a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--radius-scale", type=float, default=4.0)
     p.add_argument("--ref-risk", type=float, required=True)
     p.add_argument("--emp-ref-risk", type=float, default=None)
     p.add_argument("--kbin", type=float, default=0.0)

@@ -13,7 +13,7 @@ model, never estimated from sampled labels.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,7 +100,6 @@ class Distribution:
     breakpoints: tuple[float, ...] = ()
     half_crossings: tuple[float, ...] = ()
     wrong_pair_interval: tuple[float, float] | None = None
-    documented: dict = field(default_factory=dict)
     mc_eval_n: int = 1 << 14
 
     def cond_prob(self, X: np.ndarray) -> np.ndarray:
@@ -231,7 +230,6 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
         cdf=cdf,
         half_crossings=(0.0,) if c != 0 else (),
         wrong_pair_interval=interval,
-        documented={"bayes_margin": f"{c} * x"},
     )
 
 
@@ -247,7 +245,6 @@ def step_1d(lo: float = -1.0, hi: float = 1.0) -> Distribution:
         cdf=cdf,
         breakpoints=(0.0,),
         half_crossings=(0.0,),
-        documented={"bayes_zero_one": 0.3, "bayes_risk": binary_entropy(0.3)},
     )
 
 
@@ -287,10 +284,6 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
         support=(lo, hi),
         cdf=cdf,
         wrong_pair_interval=interval,
-        documented={
-            "bayes_risk": binary_entropy(p),
-            "bayes_zero_one": min(p, 1 - p),
-        },
     )
 
 
@@ -313,7 +306,6 @@ def sphere_cap_teacher(d: int = 4, c: float = 4.0, mc_eval_n: int = 1 << 14) -> 
         cond_prob_raw=lambda X: sigmoid(c * X[:, 0]),
         eval_scheme="mc",
         mc_eval_n=mc_eval_n,
-        documented={"bayes_margin": f"{c} * x_1"},
     )
 
 

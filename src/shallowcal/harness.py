@@ -105,7 +105,6 @@ class RegimeConfig:
     seed: int = 0
     eps: float | None = None
     xi: float | None = None
-    radius_scale: float = 4.0
     dist_name: str = "logistic-1d"
     dist_params: dict = field(default_factory=dict)
     ref_config: dict | None = None
@@ -126,6 +125,11 @@ class RegimeConfig:
     def input_dim(self) -> int:
         base = make_distribution(self.dist_name, **self.dist_params).dim
         return base + 1 if self.augment_bias else base
+
+    @property
+    def radius(self) -> float:
+        """The norm bound R of the run's reference (see ``_radius``)."""
+        return _radius(self.ref_config, self.rho)
 
     def lift(self, points: np.ndarray) -> np.ndarray:
         """Network inputs for task points: the bias lift when ``augment_bias``."""
@@ -196,25 +200,36 @@ def default_reference_for(
     return {"kind": "linear-teacher", "theta": [slope]}
 
 
-def _coupling(regime: str, m: int, radius_scale: float, rho=None, r_gd=None):
+def _radius(ref_config: dict | None, rho: float) -> float:
+    """R = max(4, rho, ||w||) for a reference with weight vector w (||w|| = 0
+    without one): the paper's complexity measure of the true conditional
+    model, floored as the bound calculator needs."""
+    norm = 0.0 if ref_config is None else model_from_config(ref_config).norm_bound
+    return max(4.0, rho, norm)
+
+
+def _coupling(regime: str, m: int, ref_config: dict | None, rho=None, r_gd=None):
     """(rho, eta, r_gd) of a width-m run: rho = m^(-1/8) (1 in the easy
     regime), eta = 4/rho^2, radius R/rho in the clairvoyant regime and
     infinite otherwise.  A pinned rho or r_gd replaces the derived one."""
     rho = (1.0 if regime == "easy" else float(m) ** -0.125) if rho is None else float(rho)
     if r_gd is None:
-        r_gd = radius_scale / rho if regime == "clairvoyant" else math.inf
+        r_gd = _radius(ref_config, rho) / rho if regime == "clairvoyant" else math.inf
     return rho, 4.0 / rho**2, float(r_gd)
 
 
 def _build(regime, m, cap, rho=None, r_gd=None, capped=False, **fields) -> RegimeConfig:
-    """The presets' one constructor: round the width m up, cap it, couple
-    rho, eta and r_gd to it and pair the task with its default reference."""
+    """The presets' one constructor: pair the task with its default
+    reference, round the width m up (the easy width R^8 when m is None), cap
+    it and couple rho, eta and r_gd to it."""
+    fields["dist_params"] = dict(fields["dist_params"] or {})
+    ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
+    if m is None:  # easy regime: rho = 1 unless pinned, so R does not depend on m
+        m = _radius(ref, 1.0 if rho is None else float(rho)) ** 8
     m = _snap_ceil(float(m))
     if m > cap:
         m, capped = cap, True
-    rho, eta, r_gd = _coupling(regime, m, fields["radius_scale"], rho, r_gd)
-    fields["dist_params"] = dict(fields["dist_params"] or {})
-    ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
+    rho, eta, r_gd = _coupling(regime, m, ref, rho, r_gd)
     return RegimeConfig(
         regime=regime, m=m, rho=rho, eta=eta, r_gd=r_gd, ref_config=ref, capped=capped, **fields
     )
@@ -226,7 +241,6 @@ _OVERRIDE_KEYS = ("m", "n", "eps_gd", "rho", "r_gd")
 def derive_regime(
     regime: str,
     eps: float,
-    radius_scale: float = 4.0,
     dist_name: str = "logistic-1d",
     dist_params: dict | None = None,
     augment_bias: bool = False,
@@ -236,8 +250,8 @@ def derive_regime(
 ) -> RegimeConfig:
     """Populate a full configuration from a target accuracy eps.
 
-    ``radius_scale`` is the norm bound R of the intended reference model
-    (floored at 4 when the bound calculator runs).  ``overrides`` may pin
+    The easy width R^8 and the clairvoyant radius R/rho read the norm bound
+    R of the task's default reference (``_radius``).  ``overrides`` may pin
     the derived fields m, n, eps_gd, rho and r_gd (e.g. a smaller m for a
     quick run); any other key is a ValueError, and so is an eps small
     enough that a derived size overflows.  rho, eta and r_gd are
@@ -257,24 +271,19 @@ def derive_regime(
     try:
         n = _snap_ceil(float(overrides.get("n", 1.0 / eps**2)))
         t = _snap_ceil(1.0 / (8.0 * eps_gd))
-        if regime == "easy":
-            m = radius_scale**8
-        else:
-            m = eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
+        m = None if regime == "easy" else eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"eps = {eps!r} is too small: a derived size is not finite") from None
     return _build(
         regime, overrides.get("m", m), cap, rho=overrides.get("rho"), r_gd=overrides.get("r_gd"),
         capped=n > cap, n=min(n, cap), t=t, eps_gd=eps_gd,
-        eps=eps, seed=seed, radius_scale=radius_scale, dist_name=dist_name,
-        dist_params=dist_params, augment_bias=augment_bias,
+        eps=eps, seed=seed, dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
     )
 
 
 def derive_consistency(
     n: int,
     xi: float,
-    radius_scale: float = 4.0,
     dist_name: str = "step-smooth-1d",
     dist_params: dict | None = None,
     augment_bias: bool = True,
@@ -289,8 +298,7 @@ def derive_consistency(
     return _build(
         "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
         n=int(n), t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
-        xi=xi, seed=seed, radius_scale=radius_scale, dist_name=dist_name,
-        dist_params=dist_params, augment_bias=augment_bias,
+        xi=xi, seed=seed, dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
     )
 
 
@@ -326,8 +334,8 @@ def compute_bound_terms(
 ) -> BoundTerms:
     """Evaluate the error decomposition exactly as stated.
 
-    ``radius_scale`` is R = max(4, rho, sup-norm of the reference weight
-    map); ``ref_risk`` the population risk of the infinite-width reference;
+    ``radius_scale`` is R (``run_experiment`` passes ``RegimeConfig.radius``);
+    ``ref_risk`` the population risk of the infinite-width reference;
     ``kbin`` its binary KL to the true conditional model.  When
     ``emp_ref_risk`` (the empirical frozen risk of the sampled reference)
     is supplied, the alternative empirical form of the effective radius is
@@ -489,10 +497,9 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
             # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
             # risk; a run with a selected iterate took its first step.
             emp_ref_risk = float(traj.certificates["Ubar"].frozen_ref[0])
-            radius_scale = max(4.0, cfg.rho, model.norm_bound)
             bound_terms = compute_bound_terms(
                 cfg,
-                radius_scale,
+                cfg.radius,
                 ref_risk,
                 emp_ref_risk=emp_ref_risk,
                 kbin=max(kbin, 0.0),
@@ -550,31 +557,21 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
         if base.regime == "consistency":
             raise ValueError("eps axis is not defined for the consistency schedule")
         return derive_regime(
-            base.regime,
-            float(value),
-            radius_scale=base.radius_scale,
-            dist_name=base.dist_name,
-            dist_params=base.dist_params,
-            augment_bias=base.augment_bias,
-            seed=base.seed,
+            base.regime, float(value), dist_name=base.dist_name, dist_params=base.dist_params,
+            augment_bias=base.augment_bias, seed=base.seed,
         )
     if axis == "n":
         if base.regime == "consistency":
             return derive_consistency(
-                int(value),
-                base.xi,
-                radius_scale=base.radius_scale,
-                dist_name=base.dist_name,
-                dist_params=base.dist_params,
-                augment_bias=base.augment_bias,
-                seed=base.seed,
+                int(value), base.xi, dist_name=base.dist_name, dist_params=base.dist_params,
+                augment_bias=base.augment_bias, seed=base.seed,
             )
         return dataclasses.replace(base, n=int(value))
     if axis == "m":  # uncapped, like the n axis
         if int(value) < 1:
             raise ValueError(f"sweep widths must be at least 1, got {value}")
         pinned = None if base.regime == "clairvoyant" else base.r_gd
-        rho, eta, r_gd = _coupling(base.regime, int(value), base.radius_scale, r_gd=pinned)
+        rho, eta, r_gd = _coupling(base.regime, int(value), base.ref_config, r_gd=pinned)
         return dataclasses.replace(base, m=int(value), rho=rho, eta=eta, r_gd=r_gd)
     raise ValueError(f"unknown sweep axis {axis!r}; use one of n, m, eps")
 

@@ -296,7 +296,7 @@ def test_a8_schedule_arithmetic():
     calculator matches an independent transcription of the rate formulas
     to 1e-12 relative on three pinned inputs."""
     with acceptance(8, "schedule arithmetic"):
-        cfg = derive_regime("easy", 1 / 80, radius_scale=4.0)
+        cfg = derive_regime("easy", 1 / 80)
         assert (cfg.rho, cfg.m, cfg.t, cfg.n) == (1.0, 65536, 10, 6400)
 
         cfg = derive_regime("clairvoyant", 0.5)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,11 +75,13 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "ref_config": {"kind": "linear-teacher", "theta": [float("nan")]}},
             lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": "1000"}},
             lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": 1000.5}},
+            lambda cfg: {**cfg, "radius_scale": 4.0},  # removed field: R is read off the reference
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
              "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
              "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta",
-             "ref-config-string-mc-features", "ref-config-float-mc-features"],
+             "ref-config-string-mc-features", "ref-config-float-mc-features",
+             "removed-radius-scale"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -86,6 +89,7 @@ class TestTrainCommand:
         code = main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params", ["[1]", '{"bogus": 1}'], ids=["not-object", "unknown-param"])
     def test_malformed_dist_params_are_usage_errors(self, tmp_path, capsys, params):
@@ -155,6 +159,18 @@ class TestBoundCommand:
         assert code == 0
         data = json.loads((out / "bound.json").read_text())
         assert {"tau_n", "tau_1", "tau_0", "b_eff", "total", "vacuous"} <= set(data)
+
+    def test_radius_read_off_config(self, tmp_path, capsys):
+        cfg = derive_regime("clairvoyant", 0.5, dist_name="step-1d", augment_bias=True)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_flat_dict()))
+        out = tmp_path / "out"
+        assert main(["bound", "--config", str(path), "--ref-risk", "0.5", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "bound.json").read_text())["radius_scale"] == cfg.radius > 4.0
+        argv = ["bound", "--config", str(path), "--ref-risk", "0.5", "--radius-scale", "4"]
+        assert main(argv + ["--out-dir", str(tmp_path / "again")]) == 1
+        assert "--radius-scale" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
 
 class TestConsistencyCommand:
@@ -274,7 +290,10 @@ class TestLemmaCheckCommand:
          ("risk-ratio", "--delta", "0"), ("sphere-gap", "--delta", "-1"),
          ("gen-gap", "--delta", "2"), ("gen-gap", "--delta", "1"),
          ("flip-count", "--delta", "nan"), ("gauss-count", "--trials", "0"),
-         ("sphere-gap", "--trials", "-5")],
+         ("sphere-gap", "--trials", "-5"),
+         # --tau and --trials belong to gauss-count alone
+         ("flip-count", "--tau", "0.9"), ("sphere-gap", "--tau", "0.1"),
+         ("risk-ratio", "--trials", "3"), ("gen-gap", "--trials", "2000")],
     )
     def test_flag_out_of_range_is_usage_error_before_any_run(
         self, tmp_path, monkeypatch, capsys, lemma, flag, value
@@ -288,6 +307,17 @@ class TestLemmaCheckCommand:
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
         assert runs == []
         assert not list(tmp_path.iterdir())
+
+    def test_gauss_count_defaults(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(**kw):
+            calls.append(kw)
+            return LemmaCheckReport("gauss-count", 10, 0, 0.15, 1.0, 1.0, {})
+
+        monkeypatch.setattr(diagnostics, "gaussian_row_count_check", record)
+        assert main(["lemma-check", "--lemma", "gauss-count", "--out-dir", str(tmp_path)]) == 0
+        assert (calls[0]["tau"], calls[0]["trials"]) == (0.1, 2000)
 
     @pytest.mark.parametrize(
         "lemma,keys",
@@ -375,3 +405,16 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: sweep widths must be at least 1")
         assert runs == []
+
+
+def test_readme_cli_lines_parse():
+    """Every ``shallowcal`` line in README's CLI block parses, and together
+    they show every subcommand; nothing is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("shallowcal ")]
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
+    commands = {"train", "sweep", "consistency", "interp-lb", "lemma-check", "bound"}
+    assert {argv[1] for argv in lines} == commands

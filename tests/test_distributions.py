@@ -100,7 +100,6 @@ class TestCatalogConstants:
         assert bayes_risk(dist) == pytest.approx(expect, abs=1e-12)
         assert bayes_risk(dist) == pytest.approx(0.5623, abs=5e-5)
         assert bayes_zero_one_risk(dist) == pytest.approx(0.25, abs=1e-12)
-        assert dist.documented["bayes_risk"] == pytest.approx(expect, rel=1e-14)
 
     def test_logistic_with_zero_slope_is_fair_coin(self):
         dist = make_distribution("logistic-1d", c=0.0)
@@ -110,12 +109,6 @@ class TestCatalogConstants:
         dist = make_distribution("step-1d")
         assert bayes_zero_one_risk(dist) == pytest.approx(0.3, abs=1e-12)
         assert bayes_risk(dist) == pytest.approx(binary_entropy(0.3), abs=1e-12)
-
-    def test_documented_constants_match_evaluator(self):
-        dist = make_distribution("step-1d")
-        assert dist.documented["bayes_zero_one"] == pytest.approx(
-            bayes_zero_one_risk(dist), abs=1e-12
-        )
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

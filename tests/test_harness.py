@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shallowcal import harness
-from shallowcal.distributions import make_distribution, sample as draw_sample
+from shallowcal.distributions import builtin_distributions, make_distribution, sample as draw_sample
 from shallowcal.harness import (
     DESK_CAP,
     RegimeConfig,
@@ -26,7 +26,7 @@ from shallowcal.trainer import DIVERGENCE_THRESHOLD, frozen_empirical_risk
 
 class TestDeriveRegime:
     def test_easy_example(self):
-        cfg = derive_regime("easy", 1 / 80, radius_scale=4.0)
+        cfg = derive_regime("easy", 1 / 80)
         assert cfg.rho == 1.0
         assert cfg.m == 4**8 == 65536
         assert cfg.t == 10
@@ -104,6 +104,42 @@ class TestDeriveConsistency:
             derive_consistency(1, 0.5)
         with pytest.raises(ValueError):
             derive_consistency(100, 1.0)
+
+
+ONE_D_TASKS = [name for name in builtin_distributions() if make_distribution(name).dim == 1]
+
+
+class TestRadius:
+    """R = max(4, rho, ||w||) of the task's default reference sets the
+    clairvoyant radius R/rho, the easy width R^8 and the bound's R."""
+
+    @pytest.mark.parametrize("augment_bias", [False, True])
+    @pytest.mark.parametrize("dist_name", ONE_D_TASKS)
+    def test_clairvoyant_ball_holds_sampled_reference(self, dist_name, augment_bias):
+        cfg = derive_regime("clairvoyant", 0.5, dist_name=dist_name, augment_bias=augment_bias)
+        model = model_from_config(cfg.ref_config)
+        assert cfg.rho * cfg.r_gd >= model.norm_bound
+        net = init_network(cfg.m, cfg.input_dim, cfg.rho, seed=1)
+        assert sample_reference(model, net).dist_from_init <= cfg.r_gd * (1 + 1e-12)
+
+    def test_easy_width_is_r_to_the_eighth(self):
+        cfg = derive_regime("easy", 1 / 80, dist_name="step-smooth-1d")
+        assert cfg.radius == 8.0  # 8^8 > 2^16
+        assert cfg.capped and cfg.m == DESK_CAP
+
+    def test_no_reference_keeps_the_floor(self):
+        cfg = derive_regime("clairvoyant", 0.5, dist_name="sphere-cap-teacher")
+        assert cfg.ref_config is None
+        assert (cfg.radius, cfg.r_gd) == (4.0, 8.0)
+
+    def test_bound_reads_config_radius(self):
+        cfg = derive_regime(
+            "clairvoyant", 0.5, seed=3, dist_name="step-smooth-1d", augment_bias=True,
+            overrides={"n": 64},
+        )
+        report = run_experiment(cfg)
+        assert report.bound_terms["radius_scale"] == cfg.radius == cfg.rho * cfg.r_gd
+        assert cfg.radius == pytest.approx(8.0 * math.sqrt(2.0), rel=1e-15)
 
 
 class TestBoundTerms:
