@@ -37,16 +37,21 @@ are final as soon as they are formed and meet the same mask again at once.
 
 ``count_active(sources, X)`` is ``mask_sum`` of a ones column, the number of
 sources active at each point, which is all the Monte Carlo reference needs.
-For dimension at most 2 it turns the arcs around: each point's closed
-half-plane meets the angle-sorted sources in one contiguous arc, so the
-sources are sorted once and the arc work runs over the points.
+It is two steps, so a caller that counts at many point sets over one sample
+makes the first only once: ``ActiveCounter(sources)`` prepares the sources,
+and its ``count(X)`` counts at the points.  For dimension at most 2 the arcs
+are turned around: each point's closed half-plane meets the angle-sorted
+sources in one contiguous arc, so the preparation drops the zero rows and
+sorts the rest by angle, and a count runs the arc search over the points
+alone, in O(n log m).  Otherwise the preparation keeps the rows and a count
+sums a ones column with the dense kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArcKernel", "DenseKernel", "count_active", "kernel", "tiles"]
+__all__ = ["ActiveCounter", "ArcKernel", "DenseKernel", "count_active", "kernel", "tiles"]
 
 # Scalars in one tile of the dense kernel: 512 KiB of float64, so the
 # preactivations, their mask and the masked products of a tile stay in a
@@ -133,29 +138,50 @@ def _by_angle(P: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], phi
 
 
-def _ranks(ring: np.ndarray, keys: np.ndarray, order, side: str) -> np.ndarray:
-    """``np.searchsorted(ring, keys, side)``.
+def _ranks(phi: np.ndarray, keys: np.ndarray, order, side: str) -> np.ndarray:
+    """``np.searchsorted(ring, keys, side)`` for keys in [-pi, 2 pi], where
+    the ring is two turns of the sorted angles phi in [-pi, pi): phi, then
+    each phi + 2 pi as rounded.
 
-    With ``order`` None the keys are searched in the ring directly.  When
-    the keys outnumber the ring entries, ``order`` sorts them: the ring is
-    searched in the sorted keys instead, and the counts are accumulated
-    back; this avoids one unpredictable binary search per key.
+    When the keys outnumber the ring entries, ``order`` sorts them: the two
+    turns are formed and searched in the sorted keys, and the counts are
+    accumulated back; this avoids one unpredictable binary search per key.
+    With ``order`` None the keys are searched in phi and no ring is formed.
+    The second turn starts at -pi + 2 pi = pi, so a key below pi ranks in
+    phi alone, and a key from pi ranks past all of phi and then among the
+    second turn: key - 2 pi is exact there (Sterbenz), so searching it in
+    phi compares the exact sums with the key, and each rank then moves
+    over the entries whose rounded sums land on the key's other side
+    (up for "right", down for "left").
     """
-    if order is None:
-        return np.searchsorted(ring, keys, side=side)
-    q = np.searchsorted(keys[order], ring, side="right" if side == "left" else "left")
-    out = np.empty(len(keys), dtype=np.intp)
-    out[order] = np.cumsum(np.bincount(q, minlength=len(keys) + 1)[:-1])
+    k = len(phi)
+    if order is not None:
+        ring = np.concatenate([phi, phi + 2.0 * np.pi])
+        q = np.searchsorted(keys[order], ring, side="right" if side == "left" else "left")
+        out = np.empty(len(keys), dtype=np.intp)
+        out[order] = np.cumsum(np.bincount(q, minlength=len(keys) + 1)[:-1])
+        return out
+    out = np.searchsorted(phi, keys, side=side)
+    late = np.flatnonzero(keys >= np.pi)
+    key = keys[late]
+    j = np.searchsorted(phi, key - 2.0 * np.pi, side=side)
+    up = side == "right"
+    while late.size:
+        i = j if up else j - 1
+        s = phi.take(i, mode="clip") + 2.0 * np.pi
+        move = ((i < k) & (s <= key)) if up else ((i >= 0) & (s >= key))
+        out[late[~move]] += j[~move]
+        late, key, j = late[move], key[move], j[move] + (1 if up else -1)
     return out
 
 
-def _arcs(S: np.ndarray, P: np.ndarray, ring: np.ndarray, phi: np.ndarray):
-    """Arc [lo, hi) of every planar row of S over a ring of rows of P.
+def _arcs(S: np.ndarray, Q: np.ndarray, phi: np.ndarray):
+    """Arc [lo, hi) of every planar row of S over the ring Q.
 
-    ``ring`` and ``phi`` are the rows of P and their angles from
-    ``_by_angle``.  Position p < k is ring row p and position p + k its
-    copy one turn later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero
-    row of S spans the whole ring.
+    Q holds planar rows in the order of ``_by_angle`` and phi their angles.
+    Position p < k is ring row p and position p + k its copy one turn
+    later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero row of S spans
+    the whole ring.
 
     The ends come from a search over angles and are settled with the
     rounded predicate s1*x1 + s2*x2 >= 0: the ring rows just inside each
@@ -166,19 +192,15 @@ def _arcs(S: np.ndarray, P: np.ndarray, ring: np.ndarray, phi: np.ndarray):
     set measured; it fails for rows a few ulps apart in direction, whose
     rounded products can interleave across an end.
     """
-    k = len(phi)
+    k = len(Q)
     if k == 0:
         return np.zeros(len(S), dtype=np.intp), np.zeros(len(S), dtype=np.intp)
     s1, s2 = S[:, 0].copy(), S[:, 1].copy()
-    Q = P.take(ring, axis=0)
     start = _angles(S) - 0.5 * np.pi
     start[start < -np.pi] += 2.0 * np.pi
-    doubled = np.empty(2 * k)
-    doubled[:k] = phi
-    np.add(phi, 2.0 * np.pi, out=doubled[k:])
     by_start = np.argsort(start) if len(S) >= 2 * k else None
-    a = _ranks(doubled, start, by_start, "left")
-    b = _ranks(doubled, start + np.pi, by_start, "right")
+    a = _ranks(phi, start, by_start, "left")
+    b = _ranks(phi, start + np.pi, by_start, "right")
     # arctan2(0, 0) = 0 gives a zero row half a circle; the settling
     # below would widen it one point per pass, so set the full circle.
     zero = (s1 == 0) & (s2 == 0)
@@ -205,33 +227,65 @@ def _arcs(S: np.ndarray, P: np.ndarray, ring: np.ndarray, phi: np.ndarray):
     return a - shift, b - shift
 
 
-def count_active(sources, X) -> np.ndarray:
-    """Number of sources active at each row of X, shape (n,): ``mask_sum``
-    of a ones column, under the kernels' tie rules, as integers.  A point
-    with a non-finite coordinate counts 0.
+class ActiveCounter:
+    """Sources prepared once for ``count``, the number of them active at
+    each row of a point set.
 
-    For points of dimension at most 2 the arcs are turned around: the
-    nonzero sources are sorted by angle once, each point's closed
-    half-plane is the arc of them that ``_arcs`` finds and settles, and
-    every zero source is active everywhere.  The count then equals that
-    of the rounded predicate s1*x1 + s2*x2 >= 0 under ``_arcs``'s
-    condition: where the sources active at a point are contiguous in
-    angle order.  Otherwise the dense kernel sums a ones column.
+    For dimension at most 2 the preparation keeps ``zeros``, the number of
+    zero rows, which are active everywhere, and sorts the others by angle
+    with ``_by_angle`` into the planar ring ``rows`` and their angles
+    ``phi``; otherwise ``rows`` is a view of the sources, which must not
+    change while the counter is in use.  The arrays are read-only, so one
+    counter can serve any number of calls.
     """
-    sources, X = _operands(sources, X)
-    finite = np.isfinite(X).all(axis=1)
-    if X.shape[1] > 2:
-        ones = np.ones((len(sources), 1))
-        count = DenseKernel(sources, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0].astype(np.intp)
-        count[~finite] = 0
+
+    def __init__(self, sources):
+        sources = np.asarray(sources, dtype=float)
+        if sources.ndim != 2:
+            raise ValueError("sources must form an (m, d) array")
+        self.d = sources.shape[1]
+        self.zeros, self.phi = 0, None
+        if self.d <= 2:
+            S = _plane(sources)
+            kept = np.flatnonzero((S[:, 0] != 0) | (S[:, 1] != 0))
+            ring, phi = _by_angle(S, kept)
+            self.zeros = len(S) - len(kept)
+            self.phi = phi
+            self.phi.flags.writeable = False
+            sources = S.take(ring, axis=0)
+        self.rows = sources.view()
+        self.rows.flags.writeable = False
+
+    def count(self, X) -> np.ndarray:
+        """Number of sources active at each row of X, shape (n,): ``mask_sum``
+        of a ones column, under the kernels' tie rules, as integers.  A
+        point with a non-finite coordinate counts 0.
+
+        For points of dimension at most 2 each point's closed half-plane is
+        the arc of the ring that ``_arcs`` finds and settles, plus the zero
+        rows.  The count then equals that of the rounded predicate
+        s1*x1 + s2*x2 >= 0 under ``_arcs``'s condition: where the sources
+        active at a point are contiguous in angle order.  Otherwise the
+        dense kernel sums a ones column.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"points must form an (n, {self.d}) array")
+        finite = np.isfinite(X).all(axis=1)
+        if self.phi is None:
+            ones = np.ones((len(self.rows), 1))
+            count = DenseKernel(self.rows, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0].astype(np.intp)
+            count[~finite] = 0
+            return count
+        lo, hi = _arcs(_plane(X[finite]), self.rows, self.phi)
+        count = np.zeros(len(X), dtype=np.intp)
+        count[finite] = hi - lo + self.zeros
         return count
-    S = _plane(sources)
-    kept = np.flatnonzero((S[:, 0] != 0) | (S[:, 1] != 0))
-    ring, phi = _by_angle(S, kept)
-    lo, hi = _arcs(_plane(X[finite]), S, ring, phi)
-    count = np.zeros(len(X), dtype=np.intp)
-    count[finite] = hi - lo + (len(S) - len(kept))
-    return count
+
+
+def count_active(sources, X) -> np.ndarray:
+    """``ActiveCounter(sources).count(X)``."""
+    return ActiveCounter(sources).count(X)
 
 
 class _MaskedSums:
@@ -305,7 +359,7 @@ class ArcKernel(_MaskedSums):
         nonzero = (pts != 0).any(axis=1)
         self._zero = np.flatnonzero(finite & ~nonzero)
         self.order, phi = _by_angle(pts, np.flatnonzero(finite & nonzero))
-        self.lo, self.hi = _arcs(_plane(self.sources), pts, self.order, phi)
+        self.lo, self.hi = _arcs(_plane(self.sources), pts.take(self.order, axis=0), phi)
 
     def mask_sum(self, R: np.ndarray) -> np.ndarray:
         """M @ R, shape (n, c): the rows of R summed over the sources
@@ -329,7 +383,7 @@ class ArcKernel(_MaskedSums):
         sorted_rows = C[self.order]
         prefix = np.zeros((2 * k + 1, C.shape[1]))
         np.cumsum(np.concatenate([sorted_rows, sorted_rows]), axis=0, out=prefix[1:])
-        out = prefix[self.hi] - prefix[self.lo]
+        out = prefix.take(self.hi, axis=0) - prefix.take(self.lo, axis=0)
         if self._zero.size:
             out += C[self._zero].sum(axis=0)
         return out

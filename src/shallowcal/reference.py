@@ -6,10 +6,14 @@ measure,
 
     f(x; w) = integral <w, x> [v . x >= 0] dN(v),
 
-and is evaluated by Monte Carlo over a seeded feature sample that is shared
-across all evaluation points of one call, so risk comparisons are smooth
-in x and reproducible.  Since <w, x> does not depend on v, the estimate at
-x is <w, x> c/M, where c counts the M sampled directions active at x.
+and is evaluated by Monte Carlo over a seeded feature sample, so risk
+comparisons are smooth in x and reproducible.  Since <w, x> does not depend
+on v, the estimate at x is <w, x> c/M, where c counts the M sampled
+directions active at x.  The sample depends only on the model's seed,
+feature count and dimension, so it is drawn and prepared for counting once
+and then shared by every call on a model with that key: the widths of a
+gap experiment and the runs of one teacher read one sample.  The process
+holds the prepared sample of the last key evaluated, and no other.
 
 Given a concrete network, the model also induces a canonical finite-width
 reference matrix coupled to the initialization, row-wise
@@ -30,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
-from .kernel import count_active
+from .kernel import ActiveCounter
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -127,22 +131,40 @@ def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:
     )
 
 
+# The prepared sample of the last (mc_seed, mc_features, dim) evaluated;
+# the vector only scales <w, x>, so it is not part of the key.
+_held_sample: dict[tuple, ActiveCounter] = {}
+
+
+def _feature_sample(model: InfiniteWidthModel) -> ActiveCounter:
+    """The model's directions, drawn and prepared for counting once per key.
+    A new key drops the held sample before drawing its own."""
+    key = (model.mc_seed, model.mc_features, model.dim)
+    sample = _held_sample.get(key)
+    if sample is None:
+        _held_sample.clear()
+        sample = _held_sample[key] = ActiveCounter(_mc_directions(model))
+    return sample
+
+
 def infinite_forward_batch(
     model: InfiniteWidthModel, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimates of f(x; w) with per-point standard errors.
 
-    The feature sample is drawn once from the model's seed and shared by
-    all rows of X.  Each direction contributes <w, x> or 0 at x, so the
-    estimate is <w, x> c/M and the second moment <w, x>^2 c/M, where c is
-    the number of directions active at x, from ``kernel.count_active``.
-    Non-finite points get NaN.
+    The feature sample is drawn from the model's seed and shared by all
+    rows of X and by later calls with the same seed, feature count and
+    dimension, which count over it without drawing or sorting it again.
+    Each direction contributes <w, x> or 0 at x, so the estimate is
+    <w, x> c/M and the second moment <w, x>^2 c/M, where c is the number of
+    directions active at x, from ``kernel.ActiveCounter.count``.  Non-finite
+    points get NaN.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
-    count = count_active(_mc_directions(model), X)
+    count = _feature_sample(model).count(X)
     lin = np.where(np.isfinite(X).all(axis=1), X @ model.vector, np.nan)
     est = lin * count / M
     var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)

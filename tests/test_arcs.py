@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shallowcal import kernel as kernel_module
-from shallowcal.kernel import ArcKernel, DenseKernel, count_active, kernel
+from shallowcal import reference
+from shallowcal.kernel import ActiveCounter, ArcKernel, DenseKernel, count_active, kernel
 from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
 from shallowcal.reference import (
     InfiniteWidthModel,
@@ -66,6 +67,16 @@ def net_of(W, signs, rho=0.75):
 def assert_close(arc, dense):
     scale = max(1.0, float(np.max(np.abs(dense), initial=0.0)))
     np.testing.assert_allclose(arc, dense, rtol=RTOL, atol=RTOL * scale)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_mc(model, X):
@@ -274,6 +285,19 @@ class TestCountActive:
             np.testing.assert_array_equal(count, unfused_count(Sp, X))
             np.testing.assert_array_equal(count, ArcKernel(Sp, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(count_problems(), st.data())
+    def test_one_counter_serves_many_point_sets(self, prob, data):
+        S, X = prob
+        counter = ActiveCounter(S)
+        for _ in range(3):
+            X = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), S.shape[1]),
+                                     elements=grid))
+            np.testing.assert_array_equal(counter.count(X),
+                                          np.count_nonzero(X @ S.T >= 0, axis=1))
+            np.testing.assert_array_equal(counter.count(X), count_active(S, X))
+
     @pytest.mark.parametrize("m,n", [(3000, 500), (200_000, 512)])
     def test_gaussian_directions_match_unfused_predicate(self, m, n):
         rng = np.random.default_rng(m)
@@ -313,6 +337,121 @@ class TestByAngle:
         order, phi = kernel_module._by_angle(P, rows)
         np.testing.assert_array_equal(order, [4, 3, 5, 1])
         np.testing.assert_array_equal(phi, [-np.pi, 0.0, 0.0, np.pi / 2])
+
+
+@st.composite
+def ring_searches(draw):
+    """(phi, keys): sorted angles in [-pi, pi), tied runs and -pi included,
+    and keys in [-pi, 2 pi] on the entries of both turns, one ulp either
+    side of them, and elsewhere, so the rounded sums phi + 2 pi land on
+    keys and next to them."""
+    angle = st.floats(-np.pi, np.pi, exclude_max=True)
+    phi = np.array(draw(st.lists(angle, min_size=1, max_size=30)))
+    phi = np.sort(phi.repeat(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        phi[0] = -np.pi
+    ring = np.concatenate([phi, phi + 2.0 * np.pi])
+    picks = ring[draw(st.lists(st.integers(0, 2 * len(phi) - 1), max_size=20))]
+    keys = np.concatenate([picks, np.nextafter(picks, 10.0), np.nextafter(picks, -10.0),
+                           draw(st.lists(st.floats(-np.pi, 2.0 * np.pi), max_size=5)),
+                           [-np.pi, np.pi, 2.0 * np.pi]])
+    return phi, keys[(keys >= -np.pi) & (keys <= 2.0 * np.pi)]
+
+
+class TestRanks:
+    """``_ranks`` against a search of the two turns formed in full, both
+    when it searches phi alone and when it searches the sorted keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_searches(), st.sampled_from(["left", "right"]))
+    def test_matches_search_of_both_turns(self, search, side):
+        phi, keys = search
+        want = np.searchsorted(np.concatenate([phi, phi + 2.0 * np.pi]), keys, side=side)
+        np.testing.assert_array_equal(kernel_module._ranks(phi, keys, None, side), want)
+        np.testing.assert_array_equal(
+            kernel_module._ranks(phi, keys, np.argsort(keys), side), want)
+
+    def test_rounded_sums_move_the_rank(self):
+        # phi = -1 + 2^-53 gives phi + 2 pi a rounded sum equal to
+        # -1 + 2 pi, which the exact sum exceeds: searching key - 2 pi in
+        # phi alone would rank that entry above the key.
+        phi = np.array([-1.0, np.nextafter(-1.0, 0.0)])
+        key = np.array([-1.0 + 2.0 * np.pi])
+        assert phi[1] + 2.0 * np.pi == key[0] and phi[1] > key[0] - 2.0 * np.pi
+        assert kernel_module._ranks(phi, key, None, "right")[0] == 4
+        assert kernel_module._ranks(phi, key, None, "left")[0] == 2
+
+
+@st.composite
+def sample_problems(draw):
+    """(model, zero rows, X): a Monte Carlo budget with d in {1, 2, 3},
+    rows of the drawn directions to zero, and grid points among which zero
+    points and points with a non-finite coordinate come up often."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    M = draw(st.integers(2, 300))
+    model = InfiniteWidthModel(draw(hnp.arrays(float, d, elements=grid)), mc_features=M,
+                               mc_seed=draw(st.integers(0, 1000)))
+    zero_rows = draw(st.lists(st.integers(0, M - 1), max_size=3))
+    n = draw(st.integers(1, 12))
+    X = draw(hnp.arrays(float, (n, d), elements=grid))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        X[k] = 0.0
+    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 max_size=2)):
+        X[k, j] = v
+    return model, zero_rows, X
+
+
+class TestFeatureSample:
+    """The prepared feature sample that ``infinite_forward_batch`` holds
+    between calls, keyed by (mc_seed, mc_features, dim)."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(sample_problems())
+    def test_warm_call_repeats_cold_call(self, prob):
+        model, zero_rows, X = prob
+
+        def directions(m):
+            V = _mc_directions(m)
+            V[zero_rows] = 0.0
+            return V
+
+        with mock.patch.object(reference, "_mc_directions", directions):
+            reference._held_sample.clear()
+            cold = infinite_forward_batch(model, X)
+            sample = reference._feature_sample(model)
+            warm = infinite_forward_batch(model, X)
+            rescaled = InfiniteWidthModel(2.0 * model.vector, model.mc_features, model.mc_seed)
+            assert reference._feature_sample(rescaled) is sample
+            for a in (sample.rows, sample.phi)[: 2 if model.dim <= 2 else 1]:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+            for est, se in (warm, infinite_forward_batch(model, X)):
+                np.testing.assert_array_equal(est, cold[0])
+                np.testing.assert_array_equal(se, cold[1])
+            count = count_active(directions(model), X)
+            finite = np.isfinite(X).all(axis=1)
+            lin = np.where(finite, X @ model.vector, np.nan)
+            np.testing.assert_array_equal(cold[0], lin * count / model.mc_features)
+
+            others = [
+                InfiniteWidthModel(model.vector, model.mc_features, model.mc_seed + 1),
+                InfiniteWidthModel(model.vector, model.mc_features + 1, model.mc_seed),
+                InfiniteWidthModel(np.append(model.vector, 0.0), model.mc_features,
+                                   model.mc_seed),
+            ]
+            for other in others:
+                held = reference._feature_sample(other)
+                assert held is not sample
+                assert list(reference._held_sample) == [
+                    (other.mc_seed, other.mc_features, other.dim)]
+            assert reference._feature_sample(model) is not sample
+            again = infinite_forward_batch(model, X)
+            np.testing.assert_array_equal(again[0], cold[0])
+            np.testing.assert_array_equal(again[1], cold[1])
 
 
 class TestDenseKernel:
@@ -419,12 +558,7 @@ class TestMaskedSums:
         refs = [W + 0.1, rng.standard_normal((m, d))]
         signs = rng.choice([-1.0, 1.0], m)
         y = rng.choice([-1.0, 1.0], n)
-        tracemalloc.start()
-        try:
-            _risk_and_grad(W, signs, 0.3, X, y, refs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _risk_and_grad(W, signs, 0.3, X, y, refs))
         bound = 2 * 8 * kernel_module._CHUNK_BUDGET + 4 * 8 * (n + m) * 3 * d
         assert bound < 0.1 * 8 * n * m
         assert peak < bound
@@ -432,32 +566,29 @@ class TestMaskedSums:
     def test_monte_carlo_pass_holds_no_values_matrix(self):
         # d = 4, M = 100k directions, 512 points: the directions are 3.1 MiB,
         # a 512 x M mask would be 391 MiB, and an M x (d + d(d+1)/2) values
-        # matrix of second moments 10.7 MiB.
+        # matrix of second moments 10.7 MiB.  The held sample is dropped
+        # first, so the pass draws its directions.
         model = InfiniteWidthModel(np.ones(4), mc_features=100_000, mc_seed=1)
         X = np.random.default_rng(26).standard_normal((512, 4)) / 2.0
-        tracemalloc.start()
-        try:
-            infinite_forward_batch(model, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-
+        reference._held_sample.clear()
+        assert traced_peak(lambda: infinite_forward_batch(model, X)) < 8 * 2**20
 
     def test_monte_carlo_count_at_d2_holds_no_m_by_n_array(self):
         # d = 2, M = 200k directions, 512 points: the directions are 3.1 MiB
         # and a 512 x M mask would be 781 MiB; the per-direction arcs of the
-        # arc kernel took 22.4 MiB, counting over the sorted directions takes
-        # a few M-long arrays.
-        model = InfiniteWidthModel(np.ones(2), mc_features=200_000, mc_seed=1)
+        # arc kernel took 22.4 MiB, preparing the sorted directions takes a
+        # few M-long arrays.  A second call with the same key, here from a
+        # model with another vector, counts over the held sample: it makes
+        # not even a byte per direction.
+        M = 200_000
         X = np.random.default_rng(27).uniform(-1, 1, (512, 2))
-        tracemalloc.start()
-        try:
-            infinite_forward_batch(model, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        reference._held_sample.clear()
+        cold = traced_peak(lambda: infinite_forward_batch(
+            InfiniteWidthModel(np.ones(2), mc_features=M, mc_seed=1), X))
+        warm = traced_peak(lambda: infinite_forward_batch(
+            InfiniteWidthModel(np.full(2, 3.0), mc_features=M, mc_seed=1), X))
+        assert cold < 16 * 2**20
+        assert warm < M
 
 
 @st.composite
