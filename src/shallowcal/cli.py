@@ -80,16 +80,19 @@ def _report_exit(report) -> int:
 
 def cmd_train(args) -> int:
     if args.config:
+        for flag in ("regime", "eps", "dist", "dist_params", "augment_bias"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} cannot be combined with --config")
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
     else:
         cfg = harness.derive_regime(
-            args.regime,
-            args.eps,
-            dist_name=args.dist,
+            args.regime or "easy",
+            1 / 80 if args.eps is None else args.eps,
+            dist_name=args.dist or "logistic-1d",
             dist_params=_dist_params(args),
-            augment_bias=args.augment_bias,
+            augment_bias=bool(args.augment_bias),
             seed=args.seed if args.seed is not None else 0,
         )
     report = harness.run_experiment(cfg)
@@ -229,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run one training experiment")
-    p.add_argument("--config", help="flat JSON config file")
-    p.add_argument("--regime", choices=["easy", "clairvoyant", "worstcase"], default="easy")
-    p.add_argument("--eps", type=float, default=1 / 80)
-    p.add_argument("--dist", default="logistic-1d")
-    p.add_argument("--dist-params", default=None, help="JSON dict of distribution params")
-    p.add_argument("--augment-bias", action="store_true")
+    p.add_argument("--config", help="flat JSON config file; takes none of the flags below")
+    p.add_argument("--regime", choices=["easy", "clairvoyant", "worstcase"], help="default easy")
+    p.add_argument("--eps", type=float, help="default 1/80")
+    p.add_argument("--dist", help="default logistic-1d")
+    p.add_argument("--dist-params", help="JSON dict of distribution params")
+    p.add_argument("--augment-bias", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

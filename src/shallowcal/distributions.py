@@ -1,10 +1,10 @@
 """Synthetic joint distributions with known conditional probabilities.
 
-Every distribution bundles a marginal sampler over the unit ball, an exact
-conditional probability function x -> P(Y = +1 | X = x), and an evaluation
-scheme for population risks: composite Gauss-Legendre quadrature in one
-dimension (deterministic, with panel edges inserted at declared
-discontinuities), seeded Monte Carlo otherwise.
+Every distribution bundles a marginal sampler over the unit ball and an
+exact conditional probability function x -> P(Y = +1 | X = x).  A 1-d task
+is uniform on its ``support``, and population risks over it are composite
+Gauss-Legendre quadrature (deterministic, with a panel edge at every cut of
+p); the other tasks are evaluated by seeded Monte Carlo.
 
 Population quantities are always computed against the true conditional
 model, never estimated from sampled labels.
@@ -30,6 +30,7 @@ __all__ = [
     "builtin_distributions",
     "derived_seed",
     "evaluator",
+    "gauss_legendre",
     "make_distribution",
     "population_risk",
     "sample",
@@ -37,9 +38,12 @@ __all__ = [
 
 _NORM_SLACK = 1e-12
 
-# Gauss-Legendre nodes of the 1-d quadrature evaluator, and the seed of the
-# Monte Carlo evaluator's point set.
-_QUAD_NODES = 512
+# The 16-point Gauss-Legendre rule on [-1, 1], shared by the 1-d evaluator
+# and the exact zero-one integral; the evaluator's panel count before the
+# cuts split them; the size and seed of the Monte Carlo evaluator's points.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_QUAD_PANELS = 32
+_MC_EVAL_N = 1 << 14
 _MC_EVAL_SEED = 2024
 
 
@@ -77,34 +81,42 @@ class PopulationEvaluator:
 class PopulationRisk:
     breakdown: RiskBreakdown
     logistic_se: float | None
-    provenance: dict
 
 
 @dataclass
 class Distribution:
     """Marginal sampler plus exact conditional probability model.
 
-    1-d distributions carry a closed-form marginal CDF (used for exact
-    interval masses), the abscissas where the conditional probability is
-    discontinuous or crosses 1/2, and optionally an interval on which it is
-    bounded away from {0, 1/2, 1} (used by the interpolation experiments).
+    A 1-d distribution is uniform on ``support``, which gives its density
+    ``pdf`` and its CDF.  It also carries its ``cuts``, the abscissas where
+    the conditional probability is discontinuous or crosses 1/2, and
+    optionally an interval on which p is bounded away from {0, 1/2, 1}
+    (used by the interpolation experiments).  A distribution without a
+    support is evaluated by Monte Carlo.
     """
 
     name: str
     dim: int
     sample_x: Callable[[np.random.Generator, int], np.ndarray]
     cond_prob_raw: Callable[[np.ndarray], np.ndarray]
-    eval_scheme: str = "quadrature"
     support: tuple[float, float] | None = None
-    cdf: Callable[[np.ndarray], np.ndarray] | None = None
-    breakpoints: tuple[float, ...] = ()
-    half_crossings: tuple[float, ...] = ()
+    cuts: tuple[float, ...] = ()
     wrong_pair_interval: tuple[float, float] | None = None
-    mc_eval_n: int = 1 << 14
 
     def cond_prob(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.clip(self.cond_prob_raw(X), 0.0, 1.0)
+
+    @property
+    def pdf(self) -> float:
+        """Density of the uniform marginal on ``support``."""
+        lo, hi = self.support
+        return 1.0 / (hi - lo)
+
+    def cdf(self, x) -> np.ndarray:
+        """CDF of the uniform marginal on ``support``."""
+        lo, hi = self.support
+        return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
 def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
@@ -121,46 +133,31 @@ def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
     return LabeledSample(points=X, labels=y)
 
 
-def _gauss_legendre_panels(lo, hi, nodes, breakpoints, pdf):
-    """Composite Gauss-Legendre rule with >= ``nodes`` total nodes and
-    panel edges at every interior breakpoint."""
-    per_panel = 16
-    panels = max(32, int(np.ceil(nodes / per_panel)))
-    edges = np.linspace(lo, hi, panels + 1)
-    interior = [b for b in breakpoints if lo < b < hi]
-    edges = np.unique(np.concatenate([edges, interior]))
-    xi, wi = np.polynomial.legendre.leggauss(per_panel)
-    points, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = (b - a) / 2.0
-        x = half * xi + (a + b) / 2.0
-        points.append(x)
-        weights.append(half * wi * pdf(x))
-    return np.concatenate(points), np.concatenate(weights)
+def gauss_legendre(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point rule on each piece [a_i, b_i]: the (k, 16) nodes and the
+    k half-widths; the weights on piece i are ``half_i * _GL_WEIGHTS``."""
+    half = (b - a) / 2.0
+    return half[:, None] * _GL_NODES + ((a + b) / 2.0)[:, None], half
 
 
 def evaluator(dist: Distribution) -> PopulationEvaluator:
-    if dist.eval_scheme == "quadrature":
-        if dist.dim != 1 or dist.support is None:
-            raise ValueError("quadrature evaluation requires a 1-d supported marginal")
-        lo, hi = dist.support
-        pdf = lambda x: np.full_like(x, 1.0 / (hi - lo))
-        x, w = _gauss_legendre_panels(lo, hi, _QUAD_NODES, dist.breakpoints, pdf)
+    """Seeded Monte Carlo for a task without a support.  A 1-d task gets
+    the 16-point rule on equal panels of its support, split at every cut."""
+    if dist.support is None:
         return PopulationEvaluator(
-            points=x[:, None],
-            weights=w,
-            provenance={"scheme": "quadrature", "nodes": int(len(x))},
+            points=dist.sample_x(np.random.default_rng(_MC_EVAL_SEED), _MC_EVAL_N),
+            weights=np.full(_MC_EVAL_N, 1.0 / _MC_EVAL_N),
+            provenance={"scheme": "mc", "points": _MC_EVAL_N, "seed": _MC_EVAL_SEED},
         )
-    if dist.eval_scheme == "mc":
-        rng = np.random.default_rng(_MC_EVAL_SEED)
-        k = dist.mc_eval_n
-        X = dist.sample_x(rng, k)
-        return PopulationEvaluator(
-            points=X,
-            weights=np.full(k, 1.0 / k),
-            provenance={"scheme": "mc", "points": int(k), "seed": _MC_EVAL_SEED},
-        )
-    raise ValueError(f"unknown eval scheme {dist.eval_scheme!r}")
+    lo, hi = dist.support
+    interior = [c for c in dist.cuts if lo < c < hi]
+    edges = np.unique(np.concatenate([np.linspace(lo, hi, _QUAD_PANELS + 1), interior]))
+    nodes, half = gauss_legendre(edges[:-1], edges[1:])
+    return PopulationEvaluator(
+        points=nodes.reshape(-1, 1),
+        weights=(half[:, None] * _GL_WEIGHTS * dist.pdf).reshape(-1),
+        provenance={"scheme": "quadrature", "nodes": nodes.size},
+    )
 
 
 def population_risk(
@@ -181,7 +178,7 @@ def population_risk(
     if ev.provenance.get("scheme") == "mc":
         losses = expected_logistic_loss(margins, p)
         se = float(np.std(losses, ddof=1) / np.sqrt(len(losses)))
-    return PopulationRisk(breakdown=breakdown, logistic_se=se, provenance=ev.provenance)
+    return PopulationRisk(breakdown=breakdown, logistic_se=se)
 
 
 def bayes_risk(dist: Distribution, ev: PopulationEvaluator | None = None) -> float:
@@ -203,10 +200,7 @@ def _uniform_1d(lo: float, hi: float):
     def sample_x(rng, n):
         return rng.uniform(lo, hi, size=(n, 1))
 
-    def cdf(x):
-        return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-
-    return sample_x, cdf
+    return sample_x
 
 
 def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distribution:
@@ -215,7 +209,6 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
     Realizable by a linear-in-feature teacher, so this is the canonical
     easy task.  The Bayes predictor is x -> c x.
     """
-    sample_x, cdf = _uniform_1d(lo, hi)
     interval = None
     if c > 0:
         interval = (max(lo, hi / 4.0), hi)
@@ -224,27 +217,23 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
     return Distribution(
         name=f"logistic-1d(c={c})",
         dim=1,
-        sample_x=sample_x,
+        sample_x=_uniform_1d(lo, hi),
         cond_prob_raw=lambda X: sigmoid(c * X[:, 0]),
         support=(lo, hi),
-        cdf=cdf,
-        half_crossings=(0.0,) if c != 0 else (),
+        cuts=(0.0,) if c != 0 else (),
         wrong_pair_interval=interval,
     )
 
 
 def step_1d(lo: float = -1.0, hi: float = 1.0) -> Distribution:
     """Uniform marginal with discontinuous conditional 0.3 + 0.4 [x > 0]."""
-    sample_x, cdf = _uniform_1d(lo, hi)
     return Distribution(
         name="step-1d",
         dim=1,
-        sample_x=sample_x,
+        sample_x=_uniform_1d(lo, hi),
         cond_prob_raw=lambda X: 0.3 + 0.4 * (X[:, 0] > 0),
         support=(lo, hi),
-        cdf=cdf,
-        breakpoints=(0.0,),
-        half_crossings=(0.0,),
+        cuts=(0.0,),
     )
 
 
@@ -256,16 +245,14 @@ def step_smooth_1d(width: float = 0.1, lo: float = -1.0, hi: float = 1.0) -> Dis
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    sample_x, cdf = _uniform_1d(lo, hi)
     interval = (min(5 * width, hi / 2.0), hi)
     return Distribution(
         name=f"step-smooth-1d(width={width})",
         dim=1,
-        sample_x=sample_x,
+        sample_x=_uniform_1d(lo, hi),
         cond_prob_raw=lambda X: 0.3 + 0.4 * sigmoid(X[:, 0] / width),
         support=(lo, hi),
-        cdf=cdf,
-        half_crossings=(0.0,),
+        cuts=(0.0,),
         wrong_pair_interval=interval,
     )
 
@@ -274,20 +261,18 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
     """Pure label noise: p_y identically p on a uniform 1-d marginal."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    sample_x, cdf = _uniform_1d(lo, hi)
     interval = (lo, hi) if p not in (0.0, 0.5, 1.0) else None
     return Distribution(
         name=f"constant-1d(p={p})",
         dim=1,
-        sample_x=sample_x,
+        sample_x=_uniform_1d(lo, hi),
         cond_prob_raw=lambda X: np.full(X.shape[0], p),
         support=(lo, hi),
-        cdf=cdf,
         wrong_pair_interval=interval,
     )
 
 
-def sphere_cap_teacher(d: int = 4, c: float = 4.0, mc_eval_n: int = 1 << 14) -> Distribution:
+def sphere_cap_teacher(d: int = 4, c: float = 4.0) -> Distribution:
     """Uniform on the hemisphere cap {x in S^(d-1): x_1 >= 0} with a
     logistic teacher p(x) = sigmoid(c x_1).  Monte Carlo evaluation."""
     if d < 2:
@@ -304,8 +289,6 @@ def sphere_cap_teacher(d: int = 4, c: float = 4.0, mc_eval_n: int = 1 << 14) -> 
         dim=d,
         sample_x=sample_x,
         cond_prob_raw=lambda X: sigmoid(c * X[:, 0]),
-        eval_scheme="mc",
-        mc_eval_n=mc_eval_n,
     )
 
 

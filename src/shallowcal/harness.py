@@ -339,12 +339,15 @@ def compute_bound_terms(
     ``kbin`` its binary KL to the true conditional model.  When
     ``emp_ref_risk`` (the empirical frozen risk of the sampled reference)
     is supplied, the alternative empirical form of the effective radius is
-    reported too.
+    reported too.  The three risks must be finite and nonnegative.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if ref_risk < 0 or radius_scale <= 0:
-        raise ValueError("radius scale must be positive and ref risk nonnegative")
+    for name, value in (("ref_risk", ref_risk), ("kbin", kbin), ("emp_ref_risk", emp_ref_risk)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    if radius_scale <= 0:
+        raise ValueError("radius scale must be positive")
     d = cfg.input_dim
     m, n, rho, t = cfg.m, cfg.n, cfg.rho, cfg.t
 
@@ -375,7 +378,7 @@ def compute_bound_terms(
             b_emp = min(
                 cfg.r_gd,
                 3.0 * radius_scale / rho
-                + 2.0 * math.e * math.sqrt(cfg.eta * t * max(emp_ref_risk, 0.0)),
+                + 2.0 * math.e * math.sqrt(cfg.eta * t * emp_ref_risk),
             )
     return BoundTerms(
         tau_n=tau_n,

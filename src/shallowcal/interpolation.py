@@ -11,8 +11,8 @@ and is the contrast case.
 Population zero-one risks of the piecewise-constant rules are computed
 exactly: the excess equals the integral of |2 p(x) - 1| over the decision
 cells that disagree with the Bayes sign, and that integral is evaluated
-cell by cell with Gauss-Legendre panels split at every declared
-discontinuity, so there is no Monte Carlo noise in the reported numbers.
+cell by cell with Gauss-Legendre panels split at every cut of p, so there
+is no Monte Carlo noise in the reported numbers.
 
 The pipeline sorts each sample once (``sorted_sample``) and is linear in n
 after that.  The rules' edges come out of the sorted points already sorted,
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, derived_seed, sample as draw_sample
+from .distributions import _GL_WEIGHTS, Distribution, derived_seed, gauss_legendre
+from .distributions import sample as draw_sample
 from .metrics import spread
 
 __all__ = [
@@ -136,7 +137,6 @@ def knn_rule(s: SortedSample1D, k: int) -> PiecewiseConstantRule:
     return PiecewiseConstantRule(edges=edges, signs=signs)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Wrong pieces are integrated this many at a time, so the node arrays stay
 # at _GL_BLOCK x 16 whatever the number of pieces.
 _GL_BLOCK = 4096
@@ -146,7 +146,7 @@ def _pieces(rule: PiecewiseConstantRule, dist: Distribution):
     """Ends, midpoints and rule signs of the support's pieces, in order.
 
     The pieces are the gaps between the distinct values of the support
-    ends, the rule's edges and the declared cuts of p, all clipped to the
+    ends, the rule's edges and the distribution's cuts, all clipped to the
     support.  The rule's bounds ``[lo, *edges, hi]`` are already sorted and
     bound its cells in order; the few cuts are inserted into the cell each
     one splits and take that cell's sign.  A piece [a, b] of cell j has
@@ -154,12 +154,11 @@ def _pieces(rule: PiecewiseConstantRule, dist: Distribution):
     unless a and b are adjacent doubles and the midpoint rounds down onto
     a: those pieces are looked up with ``predict``.
     """
-    if dist.dim != 1 or dist.support is None or dist.cdf is None:
-        raise ValueError("exact integration needs a 1-d marginal with a CDF")
+    if dist.support is None:
+        raise ValueError(f"exact integration needs a 1-d uniform marginal, not {dist.name}")
     lo, hi = dist.support
     bounds = np.clip(np.concatenate([[lo], rule.edges, [hi]]), lo, hi)
-    cuts = np.asarray(tuple(dist.breakpoints) + tuple(dist.half_crossings), dtype=float)
-    cuts = np.sort(np.clip(cuts, lo, hi))
+    cuts = np.sort(np.clip(np.asarray(dist.cuts, dtype=float), lo, hi))
     signs = rule.signs
     # Each insert or mask below copies n-long arrays, so it is made only
     # when it changes something; a rule with no cut to insert and no
@@ -184,8 +183,8 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
     """Exact excess zero-one population risk of a piecewise-constant rule.
 
     Integrates |2 p(x) - 1| over the cells whose sign disagrees with the
-    Bayes sign.  Piece boundaries include every rule edge and every
-    declared discontinuity or 1/2-crossing of p, so the integrand is smooth
+    Bayes sign.  Piece boundaries include every rule edge and every cut of
+    p (a discontinuity or 1/2-crossing), so the integrand is smooth
     on each piece and the Gauss-Legendre panels are exact for the
     piecewise-constant built-ins.  The work is linear in the number of
     edges: the pieces come from one walk over the sorted edges (no sort,
@@ -199,16 +198,13 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
     if not np.any(wrong):
         return 0.0
     aw, bw = a[wrong], b[wrong]
-    half = (bw - aw) / 2.0
-    lo, hi = dist.support
-    pdf = 1.0 / (hi - lo)
     piece_vals = np.empty(len(aw))
     for start in range(0, len(aw), _GL_BLOCK):
         blk = slice(start, start + _GL_BLOCK)
-        nodes = aw[blk, None] + half[blk, None] * (_GL_NODES[None, :] + 1.0)
+        nodes, half = gauss_legendre(aw[blk], bw[blk])
         p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
-        integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
-        piece_vals[blk] = (integrand * _GL_WEIGHTS[None, :]).sum(axis=1) * half[blk]
+        integrand = np.abs(2.0 * p_nodes - 1.0) * dist.pdf
+        piece_vals[blk] = (integrand * _GL_WEIGHTS).sum(axis=1) * half
     return float(piece_vals.sum())
 
 

@@ -91,6 +91,31 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--regime", "worstcase"], ["--eps", "0.01"], ["--dist", "step-1d"],
+         ["--dist-params", '{"c": 3.0}'], ["--augment-bias"]],
+        ids=["regime", "eps", "dist", "dist-params", "augment-bias"],
+    )
+    def test_preset_flag_with_config_is_usage_error(self, small_config, tmp_path, monkeypatch, capsys, flags):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        code = main(["train", "--config", str(small_config), *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} cannot be combined with --config")
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_eval_n_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = derive_regime("clairvoyant", 0.5, dist_name="sphere-cap-teacher", seed=2,
+                            overrides={"m": 64, "n": 32})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**cfg.to_flat_dict(), "dist_params": {"mc_eval_n": 1024}}))
+        code = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "mc_eval_n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("params", ["[1]", '{"bogus": 1}'], ids=["not-object", "unknown-param"])
     def test_malformed_dist_params_are_usage_errors(self, tmp_path, capsys, params):
         code = main(["train", "--dist-params", params, "--out-dir", str(tmp_path / "out")])
@@ -159,6 +184,18 @@ class TestBoundCommand:
         assert code == 0
         data = json.loads((out / "bound.json").read_text())
         assert {"tau_n", "tau_1", "tau_0", "b_eff", "total", "vacuous"} <= set(data)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--ref-risk", "nan"], ["--ref-risk", "-0.1"], ["--ref-risk", "inf"], ["--kbin", "-5"],
+         ["--kbin", "nan"], ["--emp-ref-risk", "nan"], ["--emp-ref-risk", "-1"]],
+        ids=["nan-ref", "negative-ref", "inf-ref", "negative-kbin", "nan-kbin", "nan-emp", "negative-emp"],
+    )
+    def test_non_finite_or_negative_input_is_usage_error(self, small_config, tmp_path, capsys, flags):
+        argv = ["bound", "--config", str(small_config), "--ref-risk", "0.5", *flags]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        assert "must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_radius_read_off_config(self, tmp_path, capsys):
         cfg = derive_regime("clairvoyant", 0.5, dist_name="step-1d", augment_bias=True)

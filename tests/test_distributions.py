@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shallowcal.distributions import (
+    PopulationEvaluator,
     bayes_risk,
     bayes_zero_one_risk,
     builtin_distributions,
@@ -84,13 +85,69 @@ class TestPopulationRisk:
         dist = make_distribution("logistic-1d", c=2.0)
         predictor = lambda P: 1.5 * P[:, 0] - 0.2
         quad = population_risk(dist, predictor)
-        mc_dist = make_distribution("logistic-1d", c=2.0)
-        mc_dist.eval_scheme = "mc"
-        mc_dist.mc_eval_n = 1_000_000
-        mc = population_risk(mc_dist, predictor)
+        k = 1_000_000
+        mc_ev = PopulationEvaluator(
+            points=dist.sample_x(np.random.default_rng(2024), k),
+            weights=np.full(k, 1.0 / k),
+            provenance={"scheme": "mc", "points": k, "seed": 2024},
+        )
+        mc = population_risk(dist, predictor, mc_ev)
         assert mc.logistic_se is not None
         diff = abs(quad.breakdown.logistic_risk - mc.breakdown.logistic_risk)
         assert diff <= 5 * mc.logistic_se
+
+
+def per_panel_evaluator(dist):
+    """The evaluator as a loop over panels: 32 equal panels of the support,
+    split at every interior cut, with the 16-point rule built per panel;
+    a task without a support gets 2^14 uniform draws from seed 2024."""
+    if dist.support is None:
+        X = dist.sample_x(np.random.default_rng(2024), 1 << 14)
+        return X, np.full(len(X), 1.0 / len(X))
+    lo, hi = dist.support
+    edges = np.linspace(lo, hi, 33)
+    edges = np.unique(np.concatenate([edges, [c for c in dist.cuts if lo < c < hi]]))
+    xi, wi = np.polynomial.legendre.leggauss(16)
+    points, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = (b - a) / 2.0
+        x = half * xi + (a + b) / 2.0
+        points.append(x)
+        weights.append(half * wi * np.full_like(x, 1.0 / (hi - lo)))
+    return np.concatenate(points)[:, None], np.concatenate(weights)
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize(
+        "name,params",
+        [pytest.param(name, {}, id=name) for name in sorted(builtin_distributions())]
+        + [
+            pytest.param("constant-1d", {"lo": 0.0, "hi": 1.0}, id="constant-1d[0,1]"),
+            pytest.param("logistic-1d", {"lo": -0.5, "hi": 1.0}, id="logistic-1d[-0.5,1]"),
+        ],
+    )
+    def test_matches_per_panel_loop_bitwise(self, name, params):
+        dist = make_distribution(name, **params)
+        ev = evaluator(dist)
+        points, weights = per_panel_evaluator(dist)
+        assert ev.points.tobytes() == points.tobytes()
+        assert ev.weights.tobytes() == weights.tobytes()
+
+    def test_cut_inside_a_panel_is_an_edge(self):
+        # On [-0.5, 1] the kink of min(p, 1 - p) at 0 falls inside an equal
+        # panel; the closed form is (2 ln 2 - ln(1 + e^-1) - ln(1 + e^-2)) / 3.
+        dist = make_distribution("logistic-1d", c=2.0, lo=-0.5, hi=1.0)
+        closed = (2 * math.log(2) - math.log1p(math.exp(-1)) - math.log1p(math.exp(-2))) / 3
+        assert abs(bayes_zero_one_risk(dist) - closed) <= 4 * math.ulp(closed)
+
+    def test_mc_sample_size_is_not_a_parameter(self):
+        with pytest.raises(ValueError, match="mc_eval_n"):
+            make_distribution("sphere-cap-teacher", mc_eval_n=1000)
+
+    def test_density_and_cdf_read_off_the_support(self):
+        dist = make_distribution("constant-1d", lo=0.0, hi=0.5)
+        assert dist.pdf == 2.0
+        np.testing.assert_array_equal(dist.cdf([-1.0, 0.25, 1.0]), [0.0, 0.5, 1.0])
 
 
 class TestCatalogConstants:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shallowcal import interpolation
-from shallowcal.distributions import make_distribution, sample
+from shallowcal.distributions import _GL_WEIGHTS, gauss_legendre, make_distribution, sample
 from shallowcal.interpolation import (
     PiecewiseConstantRule,
     default_k,
@@ -35,8 +35,7 @@ def excess_unique_predict(rule, dist):
         [
             [lo, hi],
             np.asarray(rule.edges, dtype=float),
-            np.asarray(dist.breakpoints, dtype=float),
-            np.asarray(dist.half_crossings, dtype=float),
+            np.asarray(dist.cuts, dtype=float),
         ]
     )
     cuts = np.unique(np.clip(cuts, lo, hi))
@@ -50,13 +49,11 @@ def excess_unique_predict(rule, dist):
     wrong = rule_sign != bayes_sign
     if not np.any(wrong):
         return 0.0
-    aw, bw = a[wrong], b[wrong]
-    half = (bw - aw) / 2.0
-    nodes = aw[:, None] + half[:, None] * (interpolation._GL_NODES[None, :] + 1.0)
+    nodes, half = gauss_legendre(a[wrong], b[wrong])
     p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
     pdf = 1.0 / (hi - lo)
     integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
-    piece_vals = (integrand * interpolation._GL_WEIGHTS[None, :]).sum(axis=1) * half
+    piece_vals = (integrand * _GL_WEIGHTS[None, :]).sum(axis=1) * half
     return float(piece_vals.sum())
 
 
@@ -211,7 +208,7 @@ def labeled_points(draw):
     dist = DISTS[draw(st.sampled_from(sorted(DISTS)))]
     lo, hi = dist.support
     base = draw(st.floats(lo, hi))
-    pool = [lo, hi, lo - 0.25, hi + 0.25, -0.0, 0.0, (lo + hi) / 2, *dist.breakpoints, *dist.half_crossings]
+    pool = [lo, hi, lo - 0.25, hi + 0.25, -0.0, 0.0, (lo + hi) / 2, *dist.cuts]
     pool += [base + j * np.spacing(base) for j in range(-3, 4)]
     n = draw(st.integers(1, 40))
     point = st.one_of(st.sampled_from(pool), st.floats(lo - 0.5, hi + 0.5))
