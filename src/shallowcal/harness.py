@@ -114,6 +114,12 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("rho", "eta", "eps_gd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.r_gd >= 0:
+            raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
         if abs(self.eta * self.rho**2 - 4.0) > 1e-9:
             raise ValueError("configs must satisfy eta * rho^2 = 4")
         if not isinstance(self.dist_params, dict):

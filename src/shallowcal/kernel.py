@@ -8,12 +8,20 @@ masked margin
 over sources s_j, values v_j and signs a_j, or its adjoint.  Both are sums
 over the 0/1 activation matrix M[k, j] = [s_j . x_k >= 0]: f_k is scale
 times x_k . (M @ (a * V))_k, and the adjoint is scale * a * (M^T @ (c * X)).
-So each backend supplies only ``mask_sum(R) = M @ R`` (n x c) and
-``mask_adjoint(C) = M^T @ C`` (m x c), and shared code builds ``margins``,
-``margins_many`` (several values matrices read by one ``mask_sum`` of the
-stacked a * V) and ``adjoint`` on them.  ``kernel`` returns the object for
-one source matrix on one point set; it is the only place that chooses a
-backend:
+So each backend supplies only the two sums ``mask_sum(R) = M @ R`` (n x c)
+and ``mask_adjoint(C) = M^T @ C`` (m x c), and shared code builds
+``margins``, ``margins_many`` (several values matrices read by one
+``mask_sum`` of the stacked a * V) and ``adjoint`` on them.
+
+The shared code holds every m-long array as a contiguous row: the stacked
+a * V is a (c, m) array and the adjoint is formed as the d rows of G.T.  At
+m = 2^16 a numpy pass over the columns of an (m, c) array costs several
+times one over (c, m) rows.  So a backend takes each sum's operand
+transposed: ``_sum_rows(R.T)`` returns M @ R and ``_adjoint_rows(C.T)``
+returns (M^T @ C).T, and ``mask_sum`` and ``mask_adjoint`` are those two
+read through transposes.  ``adjoint`` still returns G as a C-ordered
+(m, d) array.  ``kernel`` returns the object for one source matrix on one
+point set; it is the only place that chooses a backend:
 
 * ``ArcKernel`` for inputs of dimension at most 2.  In the plane, the closed
   half-plane s_j . x >= 0 meets the angle-sorted points in one contiguous
@@ -26,7 +34,10 @@ backend:
 * ``DenseKernel`` otherwise: over tiles of points and sources, each tile's
   mask is formed once per pass as a float 0/1 array and meets one matrix
   product whose inner dimension is the tile width; every temporary is at
-  most ``_CHUNK_BUDGET`` scalars.
+  most ``_CHUNK_BUDGET`` scalars.  It copies its operand to a C-ordered
+  (m, c) or (n, c) array once per pass: BLAS can round a product of a
+  transposed operand differently, and the copy keeps the bits independent
+  of the layout the caller passed.
 
 ``adjoint_margins(coeff)`` returns the adjoint G and the margins of G
 together: the trainer's frozen risk along a step W - eta G has margins
@@ -83,8 +94,8 @@ def tiles(n: int, m: int) -> list[tuple[slice, slice]]:
 
 
 def _operands(sources, X) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    sources = np.asarray(sources, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
+    sources = np.ascontiguousarray(sources, dtype=float)
     if X.ndim != 2:
         raise ValueError("points must form an (n, d) array")
     if sources.ndim != 2 or sources.shape[1] != X.shape[1]:
@@ -289,15 +300,26 @@ def count_active(sources, X) -> np.ndarray:
 
 
 class _MaskedSums:
-    """Margins and adjoint of one source matrix on one point set,
-    built on the backend's ``mask_sum`` and ``mask_adjoint``."""
+    """Margins and adjoint of one source matrix on one point set, built on
+    the backend's ``_sum_rows`` and ``_adjoint_rows``."""
 
     def __init__(self, sources, signs, scale: float, X):
         self.sources, self.X = _operands(sources, X)
         self.n, self.d = self.X.shape
         self.signs = np.asarray(signs, dtype=float)
+        m = len(self.sources)
+        if self.signs.shape != (m,):
+            raise ValueError(f"signs must have shape ({m},), got {self.signs.shape}")
         self.scale = float(scale)
         self._nonfinite = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
+
+    def mask_sum(self, R) -> np.ndarray:
+        """M @ R, shape (n, c)."""
+        return self._sum_rows(np.asarray(R, dtype=float).T)
+
+    def mask_adjoint(self, C) -> np.ndarray:
+        """M^T @ C, shape (m, c)."""
+        return self._adjoint_rows(np.asarray(C, dtype=float).T).T
 
     def _rowdot(self, S: np.ndarray) -> np.ndarray:
         """scale * x_k . S_k at every point; NaN where x_k is not finite."""
@@ -308,10 +330,13 @@ class _MaskedSums:
     def margins_many(self, values_list) -> list[np.ndarray]:
         """``margins`` of each values matrix, all read by one ``mask_sum``."""
         d = self.d
-        R = np.empty((len(self.signs), d * len(values_list)))
+        rows = np.empty((d * len(values_list), len(self.sources)))
         for i, V in enumerate(values_list):
-            np.multiply(self.signs[:, None], V, out=R[:, i * d : (i + 1) * d])
-        S = self.mask_sum(R)
+            V = np.asarray(V, dtype=float)
+            if V.shape != self.sources.shape:
+                raise ValueError(f"values must have shape {self.sources.shape}, got {V.shape}")
+            np.multiply(V.T, self.signs, out=rows[i * d : (i + 1) * d])
+        S = self._sum_rows(rows)
         return [self._rowdot(block) for block in np.split(S, len(values_list), axis=1)]
 
     def margins(self, values) -> np.ndarray:
@@ -319,17 +344,27 @@ class _MaskedSums:
         return self.margins_many([values])[0]
 
     def adjoint(self, coeff) -> np.ndarray:
-        """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, shape (m, d)."""
-        return self.scale * self.signs[:, None] * self.mask_adjoint(self._weighted(coeff))
+        """Rows scale * a_j * sum_k c_k [s_j . x_k >= 0] x_k, a C-ordered
+        array of shape (m, d).  The sign scaling writes the rows of G.T
+        into a transposed view of G: at m = 2^16, d = 2 that pass takes
+        about as long as a contiguous one, and a transposing copy after it
+        would take 2.5 times as long again."""
+        G = np.empty((len(self.sources), self.d))
+        np.multiply(self._adjoint_rows(self._weighted_rows(coeff)), self.scale * self.signs,
+                    out=G.T)
+        return G
 
     def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
         """``adjoint(coeff)`` and the ``margins`` of it, shape (m, d) and (n,)."""
         G = self.adjoint(coeff)
         return G, self.margins(G)
 
-    def _weighted(self, coeff) -> np.ndarray:
-        """The rows c_k x_k the adjoint sums."""
-        return np.asarray(coeff, dtype=float)[:, None] * self.X
+    def _weighted_rows(self, coeff) -> np.ndarray:
+        """The points c_k x_k the adjoint sums, as d rows of length n."""
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (self.n,):
+            raise ValueError(f"coeff must have shape ({self.n},), got {coeff.shape}")
+        return self.X.T * coeff
 
 
 class ArcKernel(_MaskedSums):
@@ -361,31 +396,32 @@ class ArcKernel(_MaskedSums):
         self.order, phi = _by_angle(pts, np.flatnonzero(finite & nonzero))
         self.lo, self.hi = _arcs(_plane(self.sources), pts.take(self.order, axis=0), phi)
 
-    def mask_sum(self, R: np.ndarray) -> np.ndarray:
-        """M @ R, shape (n, c): the rows of R summed over the sources
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """M @ rows.T, shape (n, c): each m-long row summed over the sources
         active at each point, by a difference array over the arcs."""
         k = len(self.order)
-        acc = np.empty((2 * k, R.shape[1]))
-        for c in range(R.shape[1]):
-            diff = np.bincount(self.lo, R[:, c], minlength=2 * k + 1)
-            diff -= np.bincount(self.hi, R[:, c], minlength=2 * k + 1)
-            np.cumsum(diff[: 2 * k], out=acc[:, c])
-        out = np.zeros((self.n, R.shape[1]))
-        out[self.order] = acc[:k] + acc[k:]
+        acc = np.empty((len(rows), 2 * k))
+        for row, sums in zip(rows, acc):
+            diff = np.bincount(self.lo, row, minlength=2 * k + 1)
+            diff -= np.bincount(self.hi, row, minlength=2 * k + 1)
+            np.cumsum(diff[: 2 * k], out=sums)
+        out = np.zeros((self.n, len(rows)))
+        out[self.order] = (acc[:, :k] + acc[:, k:]).T
         if self._zero.size:
-            out[self._zero] = R.sum(axis=0)
+            out[self._zero] = rows.sum(axis=1)
         return out
 
-    def mask_adjoint(self, C: np.ndarray) -> np.ndarray:
-        """M^T @ C, shape (m, c): the rows of C summed over each source's
-        arc, as a difference of prefix sums."""
+    def _adjoint_rows(self, rows: np.ndarray) -> np.ndarray:
+        """(M^T @ rows.T).T, shape (c, m): each n-long row summed over each
+        source's arc, as a difference of prefix sums."""
         k = len(self.order)
-        sorted_rows = C[self.order]
-        prefix = np.zeros((2 * k + 1, C.shape[1]))
-        np.cumsum(np.concatenate([sorted_rows, sorted_rows]), axis=0, out=prefix[1:])
-        out = prefix.take(self.hi, axis=0) - prefix.take(self.lo, axis=0)
+        ring = rows.take(self.order, axis=1)
+        prefix = np.zeros((len(rows), 2 * k + 1))
+        np.cumsum(np.concatenate([ring, ring], axis=1), axis=1, out=prefix[:, 1:])
+        out = prefix.take(self.hi, axis=1)
+        out -= prefix.take(self.lo, axis=1)
         if self._zero.size:
-            out += C[self._zero].sum(axis=0)
+            out += rows.take(self._zero, axis=1).sum(axis=1)[:, None]
         return out
 
 
@@ -396,10 +432,11 @@ class DenseKernel(_MaskedSums):
     order, and ``adjoint_margins`` one pass for two sums when the tiles are
     full-height strips.  A tile's preactivations are formed afresh and
     turned in place into a float 0/1 mask, which then meets matrix
-    products, so results
-    are deterministic and no n x m array is held.  The sources are read on
-    every call and must not change while the kernel is in use.  The mask is
-    the sign of the BLAS product, which may fuse multiply-adds.
+    products with a C-ordered copy of the operand, so results are
+    deterministic whatever the operand's layout and no n x m array is held.
+    The sources are read on every call and must not change while the
+    kernel is in use.  The mask is the sign of the BLAS product, which may
+    fuse multiply-adds.
     """
 
     def _masks(self, grid=None):
@@ -407,19 +444,21 @@ class DenseKernel(_MaskedSums):
             pre = self.X[rows] @ self.sources[cols].T
             yield rows, cols, np.greater_equal(pre, 0.0, out=pre)
 
-    def mask_sum(self, R: np.ndarray) -> np.ndarray:
-        """M @ R, shape (n, c)."""
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """M @ rows.T, shape (n, c)."""
+        R = np.ascontiguousarray(rows.T)
         out = np.zeros((self.n, R.shape[1]))
-        for rows, cols, mask in self._masks():
-            out[rows] += mask @ R[cols]
+        for pts, cols, mask in self._masks():
+            out[pts] += mask @ R[cols]
         return out
 
-    def mask_adjoint(self, C: np.ndarray) -> np.ndarray:
-        """M^T @ C, shape (m, c)."""
+    def _adjoint_rows(self, rows: np.ndarray) -> np.ndarray:
+        """(M^T @ rows.T).T, shape (c, m)."""
+        C = np.ascontiguousarray(rows.T)
         out = np.zeros((len(self.sources), C.shape[1]))
-        for rows, cols, mask in self._masks():
-            out[cols] += mask.T @ C[rows]
-        return out
+        for pts, cols, mask in self._masks():
+            out[cols] += mask.T @ C[pts]
+        return out.T
 
     def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
         """``adjoint(coeff)`` and the ``margins`` of it from one pass when the
@@ -429,7 +468,7 @@ class DenseKernel(_MaskedSums):
         grid = tiles(self.n, len(self.sources))
         if any(rows.stop - rows.start < self.n for rows, _ in grid):
             return super().adjoint_margins(coeff)
-        C = self._weighted(coeff)
+        C = np.ascontiguousarray(self._weighted_rows(coeff).T)
         G = np.empty_like(self.sources)
         S = np.zeros((self.n, self.d))
         for _, cols, mask in self._masks(grid):

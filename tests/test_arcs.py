@@ -654,6 +654,140 @@ class TestAdjointMargins:
         assert_close(g, d_g)
 
 
+def column_mask_sum(K, R):
+    """``ArcKernel.mask_sum`` written over the (m, c) columns of R: the
+    summation order the row code must keep, bit for bit."""
+    k = len(K.order)
+    acc = np.empty((2 * k, R.shape[1]))
+    for c in range(R.shape[1]):
+        diff = np.bincount(K.lo, R[:, c], minlength=2 * k + 1)
+        diff -= np.bincount(K.hi, R[:, c], minlength=2 * k + 1)
+        np.cumsum(diff[: 2 * k], out=acc[:, c])
+    out = np.zeros((K.n, R.shape[1]))
+    out[K.order] = acc[:k] + acc[k:]
+    if K._zero.size:
+        out[K._zero] = R.sum(axis=0)
+    return out
+
+
+def column_mask_adjoint(K, C):
+    """``ArcKernel.mask_adjoint`` written over the (n, c) columns of C."""
+    k = len(K.order)
+    sorted_rows = C[K.order]
+    prefix = np.zeros((2 * k + 1, C.shape[1]))
+    np.cumsum(np.concatenate([sorted_rows, sorted_rows]), axis=0, out=prefix[1:])
+    out = prefix.take(K.hi, axis=0) - prefix.take(K.lo, axis=0)
+    if K._zero.size:
+        out += C[K._zero].sum(axis=0)
+    return out
+
+
+def column_margins_many(K, values_list):
+    d = K.d
+    R = np.empty((len(K.signs), d * len(values_list)))
+    for i, V in enumerate(values_list):
+        np.multiply(K.signs[:, None], V, out=R[:, i * d : (i + 1) * d])
+    S = column_mask_sum(K, R)
+    return [K._rowdot(block) for block in np.split(S, len(values_list), axis=1)]
+
+
+def column_adjoint(K, coeff):
+    return K.scale * K.signs[:, None] * column_mask_adjoint(K, coeff[:, None] * K.X)
+
+
+@st.composite
+def gaussian_arc_problems(draw):
+    """(X, W, values, coeff, signs) of Gaussian floats with d in {1, 2}:
+    some zero source rows, zero points and a point with a non-finite
+    coordinate, and m either at least or below twice the point count,
+    which are the two ways ``_arcs`` ranks the sources."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(2 * n, 4 * n) if draw(st.booleans()) else st.integers(1, 2 * n))
+    X = rng.standard_normal((n, d)) / 2.0
+    W = rng.standard_normal((m, d))
+    X[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    W[draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    if draw(st.booleans()):
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    values = [W, rng.standard_normal((m, d)), rng.standard_normal((m, d))]
+    return X, W, values, rng.standard_normal(n), rng.choice([-1.0, 1.0], m)
+
+
+class TestRowLayout:
+    """The arc kernel holds m-long arrays as rows; its sums must keep the
+    bits of the same sums over (m, c) columns.  On the dyadic grid every
+    sum is exact in any order, so only float data can show a change of
+    summation order."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(gaussian_arc_problems())
+    def test_bitwise_equal_to_column_sums(self, prob):
+        X, W, values, coeff, signs = prob
+        K = ArcKernel(W, signs, 0.3, X)
+        for got, want in zip(K.margins_many(values), column_margins_many(K, values)):
+            np.testing.assert_array_equal(got, want)
+        G = column_adjoint(K, coeff)
+        np.testing.assert_array_equal(K.adjoint(coeff), G)
+        got_G, got_g = K.adjoint_margins(coeff)
+        np.testing.assert_array_equal(got_G, G)
+        np.testing.assert_array_equal(got_g, column_margins_many(K, [G])[0])
+
+    @pytest.mark.parametrize("backend,d", [(ArcKernel, 1), (ArcKernel, 2), (DenseKernel, 4)])
+    def test_operand_layout_changes_no_bit(self, backend, d):
+        rng = np.random.default_rng(31)
+        n, m = 300, 2500
+        X = rng.standard_normal((n, d)) / 2.0
+        W = rng.standard_normal((m, d))
+        V = rng.standard_normal((m, d))
+        signs = rng.choice([-1.0, 1.0], m)
+        coeff = rng.standard_normal(n)
+
+        def layouts(A):
+            wide = np.zeros((A.shape[0], 2 * A.shape[1]))
+            wide[:, ::2] = A
+            return [A, np.asfortranarray(A), np.ascontiguousarray(A.T).T, wide[:, ::2]]
+
+        K = backend(W, signs, 0.3, X)
+        want_f = K.margins_many([W, V])
+        want_G = K.adjoint(coeff)
+        assert want_G.flags.c_contiguous
+        for Wl, Vl, Xl in zip(layouts(W), layouts(V), layouts(X)):
+            for L in (K, backend(Wl, signs, 0.3, Xl)):
+                for got, want in zip(L.margins_many([Wl, Vl]), want_f):
+                    np.testing.assert_array_equal(got, want)
+                for c in (coeff, np.repeat(coeff, 2)[::2]):
+                    G, g = L.adjoint_margins(c)
+                    assert G.flags.c_contiguous and L.adjoint(c).flags.c_contiguous
+                    np.testing.assert_array_equal(L.adjoint(c), want_G)
+                    np.testing.assert_array_equal(G, want_G)
+                    np.testing.assert_array_equal(g, K.margins(want_G))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_wrong_shaped_values_coefficients_and_signs_raise(self, d):
+        rng = np.random.default_rng(32)
+        n, m = 20, 50
+        X = rng.standard_normal((n, d)) / 2.0
+        W = rng.standard_normal((m, d))
+        K = kernel(W, rng.choice([-1.0, 1.0], m), 0.3, X)
+        for V in (W[:1], W[:, :1], W[:-1], W.T, W[:, 0]):
+            with pytest.raises(ValueError, match="values must have shape"):
+                K.margins(V)
+            with pytest.raises(ValueError, match="values must have shape"):
+                K.margins_many([W, V])
+        for c in (np.ones(1), np.ones((n, 1)), np.ones(n + 1), 1.0):
+            with pytest.raises(ValueError, match="coeff must have shape"):
+                K.adjoint(c)
+            with pytest.raises(ValueError, match="coeff must have shape"):
+                K.adjoint_margins(c)
+        for signs in (np.ones(1), np.ones((m, 1)), np.ones(m + 1)):
+            with pytest.raises(ValueError, match="signs must have shape"):
+                kernel(W, signs, 0.3, X)
+
+
 class TestTieRule:
     def test_perpendicular_point_is_active(self):
         for c in (0.5, -2.0):

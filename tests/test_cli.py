@@ -91,6 +91,22 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "bound"])
+    @pytest.mark.parametrize("field", ["rho", "eta", "eps_gd", "r_gd"])
+    def test_nan_config_field_is_error(self, small_config, tmp_path, monkeypatch, capsys, field,
+                                       command):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        monkeypatch.setattr(harness, "compute_bound_terms", lambda cfg, **kw: runs.append(cfg))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(small_config.read_text()), field: float("nan")}))
+        argv = [command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+        code = main(argv + (["--ref-risk", "0.5"] if command == "bound" else []))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--regime", "worstcase"], ["--eps", "0.01"], ["--dist", "step-1d"],

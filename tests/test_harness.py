@@ -106,6 +106,22 @@ class TestDeriveConsistency:
             derive_consistency(100, 1.0)
 
 
+class TestRegimeConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["rho", "eta", "eps_gd"])
+    def test_rejects_non_finite_or_non_positive(self, field, value):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            dataclasses.replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_radius(self, value):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match="r_gd must be nonnegative"):
+            dataclasses.replace(cfg, r_gd=value)
+        assert dataclasses.replace(cfg, r_gd=math.inf).r_gd == math.inf
+
+
 ONE_D_TASKS = [name for name in builtin_distributions() if make_distribution(name).dim == 1]
 
 
