@@ -13,6 +13,7 @@ model, never estimated from sampled labels.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,6 +210,8 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
     Realizable by a linear-in-feature teacher, so this is the canonical
     easy task.  The Bayes predictor is x -> c x.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
     interval = None
     if c > 0:
         interval = (max(lo, hi / 4.0), hi)
@@ -243,8 +246,8 @@ def step_smooth_1d(width: float = 0.1, lo: float = -1.0, hi: float = 1.0) -> Dis
     Continuous with range (0.3, 0.7); the declared interval keeps p away
     from {0, 1/2, 1} by at least 0.19.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be finite and positive, got {width!r}")
     interval = (min(5 * width, hi / 2.0), hi)
     return Distribution(
         name=f"step-smooth-1d(width={width})",
@@ -275,8 +278,10 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
 def sphere_cap_teacher(d: int = 4, c: float = 4.0) -> Distribution:
     """Uniform on the hemisphere cap {x in S^(d-1): x_1 >= 0} with a
     logistic teacher p(x) = sigmoid(c x_1).  Monte Carlo evaluation."""
-    if d < 2:
-        raise ValueError("sphere cap marginal requires d >= 2")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"sphere cap marginal requires an integer d >= 2, got {d!r}")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
 
     def sample_x(rng, n):
         g = rng.standard_normal((n, d))

@@ -229,6 +229,7 @@ def _build(regime, m, cap, rho=None, r_gd=None, capped=False, **fields) -> Regim
     reference, round the width m up (the easy width R^8 when m is None), cap
     it and couple rho, eta and r_gd to it."""
     fields["dist_params"] = dict(fields["dist_params"] or {})
+    make_distribution(fields["dist_name"], **fields["dist_params"])  # rejects bad parameters first
     ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
     if m is None:  # easy regime: rho = 1 unless pinned, so R does not depend on m
         m = _radius(ref, 1.0 if rho is None else float(rho)) ** 8

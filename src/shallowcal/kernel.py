@@ -24,13 +24,17 @@ read through transposes.  ``adjoint`` still returns G as a C-ordered
 point set; it is the only place that chooses a backend:
 
 * ``ArcKernel`` for inputs of dimension at most 2.  In the plane, the closed
-  half-plane s_j . x >= 0 meets the angle-sorted points in one contiguous
-  circular arc, so a sum over the sources active at a point is a cumulative
-  sum of a difference array, and a sum over the points active for a source
-  is a difference of prefix sums: O((n + m) log(n + m)) in all.  In 1-d,
-  where inputs are x or (x, 1)/sqrt(2), a shallow ReLU network is thus a
-  linear spline with m knots (Savarese et al., COLT 2019; Williams et al.,
-  NeurIPS 2019).  A 1-d input x is treated as the planar point (x, 0).
+  half-plane s . x_k >= 0 of a point meets its sources, sorted by angle
+  into a ``Ring``, in one contiguous circular arc, and the ends of the n
+  arcs cut the ring into at most 2n + 1 segments.  So a sum over the
+  sources active at each point is a difference of the segments' prefix
+  sums, and a sum over the points active for each source is a cumulative
+  sum of a difference array over the segments; each reads the m sources
+  in one pass in their own order.  One sort of the sources and one binary
+  search per point make it O((n + m) log m) in all.  In 1-d, where
+  inputs are x or (x, 1)/sqrt(2), a shallow ReLU network is thus a linear
+  spline with m knots (Savarese et al., COLT 2019; Williams et al., NeurIPS
+  2019).  A 1-d input x is treated as the planar point (x, 0).
 * ``DenseKernel`` otherwise: over tiles of points and sources, each tile's
   mask is formed once per pass as a float 0/1 array and meets one matrix
   product whose inner dimension is the tile width; every temporary is at
@@ -46,23 +50,18 @@ passes; ``DenseKernel`` fuses them into one pass over full-height strips,
 where each strip's mask is complete for every point, so a strip's rows of G
 are final as soon as they are formed and meet the same mask again at once.
 
-``count_active(sources, X)`` is ``mask_sum`` of a ones column, the number of
-sources active at each point, which is all the Monte Carlo reference needs.
-It is two steps, so a caller that counts at many point sets over one sample
-makes the first only once: ``ActiveCounter(sources)`` prepares the sources,
-and its ``count(X)`` counts at the points.  For dimension at most 2 the arcs
-are turned around: each point's closed half-plane meets the angle-sorted
-sources in one contiguous arc, so the preparation drops the zero rows and
-sorts the rest by angle, and a count runs the arc search over the points
-alone, in O(n log m).  Otherwise the preparation keeps the rows and a count
-sums a ones column with the dense kernel.
+A ``Ring`` is read-only and stands alone, so a caller that needs only the
+number of sources active at each point, ``mask_sum`` of a ones column,
+sorts the sources once and reads each point set's arc lengths
+``hi - lo``, plus the zero sources, from ``Ring.arcs``: the Monte Carlo
+reference counts its held feature sample that way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ActiveCounter", "ArcKernel", "DenseKernel", "count_active", "kernel", "tiles"]
+__all__ = ["ArcKernel", "DenseKernel", "Ring", "kernel", "tiles"]
 
 # Scalars in one tile of the dense kernel: 512 KiB of float64, so the
 # preactivations, their mask and the masked products of a tile stay in a
@@ -149,29 +148,20 @@ def _by_angle(P: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], phi
 
 
-def _ranks(phi: np.ndarray, keys: np.ndarray, order, side: str) -> np.ndarray:
+def _ranks(phi: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
     """``np.searchsorted(ring, keys, side)`` for keys in [-pi, 2 pi], where
     the ring is two turns of the sorted angles phi in [-pi, pi): phi, then
     each phi + 2 pi as rounded.
 
-    When the keys outnumber the ring entries, ``order`` sorts them: the two
-    turns are formed and searched in the sorted keys, and the counts are
-    accumulated back; this avoids one unpredictable binary search per key.
-    With ``order`` None the keys are searched in phi and no ring is formed.
-    The second turn starts at -pi + 2 pi = pi, so a key below pi ranks in
-    phi alone, and a key from pi ranks past all of phi and then among the
-    second turn: key - 2 pi is exact there (Sterbenz), so searching it in
-    phi compares the exact sums with the key, and each rank then moves
-    over the entries whose rounded sums land on the key's other side
-    (up for "right", down for "left").
+    The keys are searched in phi and no second turn is formed.  The second
+    turn starts at -pi + 2 pi = pi, so a key below pi ranks in phi alone,
+    and a key from pi ranks past all of phi and then among the second turn:
+    key - 2 pi is exact there (Sterbenz), so searching it in phi compares
+    the exact sums with the key, and each rank then moves over the entries
+    whose rounded sums land on the key's other side (up for "right", down
+    for "left").
     """
     k = len(phi)
-    if order is not None:
-        ring = np.concatenate([phi, phi + 2.0 * np.pi])
-        q = np.searchsorted(keys[order], ring, side="right" if side == "left" else "left")
-        out = np.empty(len(keys), dtype=np.intp)
-        out[order] = np.cumsum(np.bincount(q, minlength=len(keys) + 1)[:-1])
-        return out
     out = np.searchsorted(phi, keys, side=side)
     late = np.flatnonzero(keys >= np.pi)
     key = keys[late]
@@ -186,117 +176,80 @@ def _ranks(phi: np.ndarray, keys: np.ndarray, order, side: str) -> np.ndarray:
     return out
 
 
-def _arcs(S: np.ndarray, Q: np.ndarray, phi: np.ndarray):
-    """Arc [lo, hi) of every planar row of S over the ring Q.
+class Ring:
+    """Sources of dimension at most 2 sorted by angle, over which the closed
+    half-plane s . x >= 0 of every point x is one contiguous circular arc.
 
-    Q holds planar rows in the order of ``_by_angle`` and phi their angles.
-    Position p < k is ring row p and position p + k its copy one turn
-    later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero row of S spans
-    the whole ring.
-
-    The ends come from a search over angles and are settled with the
-    rounded predicate s1*x1 + s2*x2 >= 0: the ring rows just inside each
-    end pass it and those just outside fail it.  Only the ends are tested,
-    so [lo, hi) is exactly the set of ring rows passing the predicate
-    where those rows are contiguous in angle order.  That holds when the
-    products are exact, as on dyadic inputs, and it held on every Gaussian
-    set measured; it fails for rows a few ulps apart in direction, whose
-    rounded products can interleave across an end.
-    """
-    k = len(Q)
-    if k == 0:
-        return np.zeros(len(S), dtype=np.intp), np.zeros(len(S), dtype=np.intp)
-    s1, s2 = S[:, 0].copy(), S[:, 1].copy()
-    start = _angles(S) - 0.5 * np.pi
-    start[start < -np.pi] += 2.0 * np.pi
-    by_start = np.argsort(start) if len(S) >= 2 * k else None
-    a = _ranks(phi, start, by_start, "left")
-    b = _ranks(phi, start + np.pi, by_start, "right")
-    # arctan2(0, 0) = 0 gives a zero row half a circle; the settling
-    # below would widen it one point per pass, so set the full circle.
-    zero = (s1 == 0) & (s2 == 0)
-    a[zero], b[zero] = 0, k
-
-    def moves(r, end, probe, step, grow):
-        """Rows whose end must step: its probed point is active (grow) or not (trim)."""
-        room = (b[r] - a[r] < k) if grow else (b[r] > a[r])
-        q = Q.take(end[r] + probe, axis=0, mode="wrap")
-        act = s1[r] * q[:, 0] + s2[r] * q[:, 1] >= 0
-        return room & (act == grow)
-
-    # Extend the start backwards, trim inactive points off the start,
-    # extend the end forwards, trim inactive points off the end.  Only
-    # rows failing one of the four end tests can move at all.
-    steps = ((a, -1, -1, True), (a, 0, 1, False), (b, 0, 1, True), (b, -1, -1, False))
-    suspect = np.flatnonzero(np.logical_or.reduce([moves(slice(None), *s) for s in steps]))
-    for end, probe, step, grow in steps:
-        r = suspect
-        while r.size:
-            r = r[moves(r, end, probe, step, grow)]
-            end[r] += step
-    shift = np.floor_divide(a, k) * k
-    return a - shift, b - shift
-
-
-class ActiveCounter:
-    """Sources prepared once for ``count``, the number of them active at
-    each row of a point set.
-
-    For dimension at most 2 the preparation keeps ``zeros``, the number of
-    zero rows, which are active everywhere, and sorts the others by angle
-    with ``_by_angle`` into the planar ring ``rows`` and their angles
-    ``phi``; otherwise ``rows`` is a view of the sources, which must not
-    change while the counter is in use.  The arrays are read-only, so one
-    counter can serve any number of calls.
+    ``order`` indexes the finite nonzero sources in the order of
+    ``_by_angle``, ``phi`` holds their angles and ``rows`` their planar rows
+    in that order.  ``zero`` indexes the zero sources, which are active at
+    every point.  A source with a non-finite coordinate is in neither, so
+    it is inactive everywhere, as under the dense predicate at a NaN
+    (NaN >= 0 is false).  The arrays are read-only, so one ring serves any
+    number of point sets.
     """
 
     def __init__(self, sources):
-        sources = np.asarray(sources, dtype=float)
-        if sources.ndim != 2:
-            raise ValueError("sources must form an (m, d) array")
-        self.d = sources.shape[1]
-        self.zeros, self.phi = 0, None
-        if self.d <= 2:
-            S = _plane(sources)
-            kept = np.flatnonzero((S[:, 0] != 0) | (S[:, 1] != 0))
-            ring, phi = _by_angle(S, kept)
-            self.zeros = len(S) - len(kept)
-            self.phi = phi
-            self.phi.flags.writeable = False
-            sources = S.take(ring, axis=0)
-        self.rows = sources.view()
-        self.rows.flags.writeable = False
+        S = _plane(np.asarray(sources, dtype=float))
+        # Column-wise tests: a reduction over each short row costs ten times more.
+        x, y = S[:, 0], S[:, 1]
+        nonzero = (x != 0) | (y != 0)
+        self.zero = np.flatnonzero(~nonzero)
+        kept = nonzero & np.isfinite(x) & np.isfinite(y)
+        self.order, self.phi = _by_angle(S, np.flatnonzero(kept))
+        self.rows = S.take(self.order, axis=0)
+        for a in (self.zero, self.order, self.phi, self.rows):
+            a.flags.writeable = False
 
-    def count(self, X) -> np.ndarray:
-        """Number of sources active at each row of X, shape (n,): ``mask_sum``
-        of a ones column, under the kernels' tie rules, as integers.  A
-        point with a non-finite coordinate counts 0.
+    def arcs(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Arc [lo, hi) of the ring at every finite row of X.
 
-        For points of dimension at most 2 each point's closed half-plane is
-        the arc of the ring that ``_arcs`` finds and settles, plus the zero
-        rows.  The count then equals that of the rounded predicate
-        s1*x1 + s2*x2 >= 0 under ``_arcs``'s condition: where the sources
-        active at a point are contiguous in angle order.  Otherwise the
-        dense kernel sums a ones column.
+        Position p < k is ring row p and position p + k its copy one turn
+        later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero point spans
+        the whole ring.
+
+        The ends come from a search over angles and are settled with the
+        rounded predicate s1*x1 + s2*x2 >= 0: the ring rows just inside
+        each end pass it and those just outside fail it.  Only the ends are
+        tested, so [lo, hi) is exactly the set of ring rows passing the
+        predicate where those rows are contiguous in angle order.  That
+        holds when the products are exact, as on dyadic inputs, and it held
+        on every Gaussian set measured; it fails for rows a few ulps apart
+        in direction, whose rounded products can interleave across an end.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"points must form an (n, {self.d}) array")
-        finite = np.isfinite(X).all(axis=1)
-        if self.phi is None:
-            ones = np.ones((len(self.rows), 1))
-            count = DenseKernel(self.rows, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0].astype(np.intp)
-            count[~finite] = 0
-            return count
-        lo, hi = _arcs(_plane(X[finite]), self.rows, self.phi)
-        count = np.zeros(len(X), dtype=np.intp)
-        count[finite] = hi - lo + self.zeros
-        return count
+        P, Q, phi = _plane(np.asarray(X, dtype=float)), self.rows, self.phi
+        k = len(Q)
+        if k == 0:
+            return np.zeros(len(P), dtype=np.intp), np.zeros(len(P), dtype=np.intp)
+        x1, x2 = P[:, 0].copy(), P[:, 1].copy()
+        start = _angles(P) - 0.5 * np.pi
+        start[start < -np.pi] += 2.0 * np.pi
+        a = _ranks(phi, start, "left")
+        b = _ranks(phi, start + np.pi, "right")
+        # arctan2(0, 0) = 0 gives a zero point half a circle; the settling
+        # below would widen it one source per pass, so set the full circle.
+        zero = (x1 == 0) & (x2 == 0)
+        a[zero], b[zero] = 0, k
 
+        def moves(r, end, probe, step, grow):
+            """Points whose end must step: its probed source is active (grow) or not (trim)."""
+            room = (b[r] - a[r] < k) if grow else (b[r] > a[r])
+            q = Q.take(end[r] + probe, axis=0, mode="wrap")
+            act = x1[r] * q[:, 0] + x2[r] * q[:, 1] >= 0
+            return room & (act == grow)
 
-def count_active(sources, X) -> np.ndarray:
-    """``ActiveCounter(sources).count(X)``."""
-    return ActiveCounter(sources).count(X)
+        # Extend the start backwards, trim inactive sources off the start,
+        # extend the end forwards, trim inactive sources off the end.  Only
+        # points failing one of the four end tests can move at all.
+        steps = ((a, -1, -1, True), (a, 0, 1, False), (b, 0, 1, True), (b, -1, -1, False))
+        suspect = np.flatnonzero(np.logical_or.reduce([moves(slice(None), *s) for s in steps]))
+        for end, probe, step, grow in steps:
+            r = suspect
+            while r.size:
+                r = r[moves(r, end, probe, step, grow)]
+                end[r] += step
+        shift = np.floor_divide(a, k) * k
+        return a - shift, b - shift
 
 
 class _MaskedSums:
@@ -311,7 +264,7 @@ class _MaskedSums:
         if self.signs.shape != (m,):
             raise ValueError(f"signs must have shape ({m},), got {self.signs.shape}")
         self.scale = float(scale)
-        self._nonfinite = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
+        self._finite = np.isfinite(self.X).all(axis=1)
 
     def mask_sum(self, R) -> np.ndarray:
         """M @ R, shape (n, c)."""
@@ -324,7 +277,7 @@ class _MaskedSums:
     def _rowdot(self, S: np.ndarray) -> np.ndarray:
         """scale * x_k . S_k at every point; NaN where x_k is not finite."""
         out = self.scale * np.einsum("ij,ij->i", self.X, S)
-        out[self._nonfinite] = np.nan
+        out[~self._finite] = np.nan
         return out
 
     def margins_many(self, values_list) -> list[np.ndarray]:
@@ -368,7 +321,8 @@ class _MaskedSums:
 
 
 class ArcKernel(_MaskedSums):
-    """Activation arcs of one source matrix on one point set of dimension <= 2.
+    """Activation arcs of one point set of dimension <= 2 over the ring of
+    its sources.
 
     ``mask_sum`` and ``mask_adjoint`` agree with ``DenseKernel`` up to
     summation order, under the same tie rule: a point with s.x == 0 is
@@ -376,52 +330,65 @@ class ArcKernel(_MaskedSums):
     active on a zero point.  Each arc's ends come from a search over angles
     and are then settled with the rounded predicate s1*x1 + s2*x2 >= 0,
     without fused multiply-add.  The mask is that predicate's wherever the
-    points active for each source are contiguous in angle order (see
-    ``_arcs``): for exact products, such as dyadic inputs, and on every
+    sources active at each point are contiguous in angle order (see
+    ``Ring.arcs``): for exact products, such as dyadic inputs, and on every
     Gaussian set measured, but not for clusters of rows a few ulps apart.
     A BLAS product that fuses can round an s.x within rounding of zero to
     the other sign, so the dense path can disagree on such points too.
-    The mask rows of a point with a non-finite coordinate are zero.
+    The mask rows of a point with a non-finite coordinate are zero, and so
+    are the mask columns of a source with one (see ``Ring``).
     """
 
     def __init__(self, sources, signs, scale: float, X):
         super().__init__(sources, signs, scale, X)
         if self.d > 2:
             raise ValueError("arc kernel needs points of dimension at most 2")
-
-        pts = _plane(self.X)
-        finite = np.isfinite(pts).all(axis=1)
-        nonzero = (pts != 0).any(axis=1)
-        self._zero = np.flatnonzero(finite & ~nonzero)
-        self.order, phi = _by_angle(pts, np.flatnonzero(finite & nonzero))
-        self.lo, self.hi = _arcs(_plane(self.sources), pts.take(self.order, axis=0), phi)
+        ring = Ring(self.sources)
+        k = len(ring.order)
+        lo, hi = ring.arcs(self.X[self._finite])
+        # An arc past the end of the ring ends at hi - k on the same turn
+        # and also covers the ring's start.  The distinct arc ends c_0 <
+        # c_1 < ... cut the ring into segments: segment s holds positions
+        # [c_(s-1), c_s), those with s cuts at or before them, so every arc
+        # is the run of segments [lo_at, end_at).
+        self.wrap = hi > k
+        end = hi - k * self.wrap
+        cuts = np.zeros(k + 1, dtype=np.intp)
+        cuts[lo] = cuts[end] = 1
+        rank = np.cumsum(cuts)
+        self.lo_at, self.end_at, self.n_seg = rank[lo], rank[end], rank[k] + 1
+        # Segment n_seg holds the zero sources, n_seg + 1 the non-finite.
+        self.segment = np.full(len(self.sources), self.n_seg + 1)
+        self.segment[ring.order] = rank[:k]
+        self.segment[ring.zero] = self.n_seg
 
     def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """M @ rows.T, shape (n, c): each m-long row summed over the sources
-        active at each point, by a difference array over the arcs."""
-        k = len(self.order)
-        acc = np.empty((len(rows), 2 * k))
-        for row, sums in zip(rows, acc):
-            diff = np.bincount(self.lo, row, minlength=2 * k + 1)
-            diff -= np.bincount(self.hi, row, minlength=2 * k + 1)
-            np.cumsum(diff[: 2 * k], out=sums)
+        """M @ rows.T, shape (n, c): each m-long row summed into segments in
+        one pass in source order, and each point's arc read as a difference
+        of the segments' prefix sums P, where an arc past the end of the
+        ring adds the total P[n_seg], and then the zero sources' sum."""
+        sums = np.empty((len(rows), len(self.lo_at)))
+        for row, s in zip(rows, sums):
+            seg = np.bincount(self.segment, row, minlength=self.n_seg + 2)
+            prefix = np.concatenate(([0.0], np.cumsum(seg[: self.n_seg])))
+            s[:] = (prefix[self.end_at] + np.where(self.wrap, prefix[-1], 0.0)
+                    - prefix[self.lo_at] + seg[self.n_seg])
         out = np.zeros((self.n, len(rows)))
-        out[self.order] = (acc[:, :k] + acc[:, k:]).T
-        if self._zero.size:
-            out[self._zero] = rows.sum(axis=1)
+        out[self._finite] = sums.T
         return out
 
     def _adjoint_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(M^T @ rows.T).T, shape (c, m): each n-long row summed over each
-        source's arc, as a difference of prefix sums."""
-        k = len(self.order)
-        ring = rows.take(self.order, axis=1)
-        prefix = np.zeros((len(rows), 2 * k + 1))
-        np.cumsum(np.concatenate([ring, ring], axis=1), axis=1, out=prefix[:, 1:])
-        out = prefix.take(self.hi, axis=1)
-        out -= prefix.take(self.lo, axis=1)
-        if self._zero.size:
-            out += rows.take(self._zero, axis=1).sum(axis=1)[:, None]
+        """(M^T @ rows.T).T, shape (c, m): each n-long row summed over the
+        arcs holding each segment by a difference array, where an arc past
+        the end of the ring also starts at segment 0, then read out to the
+        sources in source order; a zero source takes every finite point."""
+        out = np.empty((len(rows), len(self.sources)))
+        for row, o in zip(rows[:, self._finite], out):
+            diff = np.bincount(self.lo_at, row, minlength=self.n_seg + 1)
+            diff -= np.bincount(self.end_at, row, minlength=self.n_seg + 1)
+            diff[0] += row[self.wrap].sum()
+            value = np.concatenate((np.cumsum(diff[: self.n_seg]), [row.sum(), 0.0]))
+            value.take(self.segment, out=o)
         return out
 
 

@@ -28,6 +28,7 @@ package on a given NumPy build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,8 @@ class Network:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be at least 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
         if self.signs.shape != (self.m,):
             raise ValueError("signs must have shape (m,)")
         if self.weights.shape != (self.m, self.d):

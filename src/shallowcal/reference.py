@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
-from .kernel import ActiveCounter
+from .kernel import DenseKernel, Ring
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -133,18 +133,37 @@ def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:
 
 # The prepared sample of the last (mc_seed, mc_features, dim) evaluated;
 # the vector only scales <w, x>, so it is not part of the key.
-_held_sample: dict[tuple, ActiveCounter] = {}
+_held_sample: dict[tuple, Ring | np.ndarray] = {}
 
 
-def _feature_sample(model: InfiniteWidthModel) -> ActiveCounter:
-    """The model's directions, drawn and prepared for counting once per key.
-    A new key drops the held sample before drawing its own."""
+def _feature_sample(model: InfiniteWidthModel) -> Ring | np.ndarray:
+    """The model's directions, drawn once per key and held read-only: as a
+    ``Ring`` for dimension at most 2, else as the array.  A new key drops
+    the held sample before drawing its own."""
     key = (model.mc_seed, model.mc_features, model.dim)
     sample = _held_sample.get(key)
     if sample is None:
         _held_sample.clear()
-        sample = _held_sample[key] = ActiveCounter(_mc_directions(model))
+        dirs = _mc_directions(model)
+        dirs.flags.writeable = False
+        sample = _held_sample[key] = Ring(dirs) if model.dim <= 2 else dirs
     return sample
+
+
+def _active_count(sample: Ring | np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Number of the held sample's directions active at each row of X, as
+    integers; 0 at a point with a non-finite coordinate.  Over a ring it is
+    each point's arc length plus the zero directions, otherwise the dense
+    ``mask_sum`` of a ones column."""
+    finite = np.isfinite(X).all(axis=1)
+    count = np.zeros(len(X), dtype=np.intp)
+    if isinstance(sample, Ring):
+        lo, hi = sample.arcs(X[finite])
+        count[finite] = hi - lo + len(sample.zero)
+    else:
+        ones = np.ones((len(sample), 1))
+        count[finite] = DenseKernel(sample, ones[:, 0], 1.0, X[finite]).mask_sum(ones)[:, 0]
+    return count
 
 
 def infinite_forward_batch(
@@ -157,14 +176,14 @@ def infinite_forward_batch(
     dimension, which count over it without drawing or sorting it again.
     Each direction contributes <w, x> or 0 at x, so the estimate is
     <w, x> c/M and the second moment <w, x>^2 c/M, where c is the number of
-    directions active at x, from ``kernel.ActiveCounter.count``.  Non-finite
+    directions active at x, from ``_active_count``.  Non-finite
     points get NaN.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
-    count = _feature_sample(model).count(X)
+    count = _active_count(_feature_sample(model), X)
     lin = np.where(np.isfinite(X).all(axis=1), X @ model.vector, np.nan)
     est = lin * count / M
     var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)

@@ -70,12 +70,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.r_gd < 0:
-            raise ValueError("r_gd must be nonnegative")
+        _check_eta(self.eta)
+        t = self.t_max
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise ValueError(f"t_max must be an integer >= 1, got {t!r}")
+        if not self.r_gd >= 0:
+            raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
+
+
+def _check_eta(eta) -> None:
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
 @dataclass
@@ -167,8 +172,7 @@ def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
 
 def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarray:
     """One full-batch descent step in place; returns the applied gradient."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     X, y = _check_sample(X, y, net.d)
     _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), upto="grad")
     net.weights -= eta * grad

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from shallowcal import kernel as kernel_module
 from shallowcal import reference
-from shallowcal.kernel import ActiveCounter, ArcKernel, DenseKernel, count_active, kernel
+from shallowcal.kernel import ArcKernel, DenseKernel, Ring, kernel
 from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
 from shallowcal.reference import (
     InfiniteWidthModel,
@@ -233,6 +233,12 @@ def unfused_count(S, X):
                             axis=1)
 
 
+def held_count(S, X):
+    """The Monte Carlo count over directions S held as the reference holds
+    them: a ring for d <= 2, the array itself otherwise."""
+    return reference._active_count(Ring(S) if S.shape[1] <= 2 else S, X)
+
+
 def old_angle_order(P):
     """The arc kernel's sort of planar rows before the fast path: always the
     stable sort, then each run of equal angles by cross products with its
@@ -253,7 +259,7 @@ class TestCountActive:
     def test_against_plain_mask_and_kernel(self, prob):
         S, X = prob
         finite = np.isfinite(X).all(axis=1)
-        count = count_active(S, X)
+        count = held_count(S, X)
         assert count.dtype == np.intp
         assert np.all(count[~finite] == 0)
         np.testing.assert_array_equal(count[finite],
@@ -281,7 +287,7 @@ class TestCountActive:
         ones = np.ones((len(S), 1))
         for seed in range(20):
             Sp = S[np.random.default_rng(seed).permutation(len(S))]
-            count = count_active(Sp, X)
+            count = held_count(Sp, X)
             np.testing.assert_array_equal(count, unfused_count(Sp, X))
             np.testing.assert_array_equal(count, ArcKernel(Sp, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
 
@@ -290,13 +296,13 @@ class TestCountActive:
     @given(count_problems(), st.data())
     def test_one_counter_serves_many_point_sets(self, prob, data):
         S, X = prob
-        counter = ActiveCounter(S)
+        sample = Ring(S) if S.shape[1] <= 2 else S
         for _ in range(3):
             X = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), S.shape[1]),
                                      elements=grid))
-            np.testing.assert_array_equal(counter.count(X),
-                                          np.count_nonzero(X @ S.T >= 0, axis=1))
-            np.testing.assert_array_equal(counter.count(X), count_active(S, X))
+            count = reference._active_count(sample, X)
+            np.testing.assert_array_equal(count, np.count_nonzero(X @ S.T >= 0, axis=1))
+            np.testing.assert_array_equal(count, held_count(S, X))
 
     @pytest.mark.parametrize("m,n", [(3000, 500), (200_000, 512)])
     def test_gaussian_directions_match_unfused_predicate(self, m, n):
@@ -304,13 +310,31 @@ class TestCountActive:
         S = rng.standard_normal((m, 2))
         X = rng.uniform(-1, 1, (n, 2))
         want = np.concatenate([unfused_count(S, X[i : i + 16]) for i in range(0, n, 16)])
-        np.testing.assert_array_equal(count_active(S, X), want)
+        np.testing.assert_array_equal(held_count(S, X), want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ring_count_is_the_kernels_sum_of_ones(self, d):
+        # Gaussian directions with zero rows and a row with a NaN
+        # coordinate, and points with a zero and a non-finite one.
+        rng = np.random.default_rng(34 + d)
+        m, n = 5000, 400
+        S = rng.standard_normal((m, d))
+        S[:3] = 0.0
+        S[3, 0] = np.nan
+        X = rng.uniform(-1, 1, (n, d))
+        X[0] = 0.0
+        X[1, 0] = np.nan
+        count = held_count(S, X)
+        ones = np.ones((m, 1))
+        for backend in (ArcKernel, DenseKernel):
+            np.testing.assert_array_equal(count, backend(S, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
+        assert count[0] == m - 1 and count[1] == 0
 
 
 class TestByAngle:
-    """The angle sort the arc kernel and ``count_active`` share: the unstable
-    default sort on distinct angles, the stable sort with ordered tied runs
-    otherwise, both the old always-stable order."""
+    """The angle sort of every ``Ring``: the unstable default sort on
+    distinct angles, the stable sort with ordered tied runs otherwise, both
+    the old always-stable order."""
 
     @pytest.mark.parametrize("n", [1, 2, 1000, 200_000])
     def test_untied_input_takes_the_fast_path_to_the_old_order(self, n):
@@ -359,17 +383,14 @@ def ring_searches(draw):
 
 
 class TestRanks:
-    """``_ranks`` against a search of the two turns formed in full, both
-    when it searches phi alone and when it searches the sorted keys."""
+    """``_ranks`` against a search of the two turns formed in full."""
 
     @settings(max_examples=300, deadline=None)
     @given(ring_searches(), st.sampled_from(["left", "right"]))
     def test_matches_search_of_both_turns(self, search, side):
         phi, keys = search
         want = np.searchsorted(np.concatenate([phi, phi + 2.0 * np.pi]), keys, side=side)
-        np.testing.assert_array_equal(kernel_module._ranks(phi, keys, None, side), want)
-        np.testing.assert_array_equal(
-            kernel_module._ranks(phi, keys, np.argsort(keys), side), want)
+        np.testing.assert_array_equal(kernel_module._ranks(phi, keys, side), want)
 
     def test_rounded_sums_move_the_rank(self):
         # phi = -1 + 2^-53 gives phi + 2 pi a rounded sum equal to
@@ -378,8 +399,8 @@ class TestRanks:
         phi = np.array([-1.0, np.nextafter(-1.0, 0.0)])
         key = np.array([-1.0 + 2.0 * np.pi])
         assert phi[1] + 2.0 * np.pi == key[0] and phi[1] > key[0] - 2.0 * np.pi
-        assert kernel_module._ranks(phi, key, None, "right")[0] == 4
-        assert kernel_module._ranks(phi, key, None, "left")[0] == 2
+        assert kernel_module._ranks(phi, key, "right")[0] == 4
+        assert kernel_module._ranks(phi, key, "left")[0] == 2
 
 
 @st.composite
@@ -425,14 +446,17 @@ class TestFeatureSample:
             warm = infinite_forward_batch(model, X)
             rescaled = InfiniteWidthModel(2.0 * model.vector, model.mc_features, model.mc_seed)
             assert reference._feature_sample(rescaled) is sample
-            for a in (sample.rows, sample.phi)[: 2 if model.dim <= 2 else 1]:
+            held = ((sample.rows, sample.phi, sample.order, sample.zero) if model.dim <= 2
+                    else (sample,))
+            for a in held:
                 assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0] = 1.0
+                if a.size:
+                    with pytest.raises(ValueError):
+                        a[0] = 1
             for est, se in (warm, infinite_forward_batch(model, X)):
                 np.testing.assert_array_equal(est, cold[0])
                 np.testing.assert_array_equal(se, cold[1])
-            count = count_active(directions(model), X)
+            count = held_count(directions(model), X)
             finite = np.isfinite(X).all(axis=1)
             lin = np.where(finite, X @ model.vector, np.nan)
             np.testing.assert_array_equal(cold[0], lin * count / model.mc_features)
@@ -655,30 +679,48 @@ class TestAdjointMargins:
 
 
 def column_mask_sum(K, R):
-    """``ArcKernel.mask_sum`` written over the (m, c) columns of R: the
-    summation order the row code must keep, bit for bit."""
-    k = len(K.order)
-    acc = np.empty((2 * k, R.shape[1]))
-    for c in range(R.shape[1]):
-        diff = np.bincount(K.lo, R[:, c], minlength=2 * k + 1)
-        diff -= np.bincount(K.hi, R[:, c], minlength=2 * k + 1)
-        np.cumsum(diff[: 2 * k], out=acc[:, c])
+    """``ArcKernel.mask_sum`` transcribed as loops over the (m, c) columns of
+    R: each column summed from the left into its segments in source order,
+    the segments summed from the left into prefix sums P, then at each
+    finite point (P[end_at] + T) - P[lo_at], where T is the total P[n_seg]
+    for an arc past the end of the ring and 0 otherwise, plus the zero
+    sources' segment.  The summation order the row code must keep, bit for bit."""
     out = np.zeros((K.n, R.shape[1]))
-    out[K.order] = acc[:k] + acc[k:]
-    if K._zero.size:
-        out[K._zero] = R.sum(axis=0)
+    for c in range(R.shape[1]):
+        seg = [0.0] * (K.n_seg + 2)
+        for j, s in enumerate(K.segment):
+            seg[s] += R[j, c]
+        prefix = [0.0]
+        for v in seg[: K.n_seg]:
+            prefix.append(prefix[-1] + v)
+        for i, lo, end, wrap in zip(np.flatnonzero(K._finite), K.lo_at, K.end_at, K.wrap):
+            out[i, c] = prefix[end] + (prefix[K.n_seg] if wrap else 0.0) - prefix[lo] + seg[K.n_seg]
     return out
 
 
 def column_mask_adjoint(K, C):
-    """``ArcKernel.mask_adjoint`` written over the (n, c) columns of C."""
-    k = len(K.order)
-    sorted_rows = C[K.order]
-    prefix = np.zeros((2 * k + 1, C.shape[1]))
-    np.cumsum(np.concatenate([sorted_rows, sorted_rows]), axis=0, out=prefix[1:])
-    out = prefix.take(K.hi, axis=0) - prefix.take(K.lo, axis=0)
-    if K._zero.size:
-        out += C[K._zero].sum(axis=0)
+    """``ArcKernel.mask_adjoint`` transcribed as loops over the (n, c)
+    columns of C: the weight of each finite point, in point order, added at
+    its arc's first segment and, separately, at the segment past its end,
+    the difference summed from the left after the weights of the arcs past
+    the end of the ring are added at segment 0, and each source given its
+    segment's sum; a zero source gets every finite point's weight."""
+    out = np.zeros((len(K.sources), C.shape[1]))
+    for c in range(C.shape[1]):
+        w = C[K._finite, c]
+        starts, ends = [0.0] * (K.n_seg + 1), [0.0] * (K.n_seg + 1)
+        for wi, lo, end in zip(w, K.lo_at, K.end_at):
+            starts[lo] += wi
+            ends[end] += wi
+        diff = [a - b for a, b in zip(starts, ends)]
+        diff[0] += w[K.wrap].sum()
+        run, value = 0.0, []
+        for v in diff[: K.n_seg]:
+            run += v
+            value.append(run)
+        value += [w.sum(), 0.0]
+        for j, s in enumerate(K.segment):
+            out[j, c] = value[s]
     return out
 
 
@@ -699,8 +741,8 @@ def column_adjoint(K, coeff):
 def gaussian_arc_problems(draw):
     """(X, W, values, coeff, signs) of Gaussian floats with d in {1, 2}:
     some zero source rows, zero points and a point with a non-finite
-    coordinate, and m either at least or below twice the point count,
-    which are the two ways ``_arcs`` ranks the sources."""
+    coordinate, and m either at least or below twice the point count, so
+    the points can outnumber the sources of the ring."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 40))
@@ -718,7 +760,7 @@ def gaussian_arc_problems(draw):
 
 class TestRowLayout:
     """The arc kernel holds m-long arrays as rows; its sums must keep the
-    bits of the same sums over (m, c) columns.  On the dyadic grid every
+    bits of the same ring sums written as loops over (m, c) columns.  On the dyadic grid every
     sum is exact in any order, so only float data can show a change of
     summation order."""
 
@@ -788,6 +830,25 @@ class TestRowLayout:
                 kernel(W, signs, 0.3, X)
 
 
+@st.composite
+def tie_problems(draw):
+    """(X, S, R, C) on the grid with d in {1, 2}: zero sources, sources with
+    a NaN coordinate, zero points and points with a NaN coordinate."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 20))
+    X, S = draw(matrix(n, d)), draw(matrix(m, d))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        X[k] = 0.0
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        S[j] = 0.0
+    for j, i in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, d - 1)), max_size=3)):
+        S[j, i] = np.nan
+    for k, i in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1)), max_size=2)):
+        X[k, i] = np.nan
+    return X, S, draw(matrix(m, 2)), draw(matrix(n, 2))
+
+
 class TestTieRule:
     def test_perpendicular_point_is_active(self):
         for c in (0.5, -2.0):
@@ -799,6 +860,54 @@ class TestTieRule:
         arcs = ArcKernel(np.zeros((1, 2)), np.ones(1), 1.0, X)
         assert np.array_equal(arcs.margins(np.array([[1.0, 2.0]])), X @ [1.0, 2.0])
         assert np.array_equal(arcs.adjoint(np.ones(5)), X.sum(axis=0, keepdims=True))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("backend", [ArcKernel, DenseKernel])
+    @settings(max_examples=200, deadline=None)
+    @given(tie_problems())
+    def test_tie_rules_on_grid(self, backend, prob):
+        # Every sum is exact on the grid, so both kernels must give the
+        # rules exactly: a source with a NaN coordinate is inactive and its
+        # adjoint rows are zero, a zero source is active at every finite
+        # point, and a zero point has every source without a NaN.
+        X, S, R, C = prob
+        finite = np.isfinite(X).all(axis=1)
+        kept = ~np.isnan(S).any(axis=1)
+        K = backend(S, np.ones(len(S)), 1.0, X)
+        sums, adj = K.mask_sum(R), K.mask_adjoint(C)
+        assert np.all(adj[~kept] == 0.0)
+        np.testing.assert_array_equal(sums, backend(S[kept], np.ones(kept.sum()), 1.0, X).mask_sum(R[kept]))
+        zero = (S == 0).all(axis=1)
+        np.testing.assert_array_equal(adj[zero], np.tile(C[finite].sum(axis=0), (zero.sum(), 1)))
+        zero_pt = finite & (X == 0).all(axis=1)
+        np.testing.assert_array_equal(sums[zero_pt], np.tile(R[kept].sum(axis=0), (zero_pt.sum(), 1)))
+        assert np.all(sums[~finite] == 0.0)
+
+    @pytest.mark.parametrize("backend", [ArcKernel, DenseKernel])
+    def test_nan_source_rows_leave_gaussian_sums_alone(self, backend):
+        # The arc kernel's ring without those rows is the same ring, so its
+        # sums keep every bit; the dense kernel adds exact zeros for them.
+        rng = np.random.default_rng(33)
+        n, m = 300, 2000
+        X = rng.standard_normal((n, 2)) / 2.0
+        W, V = rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
+        signs = rng.choice([-1.0, 1.0], m)
+        c = rng.standard_normal(n)
+        bad = [0, 7, m - 1]
+        W[0, 0] = W[7, 1] = np.nan
+        W[m - 1] = np.nan
+        kept = np.setdiff1d(np.arange(m), bad)
+        K = backend(W, signs, 0.3, X)
+        L = backend(W[kept], signs[kept], 0.3, X)
+        G = K.adjoint(c)
+        assert np.all(G[bad] == 0.0)
+        got = (K.margins(V), G[kept])
+        want = (L.margins(V[kept]), L.adjoint(c))
+        for a, b in zip(got, want):
+            if backend is ArcKernel:
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert_close(a, b)
 
     def test_zero_points_contribute_nothing(self):
         X = np.array([[0.0, 0.0], [0.5, 0.5], [-0.0, 0.0]])

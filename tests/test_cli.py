@@ -138,6 +138,19 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("dist,params,match", [
+        ("logistic-1d", '{"c": NaN}', "c must be finite"),
+        ("step-smooth-1d", '{"width": NaN}', "width must be finite"),
+        ("sphere-cap-teacher", '{"c": NaN}', "c must be finite"),
+        ("sphere-cap-teacher", '{"d": 2.5}', "integer d >= 2"),
+    ], ids=["logistic-c-nan", "step-smooth-width-nan", "sphere-cap-c-nan", "sphere-cap-d-fraction"])
+    def test_bad_dist_parameter_is_usage_error(self, tmp_path, capsys, dist, params, match):
+        out = tmp_path / "out"
+        code = main(["train", "--dist", dist, "--dist-params", params, "--out-dir", str(out)])
+        assert code == 1
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale,bad", [(1.0, float("nan")), (2.0, None)], ids=["nan", "outside-ball"])
     def test_invalid_inputs_are_usage_errors(self, small_config, tmp_path, monkeypatch, capsys, scale, bad):
         def corrupted(dist, n, seed):
@@ -287,6 +300,18 @@ class TestInterpCommand:
         in_params = table("--dist-params", '{"lo": 0.0, "hi": 1.0, "p": 0.6}')
         assert in_params == table("--p", "0.6")
         assert in_params != table()
+
+    @pytest.mark.parametrize("dist,params,match", [
+        ("logistic-1d", '{"c": NaN}', "c must be finite"),
+        ("step-smooth-1d", '{"width": NaN}', "width must be finite"),
+    ], ids=["logistic-c-nan", "step-smooth-width-nan"])
+    def test_bad_dist_parameter_is_usage_error(self, tmp_path, capsys, dist, params, match):
+        out = tmp_path / "out"
+        code = main(["interp-lb", "--n-grid", "50", "--dist", dist, "--dist-params", params,
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert match in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error(self, tmp_path, capsys, trials):

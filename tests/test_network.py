@@ -58,6 +58,11 @@ class TestInit:
         with pytest.raises(ValueError):
             net.init_weights[0, 0] = 99.0
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
+    def test_rejects_rho_that_is_not_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            init_network(8, 2, rho, seed=1)
+
     def test_clone_initial_resets(self):
         net = init_network(8, 2, 1.0, seed=1)
         net.weights += 1.0

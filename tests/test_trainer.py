@@ -345,6 +345,30 @@ class TestPreconditions:
                 call()
 
 
+class TestInputValidation:
+    """Trainer inputs under the rules of ``RegimeConfig``: eta finite and
+    positive, r_gd nonnegative or inf, the horizon an integer."""
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("eta", math.nan, "eta"),
+        ("eta", math.inf, "eta"),
+        ("r_gd", math.nan, "r_gd"),
+        ("t_max", 2.5, "t_max"),
+    ], ids=["eta-nan", "eta-inf", "r_gd-nan", "t_max-fraction"])
+    def test_train_config_rejects(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{"eta": 1.0, "t_max": 2, field: value})
+
+    def test_train_config_accepts_infinite_radius(self):
+        assert TrainConfig(eta=1.0, t_max=np.int64(2), r_gd=math.inf).r_gd == math.inf
+
+    def test_gd_step_rejects_nan_eta(self):
+        net, X, y = easy_setup(n=8, seed=29)
+        with pytest.raises(ValueError, match="eta"):
+            gd_step(net, X, y, math.nan)
+        assert np.array_equal(net.weights, net.init_weights)
+
+
 class TestDivergenceGuard:
     def test_conflicting_labels_with_huge_step_abort(self):
         net = manual_net([1.0, -1.0], [[1.0], [0.5]])
