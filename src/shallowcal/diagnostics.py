@@ -13,21 +13,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .distributions import Distribution, derived_seed, population_risk, sample as draw_sample
 from .kernel import tiles
-from .network import (
-    FrozenFeatures,
-    Network,
-    clone_initial,
-    forward_batch,
-    freeze_features,
-    frozen_forward_batch,
-)
+from .network import Network, clone_initial, forward_batch, freeze_features, frozen_forward_batch
 from .trainer import TrainConfig, frozen_empirical_risk, train
 
 __all__ = [
@@ -223,11 +216,8 @@ def sphere_linearization_gap(
     25 rho R^(4/3) sqrt(ln(e d m / delta)) / m^(1/6)."""
     V = np.asarray(V, dtype=float)
     X = sphere_points(net.d, resolution, seed)
-    probe = clone_initial(net)
-    probe.weights[...] = V
-    direct = forward_batch(probe, X)
-    ff = freeze_features(net, at_init=True)
-    linear = frozen_forward_batch(ff, V, X)
+    direct = forward_batch(replace(net, weights=V), X)
+    linear = frozen_forward_batch(freeze_features(net, at_init=True), V, X)
     sup_gap = float(np.max(np.abs(direct - linear)))
     radius = max(1.0, float(np.linalg.norm(V - net.init_weights)))
     bound = (
@@ -284,7 +274,7 @@ def risk_ratio_check(
     B = np.asarray(B, dtype=float)
     replay = clone_initial(net)
     traj = train(replay, X, y, cfg, monitors=False, regret_refs={"B": B})
-    last = frozen_empirical_risk(freeze_features(replay), B, X, y)
+    last = frozen_empirical_risk(replay, B, X, y)
     risks_arr = np.append(traj.certificates["B"].frozen_ref, last)
     radius = max(rec.dist_init for rec in traj.records)
     max_ratio = float(risks_arr.max() / risks_arr.min())
@@ -324,23 +314,24 @@ class GenGapReport(LemmaReport):
 
 
 def generalization_gap(
-    ff: FrozenFeatures,
+    net: Network,
     V: np.ndarray,
     X: np.ndarray,
     y: np.ndarray,
     dist: Distribution,
     delta: float = 0.05,
 ) -> GenGapReport:
-    """Population minus empirical logistic risk of a frozen-feature predictor,
-    next to the norm-based rate 80 rho R (d ln(e m^2 d^3/delta))^(3/2)/sqrt(n)."""
+    """Population minus empirical logistic risk of the predictor at V in the
+    gradient features of ``net`` at its weights, next to the norm-based rate
+    80 rho R (d ln(e m^2 d^3/delta))^(3/2)/sqrt(n)."""
     V = np.asarray(V, dtype=float)
-    pop = population_risk(dist, lambda P: frozen_forward_batch(ff, V, P)).breakdown.logistic_risk
-    emp = frozen_empirical_risk(ff, V, X, y)
+    pop = population_risk(dist, lambda P: frozen_forward_batch(net, V, P)).breakdown.logistic_risk
+    emp = frozen_empirical_risk(net, V, X, y)
     n = len(y)
-    d = ff.d
-    radius = max(1.0, float(np.linalg.norm(V - ff.sign_source)))
-    log_term = d * math.log(math.e * ff.m**2 * d**3 / delta)
-    bound = 80.0 * ff.rho * radius * log_term**1.5 / math.sqrt(n)
+    d = net.d
+    radius = max(1.0, float(np.linalg.norm(V - net.weights)))
+    log_term = d * math.log(math.e * net.m**2 * d**3 / delta)
+    bound = 80.0 * net.rho * radius * log_term**1.5 / math.sqrt(n)
     return GenGapReport(
         population_risk=pop, empirical_risk=emp, gap=pop - emp, bound_value=bound, n=n
     )
@@ -356,13 +347,13 @@ def gen_gap_slope(
 ) -> dict:
     """Median |population - empirical| gap across sample sizes and the
     log-log slope fitted through the medians."""
-    ff = freeze_features(net, at_init=True)
+    frozen = freeze_features(net, at_init=True)
     medians = []
     for n_idx, n in enumerate(n_grid):
         gaps = []
         for s in range(seeds):
             samp = draw_sample(dist, int(n), derived_seed(root_seed, n_idx, s))
-            rep = generalization_gap(ff, V, samp.points, samp.labels, dist)
+            rep = generalization_gap(frozen, V, samp.points, samp.labels, dist)
             gaps.append(abs(rep.gap))
         medians.append(float(np.median(gaps)))
     slope = float(np.polyfit(np.log(np.asarray(n_grid, float)), np.log(medians), 1)[0])

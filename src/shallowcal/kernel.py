@@ -148,34 +148,6 @@ def _by_angle(P: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], phi
 
 
-def _ranks(phi: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(ring, keys, side)`` for keys in [-pi, 2 pi], where
-    the ring is two turns of the sorted angles phi in [-pi, pi): phi, then
-    each phi + 2 pi as rounded.
-
-    The keys are searched in phi and no second turn is formed.  The second
-    turn starts at -pi + 2 pi = pi, so a key below pi ranks in phi alone,
-    and a key from pi ranks past all of phi and then among the second turn:
-    key - 2 pi is exact there (Sterbenz), so searching it in phi compares
-    the exact sums with the key, and each rank then moves over the entries
-    whose rounded sums land on the key's other side (up for "right", down
-    for "left").
-    """
-    k = len(phi)
-    out = np.searchsorted(phi, keys, side=side)
-    late = np.flatnonzero(keys >= np.pi)
-    key = keys[late]
-    j = np.searchsorted(phi, key - 2.0 * np.pi, side=side)
-    up = side == "right"
-    while late.size:
-        i = j if up else j - 1
-        s = phi.take(i, mode="clip") + 2.0 * np.pi
-        move = ((i < k) & (s <= key)) if up else ((i >= 0) & (s >= key))
-        out[late[~move]] += j[~move]
-        late, key, j = late[move], key[move], j[move] + (1 if up else -1)
-    return out
-
-
 class Ring:
     """Sources of dimension at most 2 sorted by angle, over which the closed
     half-plane s . x >= 0 of every point x is one contiguous circular arc.
@@ -224,8 +196,13 @@ class Ring:
         x1, x2 = P[:, 0].copy(), P[:, 1].copy()
         start = _angles(P) - 0.5 * np.pi
         start[start < -np.pi] += 2.0 * np.pi
-        a = _ranks(phi, start, "left")
-        b = _ranks(phi, start + np.pi, "right")
+
+        def rank(end, side):
+            """Position of an end angle in [-pi, 2 pi] on the ring's two turns."""
+            late = end >= np.pi
+            return np.searchsorted(phi, end - 2.0 * np.pi * late, side) + k * late
+
+        a, b = rank(start, "left"), rank(start + np.pi, "right")
         # arctan2(0, 0) = 0 gives a zero point half a circle; the settling
         # below would widen it one source per pass, so set the full circle.
         zero = (x1 == 0) & (x2 == 0)

@@ -10,8 +10,12 @@ temperature rho.  The weight gradient has rows
     (rho / sqrt(m)) * a_j * [w_j . x >= 0] * x
 
 and the indicator at zero preactivation is taken to be 1, so that the
-1-homogeneity identity <grad f(x; W), W> = f(x; W) is exact.  For inputs of
-dimension at most 2 the kernel tests w_j . x >= 0 without fused
+1-homogeneity identity <grad f(x; W), W> = f(x; W) is exact.  So a network
+at W also stands for its gradient features frozen at W: the linear predictor
+<grad f(x; W), V> is ``frozen_forward_batch(net, V, X)``, and
+``freeze_features`` keeps it by copying the network with its weights.
+
+For inputs of dimension at most 2 the kernel tests w_j . x >= 0 without fused
 multiply-adds, so an exactly perpendicular pair counts as active.  For
 d > 2 the indicator is the sign of the BLAS product X @ W^T, which may fuse
 multiply-adds and so round a w_j . x within rounding of zero to either
@@ -29,14 +33,13 @@ package on a given NumPy build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import kernel
 
 __all__ = [
-    "FrozenFeatures",
     "Network",
     "augment_batch",
     "clone_initial",
@@ -104,18 +107,6 @@ def init_network(m: int, d: int, rho: float, seed: int) -> Network:
     )
 
 
-def clone_initial(net: Network) -> Network:
-    """A network reset to its initialization (weights = init snapshot)."""
-    return Network(
-        m=net.m,
-        d=net.d,
-        rho=net.rho,
-        signs=net.signs.copy(),
-        weights=net.init_weights.copy(),
-        init_weights=net.init_weights.copy(),
-    )
-
-
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Margins f(x_k; W) for all rows of X."""
     X = np.asarray(X, dtype=float)
@@ -124,47 +115,31 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     return kernel(net.weights, net.signs, net.scale, X).margins(net.weights)
 
 
-@dataclass
-class FrozenFeatures:
-    """Gradient features captured at a fixed weight matrix.
+def freeze_features(net: Network, at_init: bool = False) -> Network:
+    """A snapshot of the network at its current (or initial) weights, which
+    stands for its gradient features there.
 
-    Evaluating the induced linear predictor at the source matrix itself
-    reproduces the network output exactly (1-homogeneity of the ReLU).
+    The weights are copied, so later training of ``net`` leaves the snapshot
+    as it was; the read-only signs and initialization are shared.
     """
-
-    sign_source: np.ndarray
-    signs: np.ndarray
-    rho: float
-    m: int = field(init=False)
-    d: int = field(init=False)
-
-    def __post_init__(self):
-        self.sign_source = np.array(self.sign_source, dtype=float)
-        self.sign_source.setflags(write=False)
-        self.m, self.d = self.sign_source.shape
-        if self.signs.shape != (self.m,):
-            raise ValueError("signs must have shape (m,)")
-
-    @property
-    def scale(self) -> float:
-        return self.rho / np.sqrt(self.m)
-
-
-def freeze_features(net: Network, at_init: bool = False) -> FrozenFeatures:
-    """Capture the network's gradient features at its current (or initial) weights."""
     source = net.init_weights if at_init else net.weights
-    return FrozenFeatures(sign_source=source.copy(), signs=net.signs, rho=net.rho)
+    return replace(net, weights=source.copy())
 
 
-def frozen_forward_batch(ff: FrozenFeatures, V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Linear predictor <grad f(x_k; W_frozen), V> at every row of X."""
+def clone_initial(net: Network) -> Network:
+    """A network reset to its initialization (weights = init snapshot)."""
+    return freeze_features(net, at_init=True)
+
+
+def frozen_forward_batch(net: Network, V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Linear predictor <grad f(x_k; W), V> at every row of X, W = net.weights."""
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
-    if X.ndim != 2 or X.shape[1] != ff.d:
-        raise ValueError(f"X must have shape (n, {ff.d})")
-    if V.shape != (ff.m, ff.d):
-        raise ValueError(f"V must have shape ({ff.m}, {ff.d})")
-    return kernel(ff.sign_source, ff.signs, ff.scale, X).margins(V)
+    if X.ndim != 2 or X.shape[1] != net.d:
+        raise ValueError(f"X must have shape (n, {net.d})")
+    if V.shape != (net.m, net.d):
+        raise ValueError(f"V must have shape ({net.m}, {net.d})")
+    return kernel(net.weights, net.signs, net.scale, X).margins(V)
 
 
 def augment_batch(X: np.ndarray) -> np.ndarray:

@@ -250,8 +250,7 @@ def gap_experiment(
         return population_risk(dist, lambda _: margins, ev).breakdown.logistic_risk
 
     ref = sample_reference(model, net)
-    ff = freeze_features(net, at_init=True)
-    frozen_risk = risk(frozen_forward_batch(ff, ref.ubar, points))
+    frozen_risk = risk(frozen_forward_batch(freeze_features(net, at_init=True), ref.ubar, points))
 
     inf_margins, inf_se = infinite_forward_batch(model, points)
     infinite_risk = risk(inf_margins)

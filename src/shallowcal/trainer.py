@@ -33,7 +33,7 @@ import numpy as np
 
 from .kernel import kernel
 from .metrics import logistic_loss, logistic_loss_derivative
-from .network import FrozenFeatures, Network, frozen_forward_batch
+from .network import Network, frozen_forward_batch
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -165,26 +165,23 @@ class Trajectory:
 
 def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of the network over a labeled sample."""
-    X, y = _check_sample(X, y, net.d)
-    risk, _, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), upto="risk")
-    return risk
+    return frozen_empirical_risk(net, net.weights, X, y)
 
 
 def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarray:
     """One full-batch descent step in place; returns the applied gradient."""
     _check_eta(eta)
     X, y = _check_sample(X, y, net.d)
-    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), upto="grad")
+    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), along_step=False)
     net.weights -= eta * grad
     return grad
 
 
-def frozen_empirical_risk(
-    ff: FrozenFeatures, V: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> float:
-    """Mean logistic loss of the frozen-feature linear predictor at V."""
-    margins = frozen_forward_batch(ff, V, X)
-    return float(np.mean(logistic_loss(np.asarray(y, dtype=float) * margins)))
+def frozen_empirical_risk(net: Network, V: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss of the linear predictor at V in the gradient
+    features of ``net`` at its weights."""
+    X, y = _check_sample(X, y, net.d)
+    return float(np.mean(logistic_loss(y * frozen_forward_batch(net, V, X))))
 
 
 def _check_sample(X, y, d):
@@ -203,18 +200,18 @@ def _check_sample(X, y, d):
     return X, y
 
 
-def _risk_and_grad(W, signs, scale, X, y, refs, upto="step"):
+def _risk_and_grad(W, signs, scale, X, y, refs, along_step=True):
     """One pass over the sample at weights W.
 
     Returns (empirical risk, full-batch gradient G, frozen risks of each ref
     matrix under W's activation pattern, and the frozen risk along the step:
-    the function eta -> frozen risk of W - eta G under that pattern).  One kernel of W serves all
-    of them, so the results are deterministic: the margins at W and at every
-    reference come from one masked sum.  Frozen margins are linear in their
-    values matrix, so those along the step are f - eta g, with f the margins
-    at W and g the margins of G, which ``adjoint_margins`` returns with G.
-    ``upto`` stops early for callers that need less: "risk" returns no
-    gradient and "grad" no frozen risk (None in their places).
+    the function eta -> frozen risk of W - eta G under that pattern).  One
+    kernel of W serves all of them, so the results are deterministic: the
+    margins at W and at every reference come from one masked sum.  Frozen
+    margins are linear in their values matrix, so those along the step are
+    f - eta g, with f the margins at W and g the margins of G, which
+    ``adjoint_margins`` returns with G.  Without ``along_step`` the last
+    item is None and G comes from the plain adjoint pass.
     """
     n = X.shape[0]
     K = kernel(W, signs, scale, X)
@@ -224,10 +221,8 @@ def _risk_and_grad(W, signs, scale, X, y, refs, upto="step"):
 
     f, *ref_margins = K.margins_many([W, *refs])
     ref_risks = [mean_loss(r) for r in ref_margins]
-    if upto == "risk":
-        return mean_loss(f), None, ref_risks, None
     coeff = logistic_loss_derivative(f * y) * y / n
-    if upto == "grad":
+    if not along_step:
         return mean_loss(f), K.adjoint(coeff), ref_risks, None
     grad, g = K.adjoint_margins(coeff)
     return mean_loss(f), grad, ref_risks, lambda eta: mean_loss(f - eta * g)
@@ -278,7 +273,7 @@ def train(
         last = i == cfg.t_max
         risk, grad, ref_risks, frozen_along = _risk_and_grad(
             net.weights, net.signs, net.scale, X, y, () if last else ref_mats,
-            upto="step" if frozen and not last else "grad",
+            along_step=frozen and not last,
         )
         diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
         step = not (last or diverged)

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 from shallowcal import kernel as kernel_module
 from shallowcal import reference
 from shallowcal.kernel import ArcKernel, DenseKernel, Ring, kernel
-from shallowcal.network import FrozenFeatures, Network, forward_batch, frozen_forward_batch
+from shallowcal.network import Network, forward_batch, frozen_forward_batch
 from shallowcal.reference import (
     InfiniteWidthModel,
     _mc_directions,
@@ -121,8 +121,8 @@ class TestAgainstDense:
     @given(problems())
     def test_frozen_margins(self, prob):
         X, W, V, signs = prob
-        arc = frozen_forward_batch(FrozenFeatures(W, signs, 0.75), V, X)
-        dense = frozen_forward_batch(FrozenFeatures(pad(W), signs, 0.75), pad(V), pad(X))
+        arc = frozen_forward_batch(net_of(W, signs), V, X)
+        dense = frozen_forward_batch(net_of(pad(W), signs), pad(V), pad(X))
         assert_close(arc, dense)
 
     @settings(max_examples=300, deadline=None)
@@ -361,46 +361,6 @@ class TestByAngle:
         order, phi = kernel_module._by_angle(P, rows)
         np.testing.assert_array_equal(order, [4, 3, 5, 1])
         np.testing.assert_array_equal(phi, [-np.pi, 0.0, 0.0, np.pi / 2])
-
-
-@st.composite
-def ring_searches(draw):
-    """(phi, keys): sorted angles in [-pi, pi), tied runs and -pi included,
-    and keys in [-pi, 2 pi] on the entries of both turns, one ulp either
-    side of them, and elsewhere, so the rounded sums phi + 2 pi land on
-    keys and next to them."""
-    angle = st.floats(-np.pi, np.pi, exclude_max=True)
-    phi = np.array(draw(st.lists(angle, min_size=1, max_size=30)))
-    phi = np.sort(phi.repeat(draw(st.integers(1, 3))))
-    if draw(st.booleans()):
-        phi[0] = -np.pi
-    ring = np.concatenate([phi, phi + 2.0 * np.pi])
-    picks = ring[draw(st.lists(st.integers(0, 2 * len(phi) - 1), max_size=20))]
-    keys = np.concatenate([picks, np.nextafter(picks, 10.0), np.nextafter(picks, -10.0),
-                           draw(st.lists(st.floats(-np.pi, 2.0 * np.pi), max_size=5)),
-                           [-np.pi, np.pi, 2.0 * np.pi]])
-    return phi, keys[(keys >= -np.pi) & (keys <= 2.0 * np.pi)]
-
-
-class TestRanks:
-    """``_ranks`` against a search of the two turns formed in full."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(ring_searches(), st.sampled_from(["left", "right"]))
-    def test_matches_search_of_both_turns(self, search, side):
-        phi, keys = search
-        want = np.searchsorted(np.concatenate([phi, phi + 2.0 * np.pi]), keys, side=side)
-        np.testing.assert_array_equal(kernel_module._ranks(phi, keys, side), want)
-
-    def test_rounded_sums_move_the_rank(self):
-        # phi = -1 + 2^-53 gives phi + 2 pi a rounded sum equal to
-        # -1 + 2 pi, which the exact sum exceeds: searching key - 2 pi in
-        # phi alone would rank that entry above the key.
-        phi = np.array([-1.0, np.nextafter(-1.0, 0.0)])
-        key = np.array([-1.0 + 2.0 * np.pi])
-        assert phi[1] + 2.0 * np.pi == key[0] and phi[1] > key[0] - 2.0 * np.pi
-        assert kernel_module._ranks(phi, key, "right")[0] == 4
-        assert kernel_module._ranks(phi, key, "left")[0] == 2
 
 
 @st.composite
@@ -925,8 +885,8 @@ class TestTieRule:
         X = np.array([[-t, -1.0], [t, -1.0], [0.0, -1.0], [-t, 1.0], [t, 1.0], [0.0, 1.0]])
         W = np.array([[1.0, 0.0]])
         V = np.array([[1.0, 1.0]])
-        arc = frozen_forward_batch(FrozenFeatures(W, np.ones(1), 1.0), V, X)
-        dense = frozen_forward_batch(FrozenFeatures(pad(W), np.ones(1), 1.0), pad(V), pad(X))
+        arc = frozen_forward_batch(net_of(W, np.ones(1), 1.0), V, X)
+        dense = frozen_forward_batch(net_of(pad(W), np.ones(1), 1.0), pad(V), pad(X))
         assert np.array_equal(arc != 0, [False, True, True, False, True, True])
         assert np.array_equal(arc, dense)
 

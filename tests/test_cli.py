@@ -59,6 +59,10 @@ class TestTrainCommand:
         code = main(["train", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_config_that_is_a_directory_is_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -226,6 +230,13 @@ class TestBoundCommand:
         assert "must be finite and nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_dir_that_is_a_file_is_error(self, small_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["bound", "--config", str(small_config), "--ref-risk", "0.5",
+                     "--out-dir", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_radius_read_off_config(self, tmp_path, capsys):
         cfg = derive_regime("clairvoyant", 0.5, dist_name="step-1d", augment_bias=True)
         path = tmp_path / "config.json"
@@ -354,6 +365,13 @@ class TestLemmaCheckCommand:
         assert code == 0
         report = json.loads((out / "lemma_flip-count.json").read_text())
         assert report["verdict"] == "pass"
+
+    def test_out_dir_under_a_file_is_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["lemma-check", "--lemma", "gauss-count", "--m", "200", "--trials", "20",
+                     "--out-dir", str(tmp_path / "file" / "sub")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lemma,m", [("gauss-count", "0"), ("risk-ratio", "0"), ("risk-ratio", "-3")])
     def test_nonpositive_width_is_usage_error(self, tmp_path, capsys, lemma, m):

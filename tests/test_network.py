@@ -11,6 +11,7 @@ from shallowcal.network import (
     frozen_forward_batch,
     init_network,
 )
+from shallowcal.trainer import _risk_and_grad, empirical_risk, frozen_empirical_risk, gd_step
 
 
 def manual_net(signs, weights, rho=1.0):
@@ -66,8 +67,14 @@ class TestInit:
     def test_clone_initial_resets(self):
         net = init_network(8, 2, 1.0, seed=1)
         net.weights += 1.0
-        fresh = clone_initial(net)
-        assert np.array_equal(fresh.weights, net.init_weights)
+        for fresh in (clone_initial(net), freeze_features(net, at_init=True)):
+            assert (fresh.m, fresh.d, fresh.rho) == (net.m, net.d, net.rho)
+            assert np.array_equal(fresh.signs, net.signs)
+            assert np.array_equal(fresh.init_weights, net.init_weights)
+            assert np.array_equal(fresh.weights, net.init_weights)
+            assert fresh.weights.flags.writeable
+            assert not np.shares_memory(fresh.weights, net.weights)
+            assert not np.shares_memory(fresh.weights, net.init_weights)
 
 
 class TestForward:
@@ -172,8 +179,33 @@ class TestFrozenFeatures:
         V = np.random.default_rng(16).standard_normal((21, 3))
         X = np.random.default_rng(17).uniform(-0.4, 0.4, size=(9, 3))
         batch = frozen_forward_batch(ff, V, X)
-        single = [ff.scale * (ff.signs * (ff.sign_source @ x >= 0)) @ (V @ x) for x in X]
+        single = [ff.scale * (ff.signs * (ff.weights @ x >= 0)) @ (V @ x) for x in X]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_snapshot_keeps_its_margins_while_the_source_trains(self, d):
+        net = init_network(24, d, 1.0, seed=18)
+        rng = np.random.default_rng(19)
+        X = rng.uniform(-0.5, 0.5, size=(12, d))
+        y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        V = rng.standard_normal((24, d))
+        ff = freeze_features(net)
+        before = frozen_forward_batch(ff, V, X)
+        gd_step(net, X, y, 1.0)
+        assert not np.array_equal(net.weights, ff.weights)
+        assert np.array_equal(frozen_forward_batch(ff, V, X), before)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_empirical_risk_is_the_frozen_risk_at_the_weights(self, d):
+        rng = np.random.default_rng(21 + d)
+        for seed in range(20):
+            net = init_network(32, d, 1.3, seed=seed)
+            X = rng.uniform(-0.5, 0.5, size=(17, d))
+            y = np.where(rng.random(17) < 0.5, -1.0, 1.0)
+            risk = empirical_risk(net, X, y)
+            assert risk.hex() == frozen_empirical_risk(net, net.weights, X, y).hex()
+            # the risk that training records at the same weights
+            assert risk.hex() == _risk_and_grad(net.weights, net.signs, net.scale, X, y, ())[0].hex()
 
 
 class TestAugment:

@@ -110,6 +110,30 @@ class TestEmpiricalRisk:
         with pytest.raises(ValueError):
             empirical_risk(net, np.zeros((0, 1)), np.zeros(0))
 
+    @pytest.mark.parametrize(
+        "bad_y",
+        [
+            lambda y: y[:, None],  # broadcasts to an n x n matrix of margins
+            lambda y: y[:1],  # broadcasts one label over every point
+            lambda y: np.full_like(y, 0.3),
+        ],
+        ids=["column", "length-1", "not-plus-minus-1"],
+    )
+    @pytest.mark.parametrize(
+        "risk",
+        [
+            lambda net, X, y: frozen_empirical_risk(net, net.init_weights, X, y),
+            lambda net, X, y: empirical_risk(net, X, y),
+        ],
+        ids=["frozen", "empirical"],
+    )
+    def test_rejects_malformed_labels(self, bad_y, risk):
+        net = init_network(64, 2, 1.0, seed=3)
+        X = np.random.default_rng(4).uniform(-0.5, 0.5, size=(5, 2))
+        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="labels"):
+            risk(net, X, bad_y(y))
+
 
 class TestGdStep:
     def test_dead_network_zero_update(self):
