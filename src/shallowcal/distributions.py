@@ -19,7 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import RiskBreakdown, binary_entropy, expected_logistic_loss, risk_breakdown, sigmoid
+from .metrics import (
+    RiskBreakdown,
+    binary_entropy,
+    expected_logistic_loss,
+    pairwise_dot,
+    risk_breakdown,
+    sigmoid,
+)
 
 __all__ = [
     "Distribution",
@@ -134,11 +141,14 @@ def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
     return LabeledSample(points=X, labels=y)
 
 
-def gauss_legendre(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point rule on each piece [a_i, b_i]: the (k, 16) nodes and the
-    k half-widths; the weights on piece i are ``half_i * _GL_WEIGHTS``."""
+def gauss_legendre(a: np.ndarray, b: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point rule on each piece [a_i, b_i]: the (k, 16) nodes, written
+    into ``out`` when given, and the k half-widths; the weights on piece i
+    are ``half_i * _GL_WEIGHTS``."""
     half = (b - a) / 2.0
-    return half[:, None] * _GL_NODES + ((a + b) / 2.0)[:, None], half
+    nodes = np.multiply(half[:, None], _GL_NODES, out=out)
+    nodes += ((a + b) / 2.0)[:, None]
+    return nodes, half
 
 
 def evaluator(dist: Distribution) -> PopulationEvaluator:
@@ -185,13 +195,13 @@ def population_risk(
 def bayes_risk(dist: Distribution, ev: PopulationEvaluator | None = None) -> float:
     """Optimal population logistic risk: the integrated binary entropy of p_y."""
     ev = ev or evaluator(dist)
-    return float(ev.weights @ binary_entropy(dist.cond_prob(ev.points)))
+    return pairwise_dot(ev.weights, binary_entropy(dist.cond_prob(ev.points)))
 
 
 def bayes_zero_one_risk(dist: Distribution, ev: PopulationEvaluator | None = None) -> float:
     ev = ev or evaluator(dist)
     p = dist.cond_prob(ev.points)
-    return float(ev.weights @ np.minimum(p, 1 - p))
+    return pairwise_dot(ev.weights, np.minimum(p, 1 - p))
 
 
 def _uniform_1d(lo: float, hi: float):

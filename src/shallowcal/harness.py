@@ -475,7 +475,7 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
     """
     dist, X, y, net, seeds = prepare_run(cfg)
     model: InfiniteWidthModel | None = None
-    refs = {"W0": net.init_weights.copy()}
+    refs = {"W0": net.init_weights}  # read-only, so shared without a copy
     sampled_ref = None
     if cfg.ref_config is not None and with_reference:
         model = model_from_config(cfg.ref_config)

@@ -189,23 +189,32 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
     piecewise-constant built-ins.  The work is linear in the number of
     edges: the pieces come from one walk over the sorted edges (no sort,
     no search per piece), and the wrong pieces are integrated in blocks of
-    ``_GL_BLOCK``, whose values are summed once at the end.
+    ``_GL_BLOCK`` whose nodes share one buffer.  A block turns its
+    conditional probabilities in place into |p - 1/2|, and a product with
+    the rule's weights and half-widths gives each piece's value; the
+    constant 2 pdf, as |2p - 1| = 2 |p - 1/2|, multiplies the pieces' sum
+    once at the end.
     """
     a, b, mids, rule_sign = _pieces(rule, dist)
-    p_mid = dist.cond_prob(mids[:, None])
-    bayes_sign = np.where(p_mid >= 0.5, 1.0, -1.0)
-    wrong = rule_sign != bayes_sign
+    # One statement, so each n-long temporary is freed before the next.
+    wrong = rule_sign != np.where(dist.cond_prob(mids[:, None]) >= 0.5, 1.0, -1.0)
+    del mids
     if not np.any(wrong):
         return 0.0
     aw, bw = a[wrong], b[wrong]
     piece_vals = np.empty(len(aw))
+    buffer = np.empty((min(len(aw), _GL_BLOCK), len(_GL_WEIGHTS)))
     for start in range(0, len(aw), _GL_BLOCK):
         blk = slice(start, start + _GL_BLOCK)
-        nodes, half = gauss_legendre(aw[blk], bw[blk])
-        p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
-        integrand = np.abs(2.0 * p_nodes - 1.0) * dist.pdf
-        piece_vals[blk] = (integrand * _GL_WEIGHTS).sum(axis=1) * half
-    return float(piece_vals.sum())
+        lo, hi = aw[blk], bw[blk]
+        nodes, half = gauss_legendre(lo, hi, out=buffer[: len(lo)])
+        dev = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
+        dev -= 0.5
+        np.abs(dev, out=dev)
+        # einsum, not BLAS: a row's sum keeps its bits in any block and
+        # under any BLAS thread count.
+        piece_vals[blk] = np.einsum("ij,j->i", dev, _GL_WEIGHTS) * half
+    return float(2.0 * dist.pdf * piece_vals.sum())
 
 
 @dataclass

@@ -38,17 +38,25 @@ point set; it is the only place that chooses a backend:
 * ``DenseKernel`` otherwise: over tiles of points and sources, each tile's
   mask is formed once per pass as a float 0/1 array and meets one matrix
   product whose inner dimension is the tile width; every temporary is at
-  most ``_CHUNK_BUDGET`` scalars.  It copies its operand to a C-ordered
-  (m, c) or (n, c) array once per pass: BLAS can round a product of a
-  transposed operand differently, and the copy keeps the bits independent
-  of the layout the caller passed.
+  most ``_CHUNK_BUDGET`` scalars, besides a C-ordered (d, width) copy of
+  the current block of sources, transposed.  It copies its operand to a
+  C-ordered (m, c) or (n, c) array once per pass: BLAS can round a product
+  of a transposed operand differently, and the copy keeps the bits
+  independent of the layout the caller passed.  At the sources themselves the masked
+  margin is the ReLU network, [s . x >= 0] (s . x) = max(0, s . x), so
+  ``margins`` of a values matrix equal to the (finite) sources forms no
+  mask: each tile's preactivations are turned into their positive parts in
+  place and meet the signs.  The choice is made by value, not identity.
 
-``adjoint_margins(coeff)`` returns the adjoint G and the margins of G
-together: the trainer's frozen risk along a step W - eta G has margins
-f - eta * margins(G), linear in eta.  The shared code composes the two
-passes; ``DenseKernel`` fuses them into one pass over full-height strips,
-where each strip's mask is complete for every point, so a strip's rows of G
-are final as soon as they are formed and meet the same mask again at once.
+``adjoint_margins(coeff, refs)`` returns the adjoint G, the margins of G and
+the margins of each reference matrix: the trainer's frozen risk along a
+step W - eta G has margins f - eta * margins(G), linear in eta, and its
+regret references are read under the same mask.  The shared code makes the
+adjoint pass and then one ``margins_many`` of G and the references;
+``DenseKernel`` fuses them into one pass over full-height strips, where each
+strip's mask is complete for every point, so a strip's rows of G are final
+as soon as they are formed and meet the same mask again at once, beside
+the references' rows.  A dense trainer step thus forms W's mask once.
 
 A ``Ring`` is read-only and stands alone, so a caller that needs only the
 number of sources active at each point, ``mask_sum`` of a ones column,
@@ -71,7 +79,7 @@ __all__ = ["ArcKernel", "DenseKernel", "Ring", "kernel", "tiles"]
 # blocks of points pass over it (Goto & van de Geijn, ACM TOMS 2008).  Every
 # pass forms each tile's mask once, which costs less than streaming a stored
 # n x m mask through main memory, and the fused ``adjoint_margins`` pass
-# serves two sums from each strip's one mask.
+# serves the adjoint and every margin it returns from each strip's one mask.
 _CHUNK_BUDGET = 1 << 16
 
 
@@ -257,15 +265,18 @@ class _MaskedSums:
         out[~self._finite] = np.nan
         return out
 
+    def _values(self, V) -> np.ndarray:
+        V = np.asarray(V, dtype=float)
+        if V.shape != self.sources.shape:
+            raise ValueError(f"values must have shape {self.sources.shape}, got {V.shape}")
+        return V
+
     def margins_many(self, values_list) -> list[np.ndarray]:
         """``margins`` of each values matrix, all read by one ``mask_sum``."""
         d = self.d
         rows = np.empty((d * len(values_list), len(self.sources)))
         for i, V in enumerate(values_list):
-            V = np.asarray(V, dtype=float)
-            if V.shape != self.sources.shape:
-                raise ValueError(f"values must have shape {self.sources.shape}, got {V.shape}")
-            np.multiply(V.T, self.signs, out=rows[i * d : (i + 1) * d])
+            np.multiply(self._values(V).T, self.signs, out=rows[i * d : (i + 1) * d])
         S = self._sum_rows(rows)
         return [self._rowdot(block) for block in np.split(S, len(values_list), axis=1)]
 
@@ -284,10 +295,12 @@ class _MaskedSums:
                     out=G.T)
         return G
 
-    def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
-        """``adjoint(coeff)`` and the ``margins`` of it, shape (m, d) and (n,)."""
+    def adjoint_margins(self, coeff, refs=()) -> tuple[np.ndarray, ...]:
+        """``adjoint(coeff)``, the ``margins`` of it, then the ``margins`` of
+        each values matrix in ``refs``: G of shape (m, d), then (n,) arrays.
+        The margins of G and of the references come from one ``margins_many``."""
         G = self.adjoint(coeff)
-        return G, self.margins(G)
+        return G, *self.margins_many([G, *refs])
 
     def _weighted_rows(self, coeff) -> np.ndarray:
         """The points c_k x_k the adjoint sums, as d rows of length n."""
@@ -373,20 +386,51 @@ class DenseKernel(_MaskedSums):
     """Masked sums by dense products, for points of any dimension.
 
     Each sum makes one pass over the ``tiles`` of points and sources in
-    order, and ``adjoint_margins`` one pass for two sums when the tiles are
-    full-height strips.  A tile's preactivations are formed afresh and
+    order, and ``adjoint_margins`` one pass for all its sums when the tiles
+    are full-height strips.  A tile's preactivations are formed afresh and
     turned in place into a float 0/1 mask, which then meets matrix
     products with a C-ordered copy of the operand, so results are
     deterministic whatever the operand's layout and no n x m array is held.
-    The sources are read on every call and must not change while the
-    kernel is in use.  The mask is the sign of the BLAS product, which may
-    fuse multiply-adds.
+    ``margins`` at the sources themselves needs no mask: it is the ReLU
+    network, and its pass turns each tile's preactivations in place into
+    their positive parts.  The sources are read on every call and must not
+    change while the kernel is in use.  The mask is the sign of the BLAS
+    product, which may fuse multiply-adds.
     """
 
-    def _masks(self, grid=None):
+    def _preactivations(self, grid=None):
+        # Each block of sources is copied once, transposed, to a C-ordered
+        # (d, width) array: X @ that runs 11-15% faster than X @ S[cols].T,
+        # with the same bits (m = 4096, d = 4, OpenBLAS on x86_64).
+        block = None
         for rows, cols in tiles(self.n, len(self.sources)) if grid is None else grid:
-            pre = self.X[rows] @ self.sources[cols].T
+            if cols != block:
+                block, ST = cols, np.ascontiguousarray(self.sources[cols].T)
+            yield rows, cols, self.X[rows] @ ST
+
+    def _masks(self, grid=None):
+        for rows, cols, pre in self._preactivations(grid):
             yield rows, cols, np.greater_equal(pre, 0.0, out=pre)
+
+    def _relus(self):
+        for rows, cols, pre in self._preactivations():
+            yield rows, cols, np.maximum(pre, 0.0, out=pre)
+
+    def margins(self, values) -> np.ndarray:
+        """As ``_MaskedSums.margins``.  When ``values`` equals the sources
+        and they are finite, [s . x >= 0] (s . x) = max(0, s . x), so the
+        margins are scale * relu(X S^T) @ a: one pass of preactivation
+        products and in-place ReLUs, each tile's met by the signs.  Values
+        equal to the sources but not finite keep the mask, whose NaN and
+        inf pattern the ReLU does not reproduce."""
+        if not (np.array_equal(values, self.sources) and np.isfinite(self.sources).all()):
+            return super().margins(values)
+        out = np.zeros(self.n)
+        for rows, cols, relu in self._relus():
+            out[rows] += relu @ self.signs[cols]
+        out *= self.scale
+        out[~self._finite] = np.nan
+        return out
 
     def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
         """M @ rows.T, shape (n, c)."""
@@ -404,18 +448,25 @@ class DenseKernel(_MaskedSums):
             out[cols] += mask.T @ C[pts]
         return out.T
 
-    def adjoint_margins(self, coeff) -> tuple[np.ndarray, np.ndarray]:
-        """``adjoint(coeff)`` and the ``margins`` of it from one pass when the
-        tiles are full-height strips: a strip's mask is complete for every
-        point, so its rows of G are final and meet the same mask again at
-        once.  Shorter tiles fall back to the two passes."""
+    def adjoint_margins(self, coeff, refs=()) -> tuple[np.ndarray, ...]:
+        """``adjoint(coeff)``, the ``margins`` of it and of each reference
+        from one pass when the tiles are full-height strips: a strip's mask
+        is complete for every point, so its rows of G are final, and one
+        product of the same mask with [a G | a Z_1 | ...] on the strip's
+        sources reads the margins of G and of every reference at once.
+        Shorter tiles fall back to the adjoint and one ``margins_many``."""
         grid = tiles(self.n, len(self.sources))
         if any(rows.stop - rows.start < self.n for rows, _ in grid):
-            return super().adjoint_margins(coeff)
+            return super().adjoint_margins(coeff, refs)
         C = np.ascontiguousarray(self._weighted_rows(coeff).T)
+        d = self.d
+        AV = np.empty((len(self.sources), d * (1 + len(refs))))
+        for i, Z in enumerate(refs, 1):
+            np.multiply(self.signs[:, None], self._values(Z), out=AV[:, i * d : (i + 1) * d])
         G = np.empty_like(self.sources)
-        S = np.zeros((self.n, self.d))
+        S = np.zeros((self.n, AV.shape[1]))
         for _, cols, mask in self._masks(grid):
             G[cols] = self.scale * self.signs[cols, None] * (mask.T @ C)
-            S += mask @ (self.signs[cols, None] * G[cols])
-        return G, self._rowdot(S)
+            np.multiply(self.signs[cols, None], G[cols], out=AV[cols, :d])
+            S += mask @ AV[cols]
+        return G, *(self._rowdot(block) for block in np.split(S, 1 + len(refs), axis=1))

@@ -28,8 +28,10 @@ __all__ = [
     "binary_entropy",
     "binary_kl",
     "expected_logistic_loss",
+    "frobenius_norm",
     "logistic_loss",
     "logistic_loss_derivative",
+    "pairwise_dot",
     "risk_breakdown",
     "sigmoid",
     "sign_convention",
@@ -39,6 +41,22 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 _WEIGHT_TOL = 1e-9
+
+
+def pairwise_dot(a, b) -> float:
+    """sum(a * b) over all entries, by numpy's pairwise summation.
+
+    ``a @ b`` on vectors and ``np.linalg.norm`` reach BLAS ``ddot``, which
+    OpenBLAS splits across its threads above about 10^4 entries, so their
+    last bits change with the BLAS thread count; every reported sum and
+    norm uses this instead.
+    """
+    return float(np.sum(np.multiply(a, b)))
+
+
+def frobenius_norm(A) -> float:
+    """sqrt(sum(A * A)) by ``pairwise_dot``."""
+    return math.sqrt(pairwise_dot(A, A))
 
 
 def spread(values) -> dict:
@@ -177,21 +195,21 @@ def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
 
     losses = expected_logistic_loss(m, p)
     entropies = binary_entropy(p)
-    logistic_risk = float(w @ losses)
-    bayes_logistic = float(w @ entropies)
+    logistic_risk = pairwise_dot(w, losses)
+    bayes_logistic = pairwise_dot(w, entropies)
 
     # Pointwise KL(p, sigmoid(f)) is the expected loss less the entropy, which
     # reads log sigmoid(f) = -loss(f) and log(1 - sigmoid(f)) = -loss(-f) off
     # f itself; binary_kl(p, sigmoid(f)) loses 1 - sigmoid(f) past f ~ 17.
-    kl = float(w @ (losses - entropies))
+    kl = pairwise_dot(w, losses - entropies)
     phi = sigmoid(m)
-    l2_sq = float(w @ (phi - p) ** 2)
+    l2_sq = pairwise_dot(w, (phi - p) ** 2)
 
     predicted_sign = sign_convention(m)
     # P[sign(f(X)) != Y] pointwise: wrong with prob p when predicting -1,
     # wrong with prob 1-p when predicting +1.
-    zero_one = float(w @ np.where(predicted_sign > 0, 1 - p, p))
-    bayes_zero_one = float(w @ np.minimum(p, 1 - p))
+    zero_one = pairwise_dot(w, np.where(predicted_sign > 0, 1 - p, p))
+    bayes_zero_one = pairwise_dot(w, np.minimum(p, 1 - p))
 
     return RiskBreakdown(
         logistic_risk=logistic_risk,

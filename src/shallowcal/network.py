@@ -22,6 +22,11 @@ multiply-adds and so round a w_j . x within rounding of zero to either
 sign.  An unfused mask costs more than three times as much per pass (33 ms
 against 9 ms for one masked sum at n = 1024, m = 4096, d = 4 on a 2-vCPU
 x86_64 machine with OpenBLAS), so the dense path keeps the BLAS sign.
+On the dense path ``forward_batch`` forms no mask: f is read as
+(rho / sqrt(m)) * relu(X W^T) a in one pass (see
+``kernel.DenseKernel.margins``), which rounds differently from the masked
+sum.  The pass is chosen by value, so ``frozen_forward_batch`` at V equal
+to W and the trainer's risk at W take it too, and all three agree exactly.
 
 Randomness contract: networks are initialized from ``numpy.random.default_rng``
 (PCG64); the stream is consumed as all of W (row-major, standard normal via
@@ -38,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import kernel
+from .metrics import frobenius_norm
 
 __all__ = [
     "Network",
@@ -86,7 +92,7 @@ class Network:
         return self.rho / np.sqrt(self.m)
 
     def dist_from_init(self) -> float:
-        return float(np.linalg.norm(self.weights - self.init_weights))
+        return frobenius_norm(self.weights - self.init_weights)
 
 
 def init_network(m: int, d: int, rho: float, seed: int) -> Network:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
 from .kernel import DenseKernel, Ring
+from .metrics import frobenius_norm, pairwise_dot
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -205,13 +206,13 @@ def sample_reference(model: InfiniteWidthModel, net: Network) -> SampledReferenc
     offset = net.signs[:, None] * model.vector / (net.rho * np.sqrt(net.m))
     # The bound is checked on the offset itself: Ubar - W0 recomputed by
     # subtraction cancels when the offset is tiny against W0 (large rho).
-    if net.rho * np.linalg.norm(offset) > model.norm_bound * (1 + 1e-9) + 1e-12:
+    if net.rho * frobenius_norm(offset) > model.norm_bound * (1 + 1e-9) + 1e-12:
         raise AssertionError(
             "sampled reference violates rho * ||Ubar - W0|| <= norm bound"
         )
     ubar = offset + net.init_weights
     return SampledReference(
-        ubar=ubar, dist_from_init=float(np.linalg.norm(ubar - net.init_weights))
+        ubar=ubar, dist_from_init=frobenius_norm(ubar - net.init_weights)
     )
 
 
@@ -254,7 +255,7 @@ def gap_experiment(
 
     inf_margins, inf_se = infinite_forward_batch(model, points)
     infinite_risk = risk(inf_margins)
-    risk_se = float(ev.weights @ inf_se)
+    risk_se = pairwise_dot(ev.weights, inf_se)
 
     if frozen_risk <= 0 or infinite_risk <= 0:
         raise ValueError("degenerate (zero) risk in gap experiment")

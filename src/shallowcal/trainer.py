@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .kernel import kernel
-from .metrics import logistic_loss, logistic_loss_derivative
+from .metrics import frobenius_norm, logistic_loss, logistic_loss_derivative
 from .network import Network, frozen_forward_batch
 
 __all__ = [
@@ -172,7 +172,7 @@ def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarra
     """One full-batch descent step in place; returns the applied gradient."""
     _check_eta(eta)
     X, y = _check_sample(X, y, net.d)
-    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y, (), along_step=False)
+    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y)
     net.weights -= eta * grad
     return grad
 
@@ -200,18 +200,20 @@ def _check_sample(X, y, d):
     return X, y
 
 
-def _risk_and_grad(W, signs, scale, X, y, refs, along_step=True):
+def _risk_and_grad(W, signs, scale, X, y, refs=None):
     """One pass over the sample at weights W.
 
     Returns (empirical risk, full-batch gradient G, frozen risks of each ref
     matrix under W's activation pattern, and the frozen risk along the step:
     the function eta -> frozen risk of W - eta G under that pattern).  One
-    kernel of W serves all of them, so the results are deterministic: the
-    margins at W and at every reference come from one masked sum.  Frozen
+    kernel of W serves all of them, so the results are deterministic.  The
+    margins f at W are the network itself, read without a mask.  Frozen
     margins are linear in their values matrix, so those along the step are
-    f - eta g, with f the margins at W and g the margins of G, which
-    ``adjoint_margins`` returns with G.  Without ``along_step`` the last
-    item is None and G comes from the plain adjoint pass.
+    f - eta g, with g the margins of G, which ``adjoint_margins`` returns
+    with G and the margins of every reference: on the dense path a step
+    thus forms W's activation mask once.  With ``refs`` None, as for a plain
+    step, the last two items are [] and None and G comes from the plain
+    adjoint pass.
     """
     n = X.shape[0]
     K = kernel(W, signs, scale, X)
@@ -219,12 +221,12 @@ def _risk_and_grad(W, signs, scale, X, y, refs, along_step=True):
     def mean_loss(margins):
         return float(logistic_loss(margins * y).sum()) / n
 
-    f, *ref_margins = K.margins_many([W, *refs])
-    ref_risks = [mean_loss(r) for r in ref_margins]
+    f = K.margins(W)
     coeff = logistic_loss_derivative(f * y) * y / n
-    if not along_step:
-        return mean_loss(f), K.adjoint(coeff), ref_risks, None
-    grad, g = K.adjoint_margins(coeff)
+    if refs is None:
+        return mean_loss(f), K.adjoint(coeff), [], None
+    grad, g, *ref_margins = K.adjoint_margins(coeff, refs)
+    ref_risks = [mean_loss(r) for r in ref_margins]
     return mean_loss(f), grad, ref_risks, lambda eta: mean_loss(f - eta * g)
 
 
@@ -272,12 +274,11 @@ def train(
     for i in range(cfg.t_max + 1):
         last = i == cfg.t_max
         risk, grad, ref_risks, frozen_along = _risk_and_grad(
-            net.weights, net.signs, net.scale, X, y, () if last else ref_mats,
-            along_step=frozen and not last,
+            net.weights, net.signs, net.scale, X, y, ref_mats if frozen and not last else None
         )
         diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
         step = not (last or diverged)
-        grad_norm = float("nan") if diverged else float(np.linalg.norm(grad))
+        grad_norm = float("nan") if diverged else frobenius_norm(grad)
         resid = float("nan")
         if step:
             W_next = net.weights - cfg.eta * grad

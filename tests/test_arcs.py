@@ -638,6 +638,120 @@ class TestAdjointMargins:
         assert_close(g, d_g)
 
 
+    @pytest.mark.parametrize("budget", [512, 4, kernel_module._CHUNK_BUDGET])
+    @settings(max_examples=50, deadline=None)
+    @given(fused_problems(), st.data())
+    def test_references_match_margins_many_on_grid(self, budget, prob, data):
+        # Exact on the grid: the fused strips, their fallback and the arcs
+        # all give the margins of G and of each reference exactly.
+        X, S, c, signs = prob
+        refs = [data.draw(hnp.arrays(float, S.shape, elements=grid))
+                for _ in range(data.draw(st.integers(0, 3)))]
+        backends = [DenseKernel] + ([ArcKernel] if X.shape[1] <= 2 else [])
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
+            for backend in backends:
+                K = backend(S, signs, 0.75, X)
+                G, *got = K.adjoint_margins(c, refs)
+                assert len(got) == 1 + len(refs)
+                np.testing.assert_array_equal(G, K.adjoint(c))
+                for a, b in zip(got, K.margins_many([G, *refs])):
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n,m,budget", [(8, 300, 512), (8, 300, 4), (300, 2500, None)],
+                             ids=["strips", "fallback", "default-budget"])
+    def test_dense_references_on_gaussian_data(self, n, m, budget):
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((n, 4)) / 2.0
+        S = rng.standard_normal((m, 4))
+        refs = [S + 0.1 * rng.standard_normal((m, 4)), rng.standard_normal((m, 4))]
+        signs = rng.choice([-1.0, 1.0], m)
+        c = rng.standard_normal(n)
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget or kernel_module._CHUNK_BUDGET):
+            K = DenseKernel(S, signs, 0.3, X)
+            G, *got = K.adjoint_margins(c, refs)
+            assert np.array_equal(G, K.adjoint_margins(c)[0])
+            want = K.margins_many([G, *refs])
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@st.composite
+def relu_problems(draw):
+    """(X, S, signs) on the grid with d in {1, ..., 4}: exact ties s.x == 0
+    are frequent, and a point or a source may have a non-finite coordinate."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 20))
+    X, S = draw(matrix(n, d)), draw(matrix(m, d))
+    nonfinite = st.sampled_from([np.nan, np.inf, -np.inf])
+    for A, rows in ((X, n), (S, m)):
+        for k, j, v in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, d - 1),
+                                               nonfinite), max_size=2)):
+            A[k, j] = v
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    return X, S, signs
+
+
+def relu_oracle(S, signs, scale, X):
+    """scale * relu(X S^T) @ a by one dense product; NaN at non-finite points."""
+    out = scale * np.maximum(X @ S.T, 0.0) @ signs
+    out[~np.isfinite(X).all(axis=1)] = np.nan
+    return out
+
+
+class TestReluPath:
+    """``DenseKernel.margins`` at its own sources, the ReLU network read
+    without a mask, against the mask path (``margins_many``) and a dense
+    numpy oracle."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("budget", [1, 64 * 7, kernel_module._CHUNK_BUDGET])
+    @settings(max_examples=150, deadline=None)
+    @given(relu_problems())
+    def test_matches_mask_path_on_grid(self, budget, prob):
+        X, S, signs = prob
+        with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
+            K = DenseKernel(S, signs, 0.75, X)
+            relu, mask = K.margins(S.copy()), K.margins_many([S])[0]
+        # the same NaN and inf pattern, and on the grid the same values
+        np.testing.assert_array_equal(relu, mask)
+        if np.isfinite(S).all():
+            finite = np.isfinite(X).all(axis=1)
+            np.testing.assert_array_equal(relu[finite], relu_oracle(S, signs, 0.75, X)[finite])
+            assert np.isnan(relu[~finite]).all()
+
+    @pytest.mark.parametrize("n,m,d", [(300, 2500, 4), (2000, 3000, 3), (50, 40, 7)])
+    def test_matches_mask_path_and_oracle_on_gaussian_data(self, n, m, d):
+        rng = np.random.default_rng(27 + d)
+        X = rng.standard_normal((n, d)) / 2.0
+        S = rng.standard_normal((m, d))
+        signs = rng.choice([-1.0, 1.0], m)
+        K = DenseKernel(S, signs, 0.3, X)
+        relu = K.margins(S)
+        size = np.max(np.abs(relu))
+        for want in (K.margins_many([S])[0], relu_oracle(S, signs, 0.3, X)):
+            assert np.max(np.abs(relu - want)) <= 1e-13 * size
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_points_and_sources_on_gaussian_data(self):
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((300, 4)) / 2.0
+        S = rng.standard_normal((500, 4))
+        signs = rng.choice([-1.0, 1.0], 500)
+        X[[3, 50]] = np.nan
+        X[7, 2] = np.inf
+        relu = DenseKernel(S, signs, 0.3, X).margins(S)
+        mask = DenseKernel(S, signs, 0.3, X).margins_many([S])[0]
+        np.testing.assert_array_equal(np.isnan(relu), np.isnan(mask))
+        assert np.isnan(relu).sum() == 3
+        ok = ~np.isnan(mask)
+        assert np.max(np.abs(relu[ok] - mask[ok])) <= 1e-13 * np.max(np.abs(mask[ok]))
+        # a source with an infinite coordinate keeps the mask path
+        S[9, 1] = np.inf
+        K = DenseKernel(S, signs, 0.3, X)
+        np.testing.assert_array_equal(K.margins(S), K.margins_many([S])[0])
+
+
 def column_mask_sum(K, R):
     """``ArcKernel.mask_sum`` transcribed as loops over the (m, c) columns of
     R: each column summed from the left into its segments in source order,
@@ -737,6 +851,17 @@ class TestRowLayout:
         got_G, got_g = K.adjoint_margins(coeff)
         np.testing.assert_array_equal(got_G, G)
         np.testing.assert_array_equal(got_g, column_margins_many(K, [G])[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(gaussian_arc_problems())
+    def test_references_bitwise_equal_to_margins_many(self, prob):
+        X, W, values, coeff, signs = prob
+        K = ArcKernel(W, signs, 0.3, X)
+        G, *got = K.adjoint_margins(coeff, values)
+        np.testing.assert_array_equal(G, K.adjoint(coeff))
+        for a, b in zip(got, K.margins_many([G, *values])):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("backend,d", [(ArcKernel, 1), (ArcKernel, 2), (DenseKernel, 4)])
     def test_operand_layout_changes_no_bit(self, backend, d):

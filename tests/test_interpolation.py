@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,11 +51,9 @@ def excess_unique_predict(rule, dist):
     if not np.any(wrong):
         return 0.0
     nodes, half = gauss_legendre(a[wrong], b[wrong])
-    p_nodes = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
-    pdf = 1.0 / (hi - lo)
-    integrand = np.abs(2.0 * p_nodes - 1.0) * pdf
-    piece_vals = (integrand * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-    return float(piece_vals.sum())
+    dev = np.abs(dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape) - 0.5)
+    piece_vals = np.einsum("ij,j->i", dev, _GL_WEIGHTS) * half
+    return float(2.0 * dist.pdf * piece_vals.sum())
 
 
 def wrong_pairs_loop(s, dist):
@@ -190,6 +189,29 @@ class TestExactExcess:
         vals = (rule.predict(xs) != bayes) * np.abs(2 * p - 1)
         mc, se = vals.mean(), vals.std(ddof=1) / np.sqrt(len(xs))
         assert abs(exact - mc) <= 5 * se
+
+    @pytest.mark.parametrize("name,params", [
+        ("constant-1d", {"p": 0.75, "lo": 0.0, "hi": 1.0}),
+        ("step-1d", {}),
+        ("step-smooth-1d", {"width": 0.1}),
+        ("logistic-1d", {"c": -3.0}),
+    ], ids=["constant-1d", "step-1d", "step-smooth-1d", "logistic-1d"])
+    def test_matches_the_per_node_formula(self, name, params):
+        # The per-node sum of |2p - 1| pdf half w over every node of every
+        # wrong piece, which the integral regroups as 2 pdf times the sum
+        # of the pieces' |p - 1/2| w half.
+        dist = make_distribution(name, **params)
+        samp = sample(dist, 3 * interpolation._GL_BLOCK, 9)
+        s = sorted_sample(samp.points[:, 0], samp.labels)
+        for rule in (one_nn_rule(s), knn_rule(s, 5)):
+            a, b, mids, signs = interpolation._pieces(rule, dist)
+            wrong = signs != np.where(dist.cond_prob(mids[:, None]) >= 0.5, 1.0, -1.0)
+            nodes, half = gauss_legendre(a[wrong], b[wrong])
+            p = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
+            per_node = np.abs(2.0 * p - 1.0) * dist.pdf * half[:, None] * _GL_WEIGHTS
+            want = math.fsum(per_node.ravel())
+            assert want > 0
+            assert abs(excess_zero_one_exact(rule, dist) - want) <= 1e-14 * want
 
 
 DISTS = {

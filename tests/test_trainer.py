@@ -414,22 +414,29 @@ class TestDivergenceGuard:
 
 
 class TestMaskPasses:
-    """How often the dense path forms W's activation mask, counted as the
-    area of the mask tiles formed over the n x m grid."""
+    """How often the dense path passes over the n x m grid, as the area of
+    the tiles formed over it: ReLU tiles, which read the margins at W
+    without a mask, and mask tiles, counted apart."""
 
     @staticmethod
     def grids_covered(n, m, call):
-        area = []
-        masks = DenseKernel._masks
+        """(ReLU passes, mask passes) made by ``call``."""
+        area = {"_relus": 0, "_masks": 0}
 
-        def counting(self, *args):
-            for rows, cols, mask in masks(self, *args):
-                area.append(mask.size)
-                yield rows, cols, mask
+        def counting(name):
+            passes = getattr(DenseKernel, name)
 
-        with mock.patch.object(DenseKernel, "_masks", counting):
+            def count(self, *args):
+                for rows, cols, tile in passes(self, *args):
+                    area[name] += tile.size
+                    yield rows, cols, tile
+
+            return count
+
+        with mock.patch.object(DenseKernel, "_relus", counting("_relus")), \
+                mock.patch.object(DenseKernel, "_masks", counting("_masks")):
             call()
-        return sum(area) / (n * m)
+        return area["_relus"] / (n * m), area["_masks"] / (n * m)
 
     @staticmethod
     def setup(n, m=300, d=3):
@@ -437,10 +444,10 @@ class TestMaskPasses:
         samp = sample(dist, n, seed=31)
         return init_network(m, d, float(m) ** -0.125, seed=32), samp.points, samp.labels
 
-    def test_monitored_step_forms_the_mask_twice(self):
-        # Up to 1024 points the tiles are full-height strips: one pass for
-        # the margins at W and the references, one fused pass for the
-        # gradient and the frozen risk along the step.
+    def test_monitored_step_forms_the_mask_once(self):
+        # Up to 1024 points the tiles are full-height strips: a ReLU pass
+        # for the margins at W, and one fused mask pass for the gradient,
+        # the frozen risk along the step and the references.
         net, X, y = self.setup(1024)
         refs = [net.weights + 0.1, -net.weights]
 
@@ -448,26 +455,31 @@ class TestMaskPasses:
             *_, frozen_along = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs)
             frozen_along(0.5)
 
-        assert self.grids_covered(1024, 300, step) == 2
+        assert self.grids_covered(1024, 300, step) == (1, 1)
         # a monitored run of one step: the step, then the last iterate's gradient
         run = lambda: train(net, X, y, TrainConfig(eta=1.0, t_max=1), regret_refs={"W0": refs[0]})
-        assert self.grids_covered(1024, 300, run) == 2 + 2
+        assert self.grids_covered(1024, 300, run) == (1 + 1, 1 + 1)
 
     @pytest.mark.parametrize(
         "call,passes",
         [
-            (lambda net, X, y: empirical_risk(net, X, y), 1),
-            (lambda net, X, y: gd_step(net, X, y, 1.0), 2),
+            (lambda net, X, y: empirical_risk(net, X, y), (1, 0)),
+            # the path is chosen by value: a copy of W is W
+            (lambda net, X, y: frozen_empirical_risk(net, net.weights.copy(), X, y), (1, 0)),
+            (lambda net, X, y: frozen_empirical_risk(net, net.init_weights + 0.1, X, y), (0, 1)),
+            (lambda net, X, y: gd_step(net, X, y, 1.0), (1, 1)),
             # three iterates; the last takes no step
-            (lambda net, X, y: train(net, X, y, TrainConfig(eta=1.0, t_max=2), monitors=False), 6),
+            (lambda net, X, y: train(net, X, y, TrainConfig(eta=1.0, t_max=2), monitors=False), (3, 3)),
+            # a step: the adjoint, then the margins of G and W0 in one pass
             (lambda net, X, y: train(net, X, y, TrainConfig(eta=1.0, t_max=2),
-                                     regret_refs={"W0": net.init_weights}), 3 + 3 + 2),
+                                     regret_refs={"W0": net.init_weights}), (3, 2 + 2 + 1)),
         ],
-        ids=["empirical-risk", "gd-step", "unmonitored-train", "monitored-train"],
+        ids=["empirical-risk", "frozen-risk-at-a-copy", "frozen-risk", "gd-step",
+             "unmonitored-train", "monitored-train"],
     )
     def test_callers_pay_only_for_what_they_read(self, call, passes):
         # Past 1024 points the tiles are shorter than the sample, so the
-        # frozen risk along the step costs a pass of its own.
+        # fused pass falls back to two mask passes.
         net, X, y = self.setup(1025)
         assert self.grids_covered(1025, 300, lambda: call(net, X, y)) == passes
 
