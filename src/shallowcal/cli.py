@@ -19,6 +19,7 @@ import numpy as np
 
 from . import diagnostics, harness, interpolation
 from .distributions import make_distribution
+from .metrics import frobenius_norm
 from .network import freeze_features
 from .trainer import train, write_trajectory
 
@@ -196,7 +197,7 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> diagnostics.LemmaReport:
         ff = freeze_features(net, at_init=True)
         rng = np.random.default_rng(harness.derived_seed(seed, 3))
         delta_dir = rng.standard_normal(net.weights.shape)
-        delta_dir /= np.linalg.norm(delta_dir)
+        delta_dir /= frobenius_norm(delta_dir)
         V = net.init_weights + delta_dir
         return diagnostics.generalization_gap(ff, V, X, y, dist, delta=args.delta)
     train(net, X, y, cfg, monitors=True)
@@ -209,7 +210,6 @@ def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     terms = harness.compute_bound_terms(
         cfg,
-        radius_scale=cfg.radius,
         ref_risk=args.ref_risk,
         emp_ref_risk=args.emp_ref_risk,
         kbin=args.kbin,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .distributions import Distribution, derived_seed, population_risk, sample as draw_sample
 from .kernel import tiles
+from .metrics import frobenius_norm
 from .network import Network, clone_initial, forward_batch, freeze_features, frozen_forward_batch
 from .trainer import TrainConfig, frozen_empirical_risk, train
 
@@ -147,7 +148,7 @@ def activation_flip_count(
         raise ValueError("weight matrices must share a shape")
     X = np.asarray(X, dtype=float)
     m = W_before.shape[0]
-    radius = float(np.linalg.norm(W_after - W_before))
+    radius = frobenius_norm(W_after - W_before)
     flips = np.zeros(len(X), dtype=np.intp)
     for rows, cols in tiles(len(X), m):
         before, after = X[rows] @ W_before[cols].T, X[rows] @ W_after[cols].T
@@ -219,7 +220,7 @@ def sphere_linearization_gap(
     direct = forward_batch(replace(net, weights=V), X)
     linear = frozen_forward_batch(freeze_features(net, at_init=True), V, X)
     sup_gap = float(np.max(np.abs(direct - linear)))
-    radius = max(1.0, float(np.linalg.norm(V - net.init_weights)))
+    radius = max(1.0, frobenius_norm(V - net.init_weights))
     bound = (
         25.0
         * net.rho
@@ -230,7 +231,7 @@ def sphere_linearization_gap(
     return SphereGapReport(
         sup_gap=sup_gap,
         bound_value=bound,
-        radius=float(np.linalg.norm(V - net.init_weights)),
+        radius=frobenius_norm(V - net.init_weights),
         points=len(X),
         mode="grid" if net.d <= 3 else "mc",
     )
@@ -279,7 +280,7 @@ def risk_ratio_check(
     radius = max(rec.dist_init for rec in traj.records)
     max_ratio = float(risks_arr.max() / risks_arr.min())
     r_v = max(1.0, radius)
-    r_b = float(np.linalg.norm(B - net.init_weights))
+    r_b = frobenius_norm(B - net.init_weights)
     exponent = (
         6.0
         * net.rho
@@ -329,7 +330,7 @@ def generalization_gap(
     emp = frozen_empirical_risk(net, V, X, y)
     n = len(y)
     d = net.d
-    radius = max(1.0, float(np.linalg.norm(V - net.weights)))
+    radius = max(1.0, frobenius_norm(V - net.weights))
     log_term = d * math.log(math.e * net.m**2 * d**3 / delta)
     bound = 80.0 * net.rho * radius * log_term**1.5 / math.sqrt(n)
     return GenGapReport(

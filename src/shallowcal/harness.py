@@ -120,6 +120,13 @@ class RegimeConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not self.r_gd >= 0:
             raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
+        for name in ("m", "n", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("augment_bias", "capped"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if abs(self.eta * self.rho**2 - 4.0) > 1e-9:
             raise ValueError("configs must satisfy eta * rho^2 = 4")
         if not isinstance(self.dist_params, dict):
@@ -155,7 +162,7 @@ class RegimeConfig:
     def from_flat_dict(cls, data: dict) -> "RegimeConfig":
         """Inverse of ``to_flat_dict``; raises ValueError unless ``data`` is
         a dict with every required field, no unknown field and a number in
-        every numeric field."""
+        every numeric field; ``__post_init__`` checks the values and flags."""
         if not isinstance(data, dict):
             raise ValueError("a config must be a JSON object")
         known = {f.name: f for f in dataclasses.fields(cls)}
@@ -333,7 +340,6 @@ class BoundTerms:
 
 def compute_bound_terms(
     cfg: RegimeConfig,
-    radius_scale: float,
     ref_risk: float,
     emp_ref_risk: float | None = None,
     kbin: float = 0.0,
@@ -341,8 +347,8 @@ def compute_bound_terms(
 ) -> BoundTerms:
     """Evaluate the error decomposition exactly as stated.
 
-    ``radius_scale`` is R (``run_experiment`` passes ``RegimeConfig.radius``);
-    ``ref_risk`` the population risk of the infinite-width reference;
+    R is ``cfg.radius`` (at least 4), reported as ``radius_scale``;
+    ``ref_risk`` is the population risk of the infinite-width reference;
     ``kbin`` its binary KL to the true conditional model.  When
     ``emp_ref_risk`` (the empirical frozen risk of the sampled reference)
     is supplied, the alternative empirical form of the effective radius is
@@ -353,8 +359,7 @@ def compute_bound_terms(
     for name, value in (("ref_risk", ref_risk), ("kbin", kbin), ("emp_ref_risk", emp_ref_risk)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    if radius_scale <= 0:
-        raise ValueError("radius scale must be positive")
+    R = cfg.radius
     d = cfg.input_dim
     m, n, rho, t = cfg.m, cfg.n, cfg.rho, cfg.t
 
@@ -362,12 +367,12 @@ def compute_bound_terms(
     tau_n = 80.0 * log_mn**1.5 / math.sqrt(n)
     tau_0 = (
         6.0 * rho * d * math.log(math.e * m * d**2 / delta)
-        + 20.0 * radius_scale * math.sqrt(log_mn) / m**0.25
+        + 20.0 * R * math.sqrt(log_mn) / m**0.25
     )
     with np.errstate(over="ignore"):
-        b_candidate = (3.0 * radius_scale / rho) + (4.0 * math.e / rho) * math.sqrt(
+        b_candidate = (3.0 * R / rho) + (4.0 * math.e / rho) * math.sqrt(
             t
-        ) * math.sqrt(float(np.exp(tau_0)) * ref_risk + radius_scale * tau_n)
+        ) * math.sqrt(float(np.exp(tau_0)) * ref_risk + R * tau_n)
         b_eff = min(cfg.r_gd, b_candidate)
         tau_1 = (
             100.0
@@ -377,14 +382,14 @@ def compute_bound_terms(
             / m ** (1.0 / 6.0)
         )
         reference_error = kbin + float(np.expm1(tau_1 + tau_0)) * ref_risk
-        optimization_error = float(np.exp(tau_1)) * radius_scale**2 * cfg.eps_gd
-        generalization_error = float(np.exp(tau_1)) * (rho * b_eff + radius_scale) * tau_n
+        optimization_error = float(np.exp(tau_1)) * R**2 * cfg.eps_gd
+        generalization_error = float(np.exp(tau_1)) * (rho * b_eff + R) * tau_n
         total = reference_error + optimization_error + generalization_error
         b_emp = None
         if emp_ref_risk is not None:
             b_emp = min(
                 cfg.r_gd,
-                3.0 * radius_scale / rho
+                3.0 * R / rho
                 + 2.0 * math.e * math.sqrt(cfg.eta * t * emp_ref_risk),
             )
     return BoundTerms(
@@ -392,7 +397,7 @@ def compute_bound_terms(
         tau_1=tau_1,
         tau_0=tau_0,
         b_eff=b_eff,
-        radius_scale=radius_scale,
+        radius_scale=R,
         delta=delta,
         ref_risk=ref_risk,
         kbin=kbin,
@@ -509,7 +514,6 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
             emp_ref_risk = float(traj.certificates["Ubar"].frozen_ref[0])
             bound_terms = compute_bound_terms(
                 cfg,
-                cfg.radius,
                 ref_risk,
                 emp_ref_risk=emp_ref_risk,
                 kbin=max(kbin, 0.0),
@@ -578,11 +582,10 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
             )
         return dataclasses.replace(base, n=int(value))
     if axis == "m":  # uncapped, like the n axis
-        if int(value) < 1:
-            raise ValueError(f"sweep widths must be at least 1, got {value}")
+        cfg = dataclasses.replace(base, m=int(value))  # checks the width before coupling
         pinned = None if base.regime == "clairvoyant" else base.r_gd
-        rho, eta, r_gd = _coupling(base.regime, int(value), base.ref_config, r_gd=pinned)
-        return dataclasses.replace(base, m=int(value), rho=rho, eta=eta, r_gd=r_gd)
+        rho, eta, r_gd = _coupling(base.regime, cfg.m, base.ref_config, r_gd=pinned)
+        return dataclasses.replace(cfg, rho=rho, eta=eta, r_gd=r_gd)
     raise ValueError(f"unknown sweep axis {axis!r}; use one of n, m, eps")
 
 

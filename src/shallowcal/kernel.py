@@ -44,9 +44,13 @@ point set; it is the only place that chooses a backend:
   of a transposed operand differently, and the copy keeps the bits
   independent of the layout the caller passed.  At the sources themselves the masked
   margin is the ReLU network, [s . x >= 0] (s . x) = max(0, s . x), so
-  ``margins`` of a values matrix equal to the (finite) sources forms no
-  mask: each tile's preactivations are turned into their positive parts in
-  place and meet the signs.  The choice is made by value, not identity.
+  ``margins`` of a values matrix equal to the sources forms no mask: each
+  tile's preactivations are turned into their positive parts in place and
+  meet the signs.  The choice is made by value, not identity.
+
+Points and sources must be finite: ``_operands``, the one entry of both
+backends, and ``Ring`` raise ``ValueError`` for a NaN or infinite
+coordinate, and no code below them handles one.
 
 ``adjoint_margins(coeff, refs)`` returns the adjoint G, the margins of G and
 the margins of each reference matrix: the trainer's frozen risk along a
@@ -100,21 +104,29 @@ def tiles(n: int, m: int) -> list[tuple[slice, slice]]:
     ]
 
 
+def _checked(A, name: str) -> np.ndarray:
+    """A as a float array; a NaN or infinite entry is a ValueError."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} must be finite")
+    return A
+
+
 def _operands(sources, X) -> tuple[np.ndarray, np.ndarray]:
-    X = np.ascontiguousarray(X, dtype=float)
-    sources = np.ascontiguousarray(sources, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("points must form an (n, d) array")
-    if sources.ndim != 2 or sources.shape[1] != X.shape[1]:
-        raise ValueError(f"sources must have shape (m, {X.shape[1]})")
+    sources = np.ascontiguousarray(_checked(sources, "sources"))
+    X = np.ascontiguousarray(_checked(X, "points"))
+    if sources.ndim != 2:
+        raise ValueError("sources must form an (m, d) array")
+    if X.ndim != 2 or X.shape[1] != sources.shape[1]:
+        raise ValueError(f"X must have shape (n, {sources.shape[1]}), got {X.shape}")
     return sources, X
 
 
 def kernel(sources, signs, scale: float, X):
     """Masked margins of ``sources`` on the rows of X: exact arcs when the
     points have dimension at most 2, dense tiled products otherwise."""
-    sources, X = _operands(sources, X)
-    return (ArcKernel if X.shape[1] <= 2 else DenseKernel)(sources, signs, scale, X)
+    arcs = np.ndim(X) == 2 and np.shape(X)[1] <= 2
+    return (ArcKernel if arcs else DenseKernel)(sources, signs, scale, X)
 
 
 def _plane(A: np.ndarray) -> np.ndarray:
@@ -134,7 +146,7 @@ def _angles(P: np.ndarray) -> np.ndarray:
 
 
 def _by_angle(P: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows``, indices of finite nonzero rows of the planar P, in the order
+    """``rows``, indices of nonzero rows of the planar P, in the order
     of their polar angles, and the sorted angles.
 
     The unstable default sort is used, since distinct angles have only one
@@ -160,29 +172,25 @@ class Ring:
     """Sources of dimension at most 2 sorted by angle, over which the closed
     half-plane s . x >= 0 of every point x is one contiguous circular arc.
 
-    ``order`` indexes the finite nonzero sources in the order of
-    ``_by_angle``, ``phi`` holds their angles and ``rows`` their planar rows
-    in that order.  ``zero`` indexes the zero sources, which are active at
-    every point.  A source with a non-finite coordinate is in neither, so
-    it is inactive everywhere, as under the dense predicate at a NaN
-    (NaN >= 0 is false).  The arrays are read-only, so one ring serves any
-    number of point sets.
+    ``order`` indexes the nonzero sources in the order of ``_by_angle``,
+    ``phi`` holds their angles and ``rows`` their planar rows in that order.
+    ``zero`` indexes the zero sources, which are active at every point.
+    Sources and points must be finite.  The arrays are read-only, so one
+    ring serves any number of point sets.
     """
 
     def __init__(self, sources):
-        S = _plane(np.asarray(sources, dtype=float))
+        S = _plane(_checked(sources, "sources"))
         # Column-wise tests: a reduction over each short row costs ten times more.
-        x, y = S[:, 0], S[:, 1]
-        nonzero = (x != 0) | (y != 0)
+        nonzero = (S[:, 0] != 0) | (S[:, 1] != 0)
         self.zero = np.flatnonzero(~nonzero)
-        kept = nonzero & np.isfinite(x) & np.isfinite(y)
-        self.order, self.phi = _by_angle(S, np.flatnonzero(kept))
+        self.order, self.phi = _by_angle(S, np.flatnonzero(nonzero))
         self.rows = S.take(self.order, axis=0)
         for a in (self.zero, self.order, self.phi, self.rows):
             a.flags.writeable = False
 
     def arcs(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Arc [lo, hi) of the ring at every finite row of X.
+        """Arc [lo, hi) of the ring at every row of X.
 
         Position p < k is ring row p and position p + k its copy one turn
         later, so 0 <= lo < k and lo <= hi <= lo + k.  A zero point spans
@@ -197,7 +205,7 @@ class Ring:
         on every Gaussian set measured; it fails for rows a few ulps apart
         in direction, whose rounded products can interleave across an end.
         """
-        P, Q, phi = _plane(np.asarray(X, dtype=float)), self.rows, self.phi
+        P, Q, phi = _plane(_checked(X, "points")), self.rows, self.phi
         k = len(Q)
         if k == 0:
             return np.zeros(len(P), dtype=np.intp), np.zeros(len(P), dtype=np.intp)
@@ -249,7 +257,6 @@ class _MaskedSums:
         if self.signs.shape != (m,):
             raise ValueError(f"signs must have shape ({m},), got {self.signs.shape}")
         self.scale = float(scale)
-        self._finite = np.isfinite(self.X).all(axis=1)
 
     def mask_sum(self, R) -> np.ndarray:
         """M @ R, shape (n, c)."""
@@ -260,10 +267,8 @@ class _MaskedSums:
         return self._adjoint_rows(np.asarray(C, dtype=float).T).T
 
     def _rowdot(self, S: np.ndarray) -> np.ndarray:
-        """scale * x_k . S_k at every point; NaN where x_k is not finite."""
-        out = self.scale * np.einsum("ij,ij->i", self.X, S)
-        out[~self._finite] = np.nan
-        return out
+        """scale * x_k . S_k at every point."""
+        return self.scale * np.einsum("ij,ij->i", self.X, S)
 
     def _values(self, V) -> np.ndarray:
         V = np.asarray(V, dtype=float)
@@ -325,8 +330,6 @@ class ArcKernel(_MaskedSums):
     Gaussian set measured, but not for clusters of rows a few ulps apart.
     A BLAS product that fuses can round an s.x within rounding of zero to
     the other sign, so the dense path can disagree on such points too.
-    The mask rows of a point with a non-finite coordinate are zero, and so
-    are the mask columns of a source with one (see ``Ring``).
     """
 
     def __init__(self, sources, signs, scale: float, X):
@@ -335,7 +338,7 @@ class ArcKernel(_MaskedSums):
             raise ValueError("arc kernel needs points of dimension at most 2")
         ring = Ring(self.sources)
         k = len(ring.order)
-        lo, hi = ring.arcs(self.X[self._finite])
+        lo, hi = ring.arcs(self.X)
         # An arc past the end of the ring ends at hi - k on the same turn
         # and also covers the ring's start.  The distinct arc ends c_0 <
         # c_1 < ... cut the ring into segments: segment s holds positions
@@ -347,8 +350,8 @@ class ArcKernel(_MaskedSums):
         cuts[lo] = cuts[end] = 1
         rank = np.cumsum(cuts)
         self.lo_at, self.end_at, self.n_seg = rank[lo], rank[end], rank[k] + 1
-        # Segment n_seg holds the zero sources, n_seg + 1 the non-finite.
-        self.segment = np.full(len(self.sources), self.n_seg + 1)
+        # Segment n_seg holds the zero sources.
+        self.segment = np.empty(len(self.sources), dtype=np.intp)
         self.segment[ring.order] = rank[:k]
         self.segment[ring.zero] = self.n_seg
 
@@ -357,27 +360,25 @@ class ArcKernel(_MaskedSums):
         one pass in source order, and each point's arc read as a difference
         of the segments' prefix sums P, where an arc past the end of the
         ring adds the total P[n_seg], and then the zero sources' sum."""
-        sums = np.empty((len(rows), len(self.lo_at)))
-        for row, s in zip(rows, sums):
-            seg = np.bincount(self.segment, row, minlength=self.n_seg + 2)
+        out = np.empty((self.n, len(rows)))
+        for row, s in zip(rows, out.T):
+            seg = np.bincount(self.segment, row, minlength=self.n_seg + 1)
             prefix = np.concatenate(([0.0], np.cumsum(seg[: self.n_seg])))
             s[:] = (prefix[self.end_at] + np.where(self.wrap, prefix[-1], 0.0)
                     - prefix[self.lo_at] + seg[self.n_seg])
-        out = np.zeros((self.n, len(rows)))
-        out[self._finite] = sums.T
         return out
 
     def _adjoint_rows(self, rows: np.ndarray) -> np.ndarray:
         """(M^T @ rows.T).T, shape (c, m): each n-long row summed over the
         arcs holding each segment by a difference array, where an arc past
         the end of the ring also starts at segment 0, then read out to the
-        sources in source order; a zero source takes every finite point."""
+        sources in source order; a zero source takes every point."""
         out = np.empty((len(rows), len(self.sources)))
-        for row, o in zip(rows[:, self._finite], out):
+        for row, o in zip(rows, out):
             diff = np.bincount(self.lo_at, row, minlength=self.n_seg + 1)
             diff -= np.bincount(self.end_at, row, minlength=self.n_seg + 1)
             diff[0] += row[self.wrap].sum()
-            value = np.concatenate((np.cumsum(diff[: self.n_seg]), [row.sum(), 0.0]))
+            value = np.concatenate((np.cumsum(diff[: self.n_seg]), [row.sum()]))
             value.take(self.segment, out=o)
         return out
 
@@ -417,19 +418,16 @@ class DenseKernel(_MaskedSums):
             yield rows, cols, np.maximum(pre, 0.0, out=pre)
 
     def margins(self, values) -> np.ndarray:
-        """As ``_MaskedSums.margins``.  When ``values`` equals the sources
-        and they are finite, [s . x >= 0] (s . x) = max(0, s . x), so the
-        margins are scale * relu(X S^T) @ a: one pass of preactivation
-        products and in-place ReLUs, each tile's met by the signs.  Values
-        equal to the sources but not finite keep the mask, whose NaN and
-        inf pattern the ReLU does not reproduce."""
-        if not (np.array_equal(values, self.sources) and np.isfinite(self.sources).all()):
+        """As ``_MaskedSums.margins``.  When ``values`` equals the sources,
+        [s . x >= 0] (s . x) = max(0, s . x), so the margins are
+        scale * relu(X S^T) @ a: one pass of preactivation products and
+        in-place ReLUs, each tile's met by the signs."""
+        if not np.array_equal(values, self.sources):
             return super().margins(values)
         out = np.zeros(self.n)
         for rows, cols, relu in self._relus():
             out[rows] += relu @ self.signs[cols]
         out *= self.scale
-        out[~self._finite] = np.nan
         return out
 
     def _sum_rows(self, rows: np.ndarray) -> np.ndarray:

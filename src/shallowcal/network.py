@@ -27,6 +27,8 @@ On the dense path ``forward_batch`` forms no mask: f is read as
 ``kernel.DenseKernel.margins``), which rounds differently from the masked
 sum.  The pass is chosen by value, so ``frozen_forward_batch`` at V equal
 to W and the trainer's risk at W take it too, and all three agree exactly.
+The kernel checks both passes' operands: X is (n, d), V is (m, d), and
+weights and inputs are finite, or it raises ``ValueError``.
 
 Randomness contract: networks are initialized from ``numpy.random.default_rng``
 (PCG64); the stream is consumed as all of W (row-major, standard normal via
@@ -115,9 +117,6 @@ def init_network(m: int, d: int, rho: float, seed: int) -> Network:
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Margins f(x_k; W) for all rows of X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.d:
-        raise ValueError(f"X must have shape (n, {net.d})")
     return kernel(net.weights, net.signs, net.scale, X).margins(net.weights)
 
 
@@ -139,12 +138,6 @@ def clone_initial(net: Network) -> Network:
 
 def frozen_forward_batch(net: Network, V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Linear predictor <grad f(x_k; W), V> at every row of X, W = net.weights."""
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.d:
-        raise ValueError(f"X must have shape (n, {net.d})")
-    if V.shape != (net.m, net.d):
-        raise ValueError(f"V must have shape ({net.m}, {net.d})")
     return kernel(net.weights, net.signs, net.scale, X).margins(V)
 
 

@@ -153,18 +153,14 @@ def _feature_sample(model: InfiniteWidthModel) -> Ring | np.ndarray:
 
 def _active_count(sample: Ring | np.ndarray, X: np.ndarray) -> np.ndarray:
     """Number of the held sample's directions active at each row of X, as
-    integers; 0 at a point with a non-finite coordinate.  Over a ring it is
-    each point's arc length plus the zero directions, otherwise the dense
-    ``mask_sum`` of a ones column."""
-    finite = np.isfinite(X).all(axis=1)
-    count = np.zeros(len(X), dtype=np.intp)
+    integers.  Over a ring it is each point's arc length plus the zero
+    directions, otherwise the dense ``mask_sum`` of a ones column.  Both
+    raise ``ValueError`` at a point with a NaN or infinite coordinate."""
     if isinstance(sample, Ring):
-        lo, hi = sample.arcs(X[finite])
-        count[finite] = hi - lo + len(sample.zero)
-    else:
-        ones = np.ones((len(sample), 1))
-        count[finite] = DenseKernel(sample, ones[:, 0], 1.0, X[finite]).mask_sum(ones)[:, 0]
-    return count
+        lo, hi = sample.arcs(X)
+        return hi - lo + len(sample.zero)
+    ones = np.ones((len(sample), 1))
+    return DenseKernel(sample, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0].astype(np.intp)
 
 
 def infinite_forward_batch(
@@ -177,15 +173,15 @@ def infinite_forward_batch(
     dimension, which count over it without drawing or sorting it again.
     Each direction contributes <w, x> or 0 at x, so the estimate is
     <w, x> c/M and the second moment <w, x>^2 c/M, where c is the number of
-    directions active at x, from ``_active_count``.  Non-finite
-    points get NaN.
+    directions active at x, from ``_active_count``, which rejects a point
+    with a NaN or infinite coordinate.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
     count = _active_count(_feature_sample(model), X)
-    lin = np.where(np.isfinite(X).all(axis=1), X @ model.vector, np.nan)
+    lin = X @ model.vector
     est = lin * count / M
     var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)
     return est, np.sqrt(var)

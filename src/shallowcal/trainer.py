@@ -246,7 +246,8 @@ def train(
     and the smoothness residual is recorded at every step.  ``regret_refs``
     maps names to reference matrices; a regret certificate is accumulated
     for each.  The last recorded iterate (t_max, or the first whose risk
-    diverged) takes no step and evaluates no reference.
+    diverged) takes no step and evaluates no reference.  Weights that are
+    not all finite have diverged, with risk inf and no kernel pass.
     """
     X, y = _check_sample(X, y, net.d)
     if monitors and cfg.eta > 4.0 / net.rho**2 * (1 + 1e-12):
@@ -273,9 +274,11 @@ def train(
     best = None  # (risk, index, weights copy)
     for i in range(cfg.t_max + 1):
         last = i == cfg.t_max
-        risk, grad, ref_risks, frozen_along = _risk_and_grad(
-            net.weights, net.signs, net.scale, X, y, ref_mats if frozen and not last else None
-        )
+        risk = math.inf
+        if np.isfinite(net.weights).all():
+            risk, grad, ref_risks, frozen_along = _risk_and_grad(
+                net.weights, net.signs, net.scale, X, y, ref_mats if frozen and not last else None
+            )
         diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
         step = not (last or diverged)
         grad_norm = float("nan") if diverged else frobenius_norm(grad)

@@ -317,8 +317,8 @@ def test_a8_schedule_arithmetic():
         ]
         for kwargs in pinned:
             cfg = derive_regime(**kwargs)
-            R, ref_risk, delta = 4.0, 0.5, 0.05
-            terms = compute_bound_terms(cfg, R, ref_risk, delta=delta)
+            R, ref_risk, delta = cfg.radius, 0.5, 0.05
+            terms = compute_bound_terms(cfg, ref_risk, delta=delta)
             d, m, n, rho, t = cfg.input_dim, cfg.m, cfg.n, cfg.rho, cfg.t
             tau_n = 80.0 * (d * math.log(e * m**2 * d**3 / delta)) ** 1.5 / math.sqrt(n)
             tau_0 = 6.0 * rho * d * math.log(e * m * d**2 / delta) + (

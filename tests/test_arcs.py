@@ -92,17 +92,12 @@ def dense_mc(model, X):
 @st.composite
 def monte_carlo_problems(draw):
     """(model, X) on the grid with d in {1, 2, 3, 4} and up to 64
-    directions; zero points and points with a non-finite coordinate come
-    up often."""
+    directions; zero points come up often."""
     d = draw(st.sampled_from([1, 2, 3, 4]))
     n = draw(st.integers(1, 12))
     X = draw(hnp.arrays(float, (n, d), elements=grid))
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         X[k] = 0.0
-    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
-                                           st.sampled_from([np.nan, np.inf, -np.inf])),
-                                 max_size=2)):
-        X[k, j] = v
     vector = draw(hnp.arrays(float, d, elements=grid))
     model = InfiniteWidthModel(vector, mc_features=draw(st.integers(2, 64)),
                                mc_seed=draw(st.integers(0, 1000)))
@@ -180,17 +175,14 @@ class TestAgainstDense:
         np.testing.assert_allclose(se, d_se, rtol=1e-9, atol=1e-15)
         assert est[3] == 0.0 and se[3] == 0.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(monte_carlo_problems())
     def test_monte_carlo_on_grid(self, prob):
         model, X = prob
         est, se = infinite_forward_batch(model, X)
-        finite = np.isfinite(X).all(axis=1)
-        assert np.isnan(est[~finite]).all() and np.isnan(se[~finite]).all()
-        d_est, d_se = dense_mc(model, X[finite])
-        np.testing.assert_array_equal(est[finite], d_est)
-        np.testing.assert_allclose(se[finite], d_se, rtol=1e-9, atol=1e-15)
+        d_est, d_se = dense_mc(model, X)
+        np.testing.assert_array_equal(est, d_est)
+        np.testing.assert_allclose(se, d_se, rtol=1e-9, atol=1e-15)
         zero = (X == 0).all(axis=1)
         assert np.all(est[zero] == 0.0) and np.all(se[zero] == 0.0)
 
@@ -208,7 +200,7 @@ class TestAgainstDense:
 def count_problems(draw):
     """(S, X) on the grid with d in {1, 2, 3, 4}: some sources are positive
     multiples of others, so their angles tie exactly, some are zero rows;
-    zero points and points with a non-finite coordinate come up often."""
+    zero points come up often."""
     d = draw(st.sampled_from([1, 2, 3, 4]))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 40))
@@ -219,10 +211,6 @@ def count_problems(draw):
         S[j] = c * S[k]
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         X[k] = 0.0
-    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
-                                           st.sampled_from([np.nan, np.inf, -np.inf])),
-                                 max_size=2)):
-        X[k, j] = v
     return S, X
 
 
@@ -253,21 +241,16 @@ def old_angle_order(P):
 
 
 class TestCountActive:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(count_problems())
     def test_against_plain_mask_and_kernel(self, prob):
         S, X = prob
-        finite = np.isfinite(X).all(axis=1)
         count = held_count(S, X)
         assert count.dtype == np.intp
-        assert np.all(count[~finite] == 0)
-        np.testing.assert_array_equal(count[finite],
-                                      np.count_nonzero(X[finite] @ S.T >= 0, axis=1))
+        np.testing.assert_array_equal(count, np.count_nonzero(X @ S.T >= 0, axis=1))
         ones = np.ones((len(S), 1))
-        summed = kernel(S, ones[:, 0], 1.0, X[finite]).mask_sum(ones)[:, 0]
-        np.testing.assert_array_equal(count[finite], summed)
-        assert np.all(count[finite & (X == 0).all(axis=1)] == len(S))
+        np.testing.assert_array_equal(count, kernel(S, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
+        assert np.all(count[(X == 0).all(axis=1)] == len(S))
 
     def test_tied_run_straddling_a_boundary(self):
         # Sources (1, b) for twelve adjacent doubles b from 0.7: arctan2
@@ -291,7 +274,6 @@ class TestCountActive:
             np.testing.assert_array_equal(count, unfused_count(Sp, X))
             np.testing.assert_array_equal(count, ArcKernel(Sp, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(count_problems(), st.data())
     def test_one_counter_serves_many_point_sets(self, prob, data):
@@ -314,21 +296,18 @@ class TestCountActive:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_ring_count_is_the_kernels_sum_of_ones(self, d):
-        # Gaussian directions with zero rows and a row with a NaN
-        # coordinate, and points with a zero and a non-finite one.
+        # Gaussian directions with zero rows, and points with a zero one.
         rng = np.random.default_rng(34 + d)
         m, n = 5000, 400
         S = rng.standard_normal((m, d))
         S[:3] = 0.0
-        S[3, 0] = np.nan
         X = rng.uniform(-1, 1, (n, d))
         X[0] = 0.0
-        X[1, 0] = np.nan
         count = held_count(S, X)
         ones = np.ones((m, 1))
         for backend in (ArcKernel, DenseKernel):
             np.testing.assert_array_equal(count, backend(S, ones[:, 0], 1.0, X).mask_sum(ones)[:, 0])
-        assert count[0] == m - 1 and count[1] == 0
+        assert count[0] == m
 
 
 class TestByAngle:
@@ -367,7 +346,7 @@ class TestByAngle:
 def sample_problems(draw):
     """(model, zero rows, X): a Monte Carlo budget with d in {1, 2, 3},
     rows of the drawn directions to zero, and grid points among which zero
-    points and points with a non-finite coordinate come up often."""
+    points come up often."""
     d = draw(st.sampled_from([1, 2, 3]))
     M = draw(st.integers(2, 300))
     model = InfiniteWidthModel(draw(hnp.arrays(float, d, elements=grid)), mc_features=M,
@@ -377,10 +356,6 @@ def sample_problems(draw):
     X = draw(hnp.arrays(float, (n, d), elements=grid))
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         X[k] = 0.0
-    for k, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
-                                           st.sampled_from([np.nan, np.inf, -np.inf])),
-                                 max_size=2)):
-        X[k, j] = v
     return model, zero_rows, X
 
 
@@ -388,7 +363,6 @@ class TestFeatureSample:
     """The prepared feature sample that ``infinite_forward_batch`` holds
     between calls, keyed by (mc_seed, mc_features, dim)."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(sample_problems())
     def test_warm_call_repeats_cold_call(self, prob):
@@ -417,9 +391,7 @@ class TestFeatureSample:
                 np.testing.assert_array_equal(est, cold[0])
                 np.testing.assert_array_equal(se, cold[1])
             count = held_count(directions(model), X)
-            finite = np.isfinite(X).all(axis=1)
-            lin = np.where(finite, X @ model.vector, np.nan)
-            np.testing.assert_array_equal(cold[0], lin * count / model.mc_features)
+            np.testing.assert_array_equal(cold[0], (X @ model.vector) * count / model.mc_features)
 
             others = [
                 InfiniteWidthModel(model.vector, model.mc_features, model.mc_seed + 1),
@@ -678,25 +650,18 @@ class TestAdjointMargins:
 @st.composite
 def relu_problems(draw):
     """(X, S, signs) on the grid with d in {1, ..., 4}: exact ties s.x == 0
-    are frequent, and a point or a source may have a non-finite coordinate."""
+    are frequent."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 20))
     X, S = draw(matrix(n, d)), draw(matrix(m, d))
-    nonfinite = st.sampled_from([np.nan, np.inf, -np.inf])
-    for A, rows in ((X, n), (S, m)):
-        for k, j, v in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, d - 1),
-                                               nonfinite), max_size=2)):
-            A[k, j] = v
     signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
     return X, S, signs
 
 
 def relu_oracle(S, signs, scale, X):
-    """scale * relu(X S^T) @ a by one dense product; NaN at non-finite points."""
-    out = scale * np.maximum(X @ S.T, 0.0) @ signs
-    out[~np.isfinite(X).all(axis=1)] = np.nan
-    return out
+    """scale * relu(X S^T) @ a by one dense product."""
+    return scale * np.maximum(X @ S.T, 0.0) @ signs
 
 
 class TestReluPath:
@@ -704,7 +669,6 @@ class TestReluPath:
     without a mask, against the mask path (``margins_many``) and a dense
     numpy oracle."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("budget", [1, 64 * 7, kernel_module._CHUNK_BUDGET])
     @settings(max_examples=150, deadline=None)
     @given(relu_problems())
@@ -713,12 +677,9 @@ class TestReluPath:
         with mock.patch.object(kernel_module, "_CHUNK_BUDGET", budget):
             K = DenseKernel(S, signs, 0.75, X)
             relu, mask = K.margins(S.copy()), K.margins_many([S])[0]
-        # the same NaN and inf pattern, and on the grid the same values
+        # on the grid every sum is exact, so the same values
         np.testing.assert_array_equal(relu, mask)
-        if np.isfinite(S).all():
-            finite = np.isfinite(X).all(axis=1)
-            np.testing.assert_array_equal(relu[finite], relu_oracle(S, signs, 0.75, X)[finite])
-            assert np.isnan(relu[~finite]).all()
+        np.testing.assert_array_equal(relu, relu_oracle(S, signs, 0.75, X))
 
     @pytest.mark.parametrize("n,m,d", [(300, 2500, 4), (2000, 3000, 3), (50, 40, 7)])
     def test_matches_mask_path_and_oracle_on_gaussian_data(self, n, m, d):
@@ -732,56 +693,37 @@ class TestReluPath:
         for want in (K.margins_many([S])[0], relu_oracle(S, signs, 0.3, X)):
             assert np.max(np.abs(relu - want)) <= 1e-13 * size
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nonfinite_points_and_sources_on_gaussian_data(self):
-        rng = np.random.default_rng(28)
-        X = rng.standard_normal((300, 4)) / 2.0
-        S = rng.standard_normal((500, 4))
-        signs = rng.choice([-1.0, 1.0], 500)
-        X[[3, 50]] = np.nan
-        X[7, 2] = np.inf
-        relu = DenseKernel(S, signs, 0.3, X).margins(S)
-        mask = DenseKernel(S, signs, 0.3, X).margins_many([S])[0]
-        np.testing.assert_array_equal(np.isnan(relu), np.isnan(mask))
-        assert np.isnan(relu).sum() == 3
-        ok = ~np.isnan(mask)
-        assert np.max(np.abs(relu[ok] - mask[ok])) <= 1e-13 * np.max(np.abs(mask[ok]))
-        # a source with an infinite coordinate keeps the mask path
-        S[9, 1] = np.inf
-        K = DenseKernel(S, signs, 0.3, X)
-        np.testing.assert_array_equal(K.margins(S), K.margins_many([S])[0])
-
 
 def column_mask_sum(K, R):
     """``ArcKernel.mask_sum`` transcribed as loops over the (m, c) columns of
     R: each column summed from the left into its segments in source order,
     the segments summed from the left into prefix sums P, then at each
-    finite point (P[end_at] + T) - P[lo_at], where T is the total P[n_seg]
+    point (P[end_at] + T) - P[lo_at], where T is the total P[n_seg]
     for an arc past the end of the ring and 0 otherwise, plus the zero
     sources' segment.  The summation order the row code must keep, bit for bit."""
     out = np.zeros((K.n, R.shape[1]))
     for c in range(R.shape[1]):
-        seg = [0.0] * (K.n_seg + 2)
+        seg = [0.0] * (K.n_seg + 1)
         for j, s in enumerate(K.segment):
             seg[s] += R[j, c]
         prefix = [0.0]
         for v in seg[: K.n_seg]:
             prefix.append(prefix[-1] + v)
-        for i, lo, end, wrap in zip(np.flatnonzero(K._finite), K.lo_at, K.end_at, K.wrap):
+        for i, lo, end, wrap in zip(range(K.n), K.lo_at, K.end_at, K.wrap):
             out[i, c] = prefix[end] + (prefix[K.n_seg] if wrap else 0.0) - prefix[lo] + seg[K.n_seg]
     return out
 
 
 def column_mask_adjoint(K, C):
     """``ArcKernel.mask_adjoint`` transcribed as loops over the (n, c)
-    columns of C: the weight of each finite point, in point order, added at
-    its arc's first segment and, separately, at the segment past its end,
-    the difference summed from the left after the weights of the arcs past
-    the end of the ring are added at segment 0, and each source given its
-    segment's sum; a zero source gets every finite point's weight."""
+    columns of C: the weight of each point, in point order, added at its
+    arc's first segment and, separately, at the segment past its end, the
+    difference summed from the left after the weights of the arcs past the
+    end of the ring are added at segment 0, and each source given its
+    segment's sum; a zero source gets every point's weight."""
     out = np.zeros((len(K.sources), C.shape[1]))
     for c in range(C.shape[1]):
-        w = C[K._finite, c]
+        w = C[:, c]
         starts, ends = [0.0] * (K.n_seg + 1), [0.0] * (K.n_seg + 1)
         for wi, lo, end in zip(w, K.lo_at, K.end_at):
             starts[lo] += wi
@@ -792,7 +734,7 @@ def column_mask_adjoint(K, C):
         for v in diff[: K.n_seg]:
             run += v
             value.append(run)
-        value += [w.sum(), 0.0]
+        value.append(w.sum())
         for j, s in enumerate(K.segment):
             out[j, c] = value[s]
     return out
@@ -814,9 +756,9 @@ def column_adjoint(K, coeff):
 @st.composite
 def gaussian_arc_problems(draw):
     """(X, W, values, coeff, signs) of Gaussian floats with d in {1, 2}:
-    some zero source rows, zero points and a point with a non-finite
-    coordinate, and m either at least or below twice the point count, so
-    the points can outnumber the sources of the ring."""
+    some zero source rows and zero points, and m either at least or below
+    twice the point count, so the points can outnumber the sources of the
+    ring."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 40))
@@ -825,9 +767,6 @@ def gaussian_arc_problems(draw):
     W = rng.standard_normal((m, d))
     X[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
     W[draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
-    if draw(st.booleans()):
-        X[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(
-            st.sampled_from([np.nan, np.inf, -np.inf]))
     values = [W, rng.standard_normal((m, d)), rng.standard_normal((m, d))]
     return X, W, values, rng.standard_normal(n), rng.choice([-1.0, 1.0], m)
 
@@ -838,7 +777,6 @@ class TestRowLayout:
     sum is exact in any order, so only float data can show a change of
     summation order."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(gaussian_arc_problems())
     def test_bitwise_equal_to_column_sums(self, prob):
@@ -852,7 +790,6 @@ class TestRowLayout:
         np.testing.assert_array_equal(got_G, G)
         np.testing.assert_array_equal(got_g, column_margins_many(K, [G])[0])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(gaussian_arc_problems())
     def test_references_bitwise_equal_to_margins_many(self, prob):
@@ -917,8 +854,8 @@ class TestRowLayout:
 
 @st.composite
 def tie_problems(draw):
-    """(X, S, R, C) on the grid with d in {1, 2}: zero sources, sources with
-    a NaN coordinate, zero points and points with a NaN coordinate."""
+    """(X, S, R, C) on the grid with d in {1, 2}: zero sources and zero
+    points come up often, and so do exact ties s.x == 0."""
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 20))
@@ -927,10 +864,6 @@ def tie_problems(draw):
         X[k] = 0.0
     for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
         S[j] = 0.0
-    for j, i in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, d - 1)), max_size=3)):
-        S[j, i] = np.nan
-    for k, i in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1)), max_size=2)):
-        X[k, i] = np.nan
     return X, S, draw(matrix(m, 2)), draw(matrix(n, 2))
 
 
@@ -946,53 +879,23 @@ class TestTieRule:
         assert np.array_equal(arcs.margins(np.array([[1.0, 2.0]])), X @ [1.0, 2.0])
         assert np.array_equal(arcs.adjoint(np.ones(5)), X.sum(axis=0, keepdims=True))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("backend", [ArcKernel, DenseKernel])
     @settings(max_examples=200, deadline=None)
     @given(tie_problems())
     def test_tie_rules_on_grid(self, backend, prob):
         # Every sum is exact on the grid, so both kernels must give the
-        # rules exactly: a source with a NaN coordinate is inactive and its
-        # adjoint rows are zero, a zero source is active at every finite
-        # point, and a zero point has every source without a NaN.
+        # rules exactly: the plain mask with s.x == 0 active, so a zero
+        # source is active at every point and a zero point has every source.
         X, S, R, C = prob
-        finite = np.isfinite(X).all(axis=1)
-        kept = ~np.isnan(S).any(axis=1)
+        M = (X @ S.T >= 0).astype(float)
         K = backend(S, np.ones(len(S)), 1.0, X)
         sums, adj = K.mask_sum(R), K.mask_adjoint(C)
-        assert np.all(adj[~kept] == 0.0)
-        np.testing.assert_array_equal(sums, backend(S[kept], np.ones(kept.sum()), 1.0, X).mask_sum(R[kept]))
+        np.testing.assert_array_equal(sums, M @ R)
+        np.testing.assert_array_equal(adj, M.T @ C)
         zero = (S == 0).all(axis=1)
-        np.testing.assert_array_equal(adj[zero], np.tile(C[finite].sum(axis=0), (zero.sum(), 1)))
-        zero_pt = finite & (X == 0).all(axis=1)
-        np.testing.assert_array_equal(sums[zero_pt], np.tile(R[kept].sum(axis=0), (zero_pt.sum(), 1)))
-        assert np.all(sums[~finite] == 0.0)
-
-    @pytest.mark.parametrize("backend", [ArcKernel, DenseKernel])
-    def test_nan_source_rows_leave_gaussian_sums_alone(self, backend):
-        # The arc kernel's ring without those rows is the same ring, so its
-        # sums keep every bit; the dense kernel adds exact zeros for them.
-        rng = np.random.default_rng(33)
-        n, m = 300, 2000
-        X = rng.standard_normal((n, 2)) / 2.0
-        W, V = rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
-        signs = rng.choice([-1.0, 1.0], m)
-        c = rng.standard_normal(n)
-        bad = [0, 7, m - 1]
-        W[0, 0] = W[7, 1] = np.nan
-        W[m - 1] = np.nan
-        kept = np.setdiff1d(np.arange(m), bad)
-        K = backend(W, signs, 0.3, X)
-        L = backend(W[kept], signs[kept], 0.3, X)
-        G = K.adjoint(c)
-        assert np.all(G[bad] == 0.0)
-        got = (K.margins(V), G[kept])
-        want = (L.margins(V[kept]), L.adjoint(c))
-        for a, b in zip(got, want):
-            if backend is ArcKernel:
-                np.testing.assert_array_equal(a, b)
-            else:
-                assert_close(a, b)
+        np.testing.assert_array_equal(adj[zero], np.tile(C.sum(axis=0), (zero.sum(), 1)))
+        zero_pt = (X == 0).all(axis=1)
+        np.testing.assert_array_equal(sums[zero_pt], np.tile(R.sum(axis=0), (zero_pt.sum(), 1)))
 
     def test_zero_points_contribute_nothing(self):
         X = np.array([[0.0, 0.0], [0.5, 0.5], [-0.0, 0.0]])
@@ -1032,14 +935,53 @@ class TestTieRule:
             )[0]
 
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nonfinite_point_gets_nan_like_dense(self):
-        X = np.array([[0.5, 0.5], [np.nan, 0.5], [np.inf, 0.0], [-0.5, 0.25]])
-        W = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-        arc = forward_batch(net_of(W, np.ones(3)), X)
-        dense = forward_batch(net_of(pad(W), np.ones(3)), pad(X))
-        np.testing.assert_array_equal(np.isnan(arc), np.isnan(dense))
-        np.testing.assert_allclose(arc[[0, 3]], dense[[0, 3]], rtol=RTOL)
+
+def _net_entry(call):
+    """An entry taking (sources, X) through a network whose weights are the sources."""
+    return lambda S, X: call(net_of(S, np.ones(len(S))), X)
+
+
+def _monte_carlo_entry(S, X):
+    """``infinite_forward_batch`` with the rows of S as its feature sample."""
+    model = InfiniteWidthModel(np.ones(S.shape[1]), mc_features=len(S), mc_seed=1)
+    with mock.patch.object(reference, "_mc_directions", lambda _: S.copy()):
+        reference._held_sample.clear()
+        try:
+            return infinite_forward_batch(model, X)
+        finally:
+            reference._held_sample.clear()
+
+
+# Every entry of a masked sum, as a call on (sources, points).
+FINITE_ENTRIES = {
+    "kernel": lambda S, X: kernel(S, np.ones(len(S)), 1.0, X),
+    "ArcKernel": lambda S, X: ArcKernel(S, np.ones(len(S)), 1.0, X),
+    "DenseKernel": lambda S, X: DenseKernel(S, np.ones(len(S)), 1.0, X),
+    "Ring": lambda S, X: Ring(S).arcs(X),
+    "forward_batch": _net_entry(forward_batch),
+    "frozen_forward_batch": _net_entry(lambda net, X: frozen_forward_batch(net, net.weights, X)),
+    "infinite_forward_batch": _monte_carlo_entry,
+}
+
+
+class TestFiniteOperands:
+    """Points and sources must be finite: every entry of a masked sum
+    rejects a NaN or infinite coordinate in either, on both paths."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operand", ["point", "source"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", list(FINITE_ENTRIES))
+    def test_rejects_nonfinite_operands(self, entry, value, operand, d):
+        if entry in ("ArcKernel", "Ring") and d > 2:
+            d = 1  # planar: the line in place of a third dimension
+        rng = np.random.default_rng(35)
+        S, X = rng.standard_normal((6, d)), rng.uniform(-0.5, 0.5, (4, d))
+        call = FINITE_ENTRIES[entry]
+        call(S, X)  # the finite operands pass
+        (X if operand == "point" else S)[1, d - 1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            call(S, X)
 
 
 class TestDeterminism:

@@ -3,7 +3,8 @@
 OpenBLAS splits a long ``ddot`` (``a @ b`` on vectors, ``np.linalg.norm``)
 across its threads, which changes the sum's last bits.  Each run below is
 large enough for that split: m * d = 2^14 weights for the norms, and 2^14
-Monte Carlo points for the population sums at d = 4.
+Monte Carlo points for the population sums at d = 4.  The lemma checks'
+radii are norms of m * d = 2^18 weights.
 """
 
 import json
@@ -38,12 +39,15 @@ print(json.dumps(hexes(out)))
 """
 
 
-def report_hexes(threads: int) -> list:
+def run_with_threads(threads: int, args: list) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", RUNS], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    return json.loads(proc.stdout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
+def report_hexes(threads: int) -> list:
+    return json.loads(run_with_threads(threads, ["-c", RUNS]))
 
 
 def test_reports_are_bitwise_equal_with_one_and_two_blas_threads():
@@ -52,3 +56,14 @@ def test_reports_are_bitwise_equal_with_one_and_two_blas_threads():
         assert report["status"] == "ok"
         assert records == records2
         assert report == report2
+
+
+def test_lemma_reports_are_byte_equal_with_one_and_two_blas_threads(tmp_path):
+    for lemma in ("flip-count", "sphere-gap"):
+        texts = []
+        for threads in (1, 2):
+            out = tmp_path / f"{lemma}-{threads}"
+            run_with_threads(threads, ["-m", "shallowcal.cli", "lemma-check", "--lemma", lemma,
+                                       "--m", "131072", "--seed", "3", "--out-dir", str(out)])
+            texts.append((out / f"lemma_{lemma}.json").read_text())
+        assert texts[0] == texts[1], lemma

@@ -80,12 +80,19 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": "1000"}},
             lambda cfg: {**cfg, "ref_config": {**cfg["ref_config"], "mc_features": 1000.5}},
             lambda cfg: {**cfg, "radius_scale": 4.0},  # removed field: R is read off the reference
+            lambda cfg: {**cfg, "augment_bias": "false"},  # a string, truthy, for a flag
+            lambda cfg: {**cfg, "capped": "no"},
+            lambda cfg: {**cfg, "augment_bias": 0},
+            lambda cfg: {**cfg, "n": 0},
+            lambda cfg: {**cfg, "m": 0},
+            lambda cfg: {**cfg, "t": -1},
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
              "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
              "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta",
              "ref-config-string-mc-features", "ref-config-float-mc-features",
-             "removed-radius-scale"],
+             "removed-radius-scale", "augment-bias-string", "capped-string", "augment-bias-int",
+             "zero-n", "zero-m", "negative-t"],
     )
     def test_malformed_config_is_error(self, small_config, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -499,7 +506,7 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(small_config), "--axis", "m", f"--values={values}",
                      "--seeds", "5", "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: sweep widths must be at least 1")
+        assert capsys.readouterr().err.startswith("error: m must be an integer >= 1")
         assert runs == []
 
 

@@ -121,6 +121,20 @@ class TestRegimeConfigValidation:
             dataclasses.replace(cfg, r_gd=value)
         assert dataclasses.replace(cfg, r_gd=math.inf).r_gd == math.inf
 
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True])
+    @pytest.mark.parametrize("field", ["m", "n", "t"])
+    def test_rejects_sizes_that_are_not_positive_integers(self, field, value):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            dataclasses.replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    @pytest.mark.parametrize("field", ["augment_bias", "capped"])
+    def test_rejects_flags_that_are_not_booleans(self, field, value):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match=f"{field} must be true or false"):
+            dataclasses.replace(cfg, **{field: value})
+
 
 ONE_D_TASKS = [name for name in builtin_distributions() if make_distribution(name).dim == 1]
 
@@ -195,8 +209,8 @@ class TestBoundTerms:
     )
     def test_pinned_formula_reproduction(self, kwargs):
         cfg = derive_regime(**kwargs)
-        R, ref_risk, delta = 4.0, 0.5, 0.05
-        terms = compute_bound_terms(cfg, R, ref_risk, delta=delta)
+        R, ref_risk, delta = cfg.radius, 0.5, 0.05
+        terms = compute_bound_terms(cfg, ref_risk, delta=delta)
         tau_n, tau_1, tau_0, b = self.transcribed(cfg, R, ref_risk, delta)
         assert terms.tau_n == pytest.approx(tau_n, rel=1e-12)
         assert terms.tau_0 == pytest.approx(tau_0, rel=1e-12)
@@ -205,7 +219,7 @@ class TestBoundTerms:
 
     def test_small_radius_pins_b(self):
         cfg = derive_regime("clairvoyant", 0.5, overrides={"r_gd": 0.25})
-        terms = compute_bound_terms(cfg, 4.0, 0.5)
+        terms = compute_bound_terms(cfg, 0.5)
         assert terms.b_eff == 0.25
 
     def test_tau_monotone_in_m_with_b_fixed(self):
@@ -214,11 +228,11 @@ class TestBoundTerms:
             cfg = derive_regime(
                 "clairvoyant", 0.5, overrides={"m": m, "rho": 0.5, "r_gd": 1.0}
             )
-            terms = compute_bound_terms(cfg, 4.0, 0.5)
+            terms = compute_bound_terms(cfg, 0.5)
             d = cfg.input_dim
             tau0_m_part = (
                 20.0
-                * 4.0
+                * cfg.radius
                 * math.sqrt(d * math.log(math.e * m**2 * d**3 / 0.05))
                 / m**0.25
             )
@@ -229,25 +243,25 @@ class TestBoundTerms:
 
     def test_desk_scale_is_vacuous(self):
         cfg = derive_regime("clairvoyant", 1 / 8, overrides={"m": 4096, "n": 4096})
-        terms = compute_bound_terms(cfg, 4.0, 0.5)
+        terms = compute_bound_terms(cfg, 0.5)
         assert terms.vacuous
         assert terms.tau1_exceeds_assumption
 
     def test_empirical_radius_form(self):
         cfg = derive_regime("clairvoyant", 0.5)
-        terms = compute_bound_terms(cfg, 4.0, 0.5, emp_ref_risk=0.6)
+        terms = compute_bound_terms(cfg, 0.5, emp_ref_risk=0.6)
         expect = min(
             cfg.r_gd,
-            3.0 * 4.0 / cfg.rho + 2.0 * math.e * math.sqrt(cfg.eta * cfg.t * 0.6),
+            3.0 * cfg.radius / cfg.rho + 2.0 * math.e * math.sqrt(cfg.eta * cfg.t * 0.6),
         )
         assert terms.b_eff_empirical == pytest.approx(expect, rel=1e-12)
 
     def test_validation(self):
         cfg = derive_regime("clairvoyant", 0.5)
         with pytest.raises(ValueError):
-            compute_bound_terms(cfg, 4.0, 0.5, delta=1.5)
+            compute_bound_terms(cfg, 0.5, delta=1.5)
         with pytest.raises(ValueError):
-            compute_bound_terms(cfg, -1.0, 0.5)
+            compute_bound_terms(cfg, math.nan)
 
 
 class TestRunExperiment:
@@ -329,6 +343,15 @@ class TestSweep:
             sweep(base, "n", [128, 256], seeds=4)
         with pytest.raises(ValueError):
             sweep(base, "width", [128, 256], seeds=5)
+
+    @pytest.mark.parametrize("axis,values", [("n", [16, 0]), ("m", [64, -1])], ids=["n", "m"])
+    def test_every_cell_is_checked_before_any_run(self, monkeypatch, axis, values):
+        base = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 16})
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        with pytest.raises(ValueError, match=f"{axis} must be an integer >= 1"):
+            sweep(base, axis, values, seeds=5)
+        assert runs == []
 
     def test_seeds_disjoint_across_cells(self):
         seeds = {derived_seed(0, ci, t) for ci in range(4) for t in range(8)}

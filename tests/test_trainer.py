@@ -11,6 +11,7 @@ from shallowcal.kernel import DenseKernel
 from shallowcal.metrics import LOG2
 from shallowcal.network import Network, clone_initial, freeze_features, init_network
 from shallowcal.reference import linear_teacher, sample_reference
+from shallowcal import trainer as trainer_module
 from shallowcal.trainer import (
     DIVERGENCE_THRESHOLD,
     RegretCertificate,
@@ -402,6 +403,29 @@ class TestDivergenceGuard:
         traj = train(net, X, y, cfg, monitors=False)
         assert traj.status == "diverged"
         assert len(traj.records) <= 51
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_weights_diverge_alike_on_both_paths(self):
+        # The first step overflows both rows to +-inf.  That iterate is
+        # recorded as diverged with risk inf, without a kernel pass, at
+        # d = 2 (arc kernel) and d = 3 (dense kernel) alike.
+        runs = []
+        for d in (2, 3):
+            W = np.zeros((2, d))
+            W[:, 0] = 1.0
+            X = np.zeros((2, d))
+            X[:, 0] = [1e150, 5e149]
+            net = manual_net([1.0, -1.0], W)
+            with mock.patch.object(trainer_module, "kernel", wraps=trainer_module.kernel) as k:
+                traj = train(net, X, np.array([1.0, -1.0]), TrainConfig(eta=1e200, t_max=3),
+                             monitors=False)
+            assert k.call_count == 1
+            assert np.isinf(net.weights[:, 0]).all()
+            assert (traj.status, traj.selected_index) == ("diverged", 0)
+            assert [r.emp_risk for r in traj.records] == [LOG2, math.inf]
+            runs.append([(r.index, r.emp_risk, r.dist_init, r.grad_norm, r.smooth_resid, r.selected)
+                         for r in traj.records])
+        assert str(runs[0]) == str(runs[1])
 
     def test_no_selection_status(self):
         net, X, y = easy_setup(seed=15)
