@@ -23,6 +23,8 @@ from .metrics import (
     RiskBreakdown,
     binary_entropy,
     expected_logistic_loss,
+    is_int,
+    is_number,
     pairwise_dot,
     risk_breakdown,
     sigmoid,
@@ -288,7 +290,7 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
 def sphere_cap_teacher(d: int = 4, c: float = 4.0) -> Distribution:
     """Uniform on the hemisphere cap {x in S^(d-1): x_1 >= 0} with a
     logistic teacher p(x) = sigmoid(c x_1).  Monte Carlo evaluation."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+    if not is_int(d) or d < 2:
         raise ValueError(f"sphere cap marginal requires an integer d >= 2, got {d!r}")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
@@ -328,4 +330,7 @@ def make_distribution(name: str, **params) -> Distribution:
     unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
     if unknown:
         raise ValueError(f"{name} takes no parameter {', '.join(map(repr, unknown))}")
+    for key, value in params.items():
+        if not is_number(value):
+            raise ValueError(f"{name} parameter {key!r} must be a number, got {value!r}")
     return factory(**params)

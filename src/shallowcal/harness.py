@@ -48,7 +48,7 @@ from .distributions import (
     population_risk,
     sample as draw_sample,
 )
-from .metrics import LOG2, spread
+from .metrics import LOG2, is_int, is_number, spread
 from .network import augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
@@ -79,8 +79,8 @@ DESK_CAP = 1 << 16
 
 REGIMES = ("easy", "clairvoyant", "worstcase", "consistency")
 
-# JSON value types accepted for the numeric RegimeConfig fields, by annotation.
-_NUMBER_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+# JSON values accepted for the numeric RegimeConfig fields, by annotation.
+_ACCEPTS = {"int": is_int, "float": is_number, "float | None": lambda v: v is None or is_number(v)}
 
 
 def _snap_ceil(value: float, minimum: int = 1) -> int:
@@ -122,7 +122,7 @@ class RegimeConfig:
             raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
         for name in ("m", "n", "t"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("augment_bias", "capped"):
             if not isinstance(getattr(self, name), bool):
@@ -182,8 +182,8 @@ class RegimeConfig:
         if data.get("r_gd") == "inf":
             data["r_gd"] = math.inf
         for name, value in data.items():
-            accepted = _NUMBER_TYPES.get(known[name].type)
-            if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            accepts = _ACCEPTS.get(known[name].type)
+            if accepts and not accepts(value):
                 raise ValueError(f"config field {name!r} must be {known[name].type}, got {value!r}")
         return cls(**data)
 

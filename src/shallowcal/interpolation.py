@@ -23,7 +23,7 @@ in order and integrates the wrong pieces in blocks of ``_GL_BLOCK``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,11 +220,11 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
 @dataclass
 class WrongPairReport:
     interval: tuple[float, float]
-    pair_indices: list
+    pair_indices: np.ndarray
     covered_mass: float
     bayes_label: float
     min_margin_from_half: float
-    merged_hulls: list = field(default_factory=list)
+    merged_hulls: np.ndarray  # (h, 2): each merged hull's first and last point
 
 
 def wrong_pairs(s: SortedSample1D, dist: Distribution) -> WrongPairReport:
@@ -244,17 +244,16 @@ def wrong_pairs(s: SortedSample1D, dist: Distribution) -> WrongPairReport:
     # indices merge into one hull from the run's first point to its last.
     first = np.ones(len(pair_idx), dtype=bool)
     first[1:] = np.diff(pair_idx) != 1
-    last = np.ones(len(pair_idx), dtype=bool)
-    last[:-1] = first[1:]
+    last = np.roll(first, -1)  # a run ends where the next one starts
     a, b = s.x[pair_idx[first]], s.x[pair_idx[last] + 1]
     mass = float(np.sum(dist.cdf(b) - dist.cdf(a)))
     return WrongPairReport(
         interval=(lo, hi),
-        pair_indices=pair_idx.tolist(),
+        pair_indices=pair_idx,
         covered_mass=mass,
         bayes_label=bayes,
         min_margin_from_half=c1,
-        merged_hulls=list(zip(a.tolist(), b.tolist())),
+        merged_hulls=np.stack([a, b], axis=1),
     )
 
 
@@ -263,7 +262,6 @@ def excess_risk_comparison(
     n_grid,
     trials: int,
     seed: int = 0,
-    k_for_n=default_k,
 ) -> tuple[list[dict], dict]:
     """Exact excess zero-one risk of 1-NN vs k-NN across sample sizes.
 
@@ -273,7 +271,7 @@ def excess_risk_comparison(
     root seed through ``SeedSequence((seed, n_index, trial))``.  The whole
     grid is checked before any trial runs: ``trials`` and every n must be at
     least 1, no n may repeat (rows and summary keys would collide), and
-    ``k_for_n(n)`` must be odd and at most n.
+    the k-NN rule's ``default_k(n)`` must be at most n.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -281,17 +279,15 @@ def excess_risk_comparison(
         raise ValueError("n_grid must name at least one sample size")
     if len({int(n) for n in n_grid}) != len(n_grid):
         raise ValueError(f"n_grid names a sample size twice: {list(n_grid)}")
-    ks = []
     for n in n_grid:
         if int(n) < 1:
             raise ValueError(f"sample size n={n} must be at least 1")
-        k = k_for_n(int(n))
-        if k % 2 == 0 or not 1 <= k <= int(n):
-            raise ValueError(f"k={k} for n={n} must be odd and lie in [1, n]")
-        ks.append(k)
+        if default_k(int(n)) > int(n):
+            raise ValueError(f"k={default_k(int(n))} for n={n} must be at most n")
     rows = []
     track_pairs = dist.wrong_pair_interval is not None
-    for n_idx, (n, k) in enumerate(zip(n_grid, ks)):
+    for n_idx, n in enumerate(n_grid):
+        k = default_k(int(n))
         for trial in range(trials):
             samp = draw_sample(dist, int(n), derived_seed(seed, n_idx, trial))
             s = sorted_sample(samp.points[:, 0], samp.labels)

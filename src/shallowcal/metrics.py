@@ -29,6 +29,8 @@ __all__ = [
     "binary_kl",
     "expected_logistic_loss",
     "frobenius_norm",
+    "is_int",
+    "is_number",
     "logistic_loss",
     "logistic_loss_derivative",
     "pairwise_dot",
@@ -57,6 +59,16 @@ def pairwise_dot(a, b) -> float:
 def frobenius_norm(A) -> float:
     """sqrt(sum(A * A)) by ``pairwise_dot``."""
     return math.sqrt(pairwise_dot(A, A))
+
+
+def is_number(v) -> bool:
+    """A real number that is not a bool, the type of every numeric setting."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def is_int(v) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def spread(values) -> dict:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
 from .kernel import DenseKernel, Ring
-from .metrics import frobenius_norm, pairwise_dot
+from .metrics import frobenius_norm, is_int, pairwise_dot
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -52,10 +52,6 @@ __all__ = [
 ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass
 class InfiniteWidthModel:
     """Constant weight map u(v) = ``vector`` and its Monte Carlo budget."""
@@ -68,9 +64,9 @@ class InfiniteWidthModel:
         self.vector = np.asarray(self.vector, dtype=float)
         if self.vector.ndim != 1 or not np.isfinite(self.vector).all():
             raise ValueError(f"reference vector must be finite and 1-d: {self.vector.tolist()}")
-        if not _is_int(self.mc_features) or self.mc_features < 2:
+        if not is_int(self.mc_features) or self.mc_features < 2:
             raise ValueError(f"mc_features must be an integer >= 2, got {self.mc_features!r}")
-        if not _is_int(self.mc_seed) or self.mc_seed < 0:
+        if not is_int(self.mc_seed) or self.mc_seed < 0:
             raise ValueError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
 
     @property

@@ -1,10 +1,10 @@
 """Constant-step full-batch gradient descent on the empirical logistic risk.
 
-Besides the plain descent loop, the trainer maintains two families of
-per-run monitors built on frozen-feature risks.  Writing hat-R^(i) for the
-empirical risk of the linear predictor in the gradient features captured at
-iterate i, every run with step size eta <= 4/rho^2 on inputs with norm <= 1
-must satisfy, step by step,
+``train`` reads the descent loop's stream of per-iterate ``Step`` records
+and keeps two families of per-run monitors built on frozen-feature risks.
+Writing hat-R^(i) for the empirical risk of the linear predictor in the
+gradient features captured at iterate i, every run with step size
+eta <= 4/rho^2 on inputs with norm <= 1 must satisfy, step by step,
 
     (eta/2) * ||grad hat-R(W_i)||^2  <=  hat-R^(i)(W_i) - hat-R^(i)(W_{i+1})
 
@@ -32,15 +32,17 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .kernel import kernel
-from .metrics import frobenius_norm, logistic_loss, logistic_loss_derivative
+from .metrics import frobenius_norm, is_int, logistic_loss, logistic_loss_derivative
 from .network import Network, frozen_forward_batch
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
     "IterateRecord",
     "RegretCertificate",
+    "Step",
     "TrainConfig",
     "Trajectory",
+    "descend",
     "empirical_risk",
     "frozen_empirical_risk",
     "gd_step",
@@ -71,9 +73,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_eta(self.eta)
-        t = self.t_max
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-            raise ValueError(f"t_max must be an integer >= 1, got {t!r}")
+        if not is_int(self.t_max) or self.t_max < 1:
+            raise ValueError(f"t_max must be an integer >= 1, got {self.t_max!r}")
         if not self.r_gd >= 0:
             raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
 
@@ -172,7 +173,9 @@ def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarra
     """One full-batch descent step in place; returns the applied gradient."""
     _check_eta(eta)
     X, y = _check_sample(X, y, net.d)
-    _, grad, _, _ = _risk_and_grad(net.weights, net.signs, net.scale, X, y)
+    grad = next(descend(net, X, y, eta, 1)).grad
+    if grad is None:
+        raise ValueError("weights must be finite")
     net.weights -= eta * grad
     return grad
 
@@ -200,34 +203,49 @@ def _check_sample(X, y, d):
     return X, y
 
 
-def _risk_and_grad(W, signs, scale, X, y, refs=None):
-    """One pass over the sample at weights W.
+@dataclass
+class Step:
+    """Iterate i of ``descend``; ``grad`` is None where W_i is not all finite."""
 
-    Returns (empirical risk, full-batch gradient G, frozen risks of each ref
-    matrix under W's activation pattern, and the frozen risk along the step:
-    the function eta -> frozen risk of W - eta G under that pattern).  One
-    kernel of W serves all of them, so the results are deterministic.  The
-    margins f at W are the network itself, read without a mask.  Frozen
-    margins are linear in their values matrix, so those along the step are
-    f - eta g, with g the margins of G, which ``adjoint_margins`` returns
-    with G and the margins of every reference: on the dense path a step
-    thus forms W's activation mask once.  With ``refs`` None, as for a plain
-    step, the last two items are [] and None and G comes from the plain
-    adjoint pass.
-    """
-    n = X.shape[0]
-    K = kernel(W, signs, scale, X)
+    index: int
+    risk: float
+    grad: np.ndarray | None
+    frozen_next: float = math.nan
+    ref_risks: list[float] = field(default_factory=list)
+
+    @property
+    def diverged(self) -> bool:
+        return not math.isfinite(self.risk) or self.risk > DIVERGENCE_THRESHOLD
+
+
+def descend(net: Network, X: np.ndarray, y: np.ndarray, eta: float, t_max: int, refs=None):
+    """The descent loop on a checked sample: a ``Step`` per iterate 0..t_max,
+    ending early at the first diverged one.  ``net.weights`` holds W_i while
+    record i is out and steps in place when the next is asked for.  With
+    ``refs`` (reference matrices, possibly none) and i < t_max, W_i's fused
+    ``adjoint_margins`` pass also reads hat-R^(i) of W_{i+1}, as f - eta g
+    with g the margins of G, and of each reference."""
 
     def mean_loss(margins):
-        return float(logistic_loss(margins * y).sum()) / n
+        return float(logistic_loss(margins * y).sum()) / len(y)
 
-    f = K.margins(W)
-    coeff = logistic_loss_derivative(f * y) * y / n
-    if refs is None:
-        return mean_loss(f), K.adjoint(coeff), [], None
-    grad, g, *ref_margins = K.adjoint_margins(coeff, refs)
-    ref_risks = [mean_loss(r) for r in ref_margins]
-    return mean_loss(f), grad, ref_risks, lambda eta: mean_loss(f - eta * g)
+    for i in range(t_max + 1):
+        if not np.isfinite(net.weights).all():
+            yield Step(i, math.inf, None)
+            return
+        K = kernel(net.weights, net.signs, net.scale, X)
+        f = K.margins(net.weights)
+        coeff = logistic_loss_derivative(f * y) * y / len(y)
+        if refs is None or i == t_max:
+            step = Step(i, mean_loss(f), K.adjoint(coeff))
+        else:
+            grad, g, *ref_margins = K.adjoint_margins(coeff, refs)
+            step = Step(i, mean_loss(f), grad, mean_loss(f - eta * g),
+                        [mean_loss(r) for r in ref_margins])
+        yield step
+        if step.diverged or i == t_max:
+            return
+        net.weights -= eta * step.grad
 
 
 def train(
@@ -238,7 +256,7 @@ def train(
     monitors: bool = True,
     regret_refs: dict[str, np.ndarray] | None = None,
 ) -> Trajectory:
-    """Run ``cfg.t_max`` descent steps, recording every iterate.
+    """Run ``cfg.t_max`` descent steps, recording every iterate of ``descend``.
 
     The network is mutated in place and finishes at iterate t_max; the
     selected iterate's weights are retained in the trajectory.  When
@@ -264,60 +282,32 @@ def train(
         refs[name] = Z
 
     traj = Trajectory(config=cfg, rho=net.rho, n_examples=X.shape[0])
-    ref_names = list(refs)
-    ref_mats = [refs[k] for k in ref_names]
-    frozen_next: list[float] = []
-    frozen_ref: list[list[float]] = [[] for _ in ref_names]
-    dist_sq_ref: list[list[float]] = [[] for _ in ref_names]
-
-    frozen = monitors or bool(ref_mats)
-    best = None  # (risk, index, weights copy)
-    for i in range(cfg.t_max + 1):
-        last = i == cfg.t_max
-        risk = math.inf
-        if np.isfinite(net.weights).all():
-            risk, grad, ref_risks, frozen_along = _risk_and_grad(
-                net.weights, net.signs, net.scale, X, y, ref_mats if frozen and not last else None
-            )
-        diverged = not math.isfinite(risk) or risk > DIVERGENCE_THRESHOLD
-        step = not (last or diverged)
-        grad_norm = float("nan") if diverged else frobenius_norm(grad)
-        resid = float("nan")
-        if step:
-            W_next = net.weights - cfg.eta * grad
-            frozen_at_next = frozen_along(cfg.eta) if frozen else float("nan")
+    frozen_rows = []  # per stepped iterate: frozen_next, then each reference's frozen risk
+    dist_sq = []  # per iterate: ||W_i - Z||^2 for each reference
+    for step in descend(net, X, y, cfg.eta, cfg.t_max, refs.values() if monitors or refs else None):
+        grad_norm = math.nan if step.diverged else frobenius_norm(step.grad)
+        resid = math.nan
+        if step.index < cfg.t_max and not step.diverged:
+            frozen_rows.append([step.frozen_next, *step.ref_risks])
             if monitors:
-                resid = (risk - frozen_at_next) - 0.5 * cfg.eta * grad_norm**2
-            frozen_next.append(frozen_at_next)
-            for acc, ref_risk in zip(frozen_ref, ref_risks):
-                acc.append(ref_risk)
-
+                resid = (step.risk - step.frozen_next) - 0.5 * cfg.eta * grad_norm**2
         dist = net.dist_from_init()
-        traj.records.append(IterateRecord(i, risk, dist, grad_norm, resid))
-        for r, Z in enumerate(ref_mats):
-            dist_sq_ref[r].append(float(np.sum((net.weights - Z) ** 2)))
-        if dist <= cfg.r_gd and not diverged and (best is None or risk < best[0]):
-            best = (risk, i, net.weights.copy())
-        if not step:
-            break
-        net.weights[...] = W_next
+        traj.records.append(IterateRecord(step.index, step.risk, dist, grad_norm, resid))
+        dist_sq.append([float(np.sum((net.weights - Z) ** 2)) for Z in refs.values()])
+        if dist <= cfg.r_gd and not step.diverged and (
+                traj.selected_index is None or step.risk < traj.selected_risk):
+            traj.selected_index, traj.selected_weights = step.index, net.weights.copy()
 
-    for r, name in enumerate(ref_names):
+    rows, dist_sq = np.array(frozen_rows).reshape(-1, 1 + len(refs)).T, np.array(dist_sq).T
+    for r, name in enumerate(refs):
         traj.certificates[name] = RegretCertificate(
-            name=name,
-            eta=cfg.eta,
-            frozen_next=np.array(frozen_next),
-            frozen_ref=np.array(frozen_ref[r]),
-            dist_sq=np.array(dist_sq_ref[r]),
-        )
+            name, cfg.eta, np.array(rows[0]), np.array(rows[1 + r]), np.array(dist_sq[r]))
 
-    if diverged:
+    if step.diverged:
         traj.status = "diverged"
-    if best is not None:
-        traj.selected_index = best[1]
-        traj.selected_weights = best[2]
-        traj.records[best[1]].selected = True
-    elif not diverged:
+    if traj.selected_index is not None:
+        traj.records[traj.selected_index].selected = True
+    elif not step.diverged:
         traj.status = "no-selection"
     return traj
 

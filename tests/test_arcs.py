@@ -28,7 +28,7 @@ from shallowcal.reference import (
     affine_teacher,
     infinite_forward_batch,
 )
-from shallowcal.trainer import TrainConfig, _risk_and_grad, train
+from shallowcal.trainer import TrainConfig, descend, train
 
 RTOL = 1e-12
 
@@ -127,12 +127,12 @@ class TestAgainstDense:
         y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                         min_size=len(X), max_size=len(X))))
         eta = data.draw(st.floats(0.0, 16.0))
-        risk, grad, refs, frozen = _risk_and_grad(W, signs, 0.3, X, y, [V])
-        d_risk, d_grad, d_refs, d_frozen = _risk_and_grad(pad(W), signs, 0.3, pad(X), y, [pad(V)])
-        assert risk == pytest.approx(d_risk, rel=RTOL)
-        assert refs[0] == pytest.approx(d_refs[0], rel=RTOL)
-        assert_close(grad, d_grad[:, : W.shape[1]])
-        assert frozen(eta) == pytest.approx(d_frozen(eta), rel=RTOL)
+        arc = next(descend(net_of(W, signs), X, y, eta, 1, [V]))
+        dense = next(descend(net_of(pad(W), signs), pad(X), y, eta, 1, [pad(V)]))
+        assert arc.risk == pytest.approx(dense.risk, rel=RTOL)
+        assert arc.ref_risks[0] == pytest.approx(dense.ref_risks[0], rel=RTOL)
+        assert_close(arc.grad, dense.grad[:, : W.shape[1]])
+        assert arc.frozen_next == pytest.approx(dense.frozen_next, rel=RTOL)
 
     @settings(max_examples=100, deadline=None)
     @given(problems())
@@ -157,11 +157,11 @@ class TestAgainstDense:
         y = rng.choice([-1.0, 1.0], n)
         assert_close(forward_batch(net_of(W, signs), X),
                      forward_batch(net_of(pad(W), signs), pad(X)))
-        risk, grad, refs, _ = _risk_and_grad(W, signs, 0.3, X, y, [V])
-        d_risk, d_grad, d_refs, _ = _risk_and_grad(pad(W), signs, 0.3, pad(X), y, [pad(V)])
-        assert risk == pytest.approx(d_risk, rel=RTOL)
-        assert refs[0] == pytest.approx(d_refs[0], rel=RTOL)
-        assert np.linalg.norm(grad - d_grad[:, :d]) <= RTOL * np.linalg.norm(d_grad)
+        arc = next(descend(net_of(W, signs), X, y, 1.0, 1, [V]))
+        dense = next(descend(net_of(pad(W), signs), pad(X), y, 1.0, 1, [pad(V)]))
+        assert arc.risk == pytest.approx(dense.risk, rel=RTOL)
+        assert arc.ref_risks[0] == pytest.approx(dense.ref_risks[0], rel=RTOL)
+        assert np.linalg.norm(arc.grad - dense.grad[:, :d]) <= RTOL * np.linalg.norm(dense.grad)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_monte_carlo_estimate_and_se(self, d):
@@ -514,7 +514,8 @@ class TestMaskedSums:
         refs = [W + 0.1, rng.standard_normal((m, d))]
         signs = rng.choice([-1.0, 1.0], m)
         y = rng.choice([-1.0, 1.0], n)
-        peak = traced_peak(lambda: _risk_and_grad(W, signs, 0.3, X, y, refs))
+        net = net_of(W, signs)
+        peak = traced_peak(lambda: next(descend(net, X, y, 1.0, 1, refs)))
         bound = 2 * 8 * kernel_module._CHUNK_BUDGET + 4 * 8 * (n + m) * 3 * d
         assert bound < 0.1 * 8 * n * m
         assert peak < bound

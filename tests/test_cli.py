@@ -73,6 +73,7 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "m": "128"},  # non-numeric integer
             lambda cfg: {**cfg, "dist_params": [1]},  # distribution parameters not an object
             lambda cfg: {**cfg, "dist_params": {"bogus": 1}},  # unknown distribution parameter
+            lambda cfg: {**cfg, "dist_params": {"c": "2"}},  # distribution parameter not a number
             lambda cfg: {**cfg, "ref_config": [1]},  # reference model not an object
             lambda cfg: {**cfg, "ref_config": {"kind": "constant"}},  # no "vector"
             lambda cfg: {**cfg, "ref_config": {"kind": "zero"}},  # no "dim"
@@ -88,7 +89,8 @@ class TestTrainCommand:
             lambda cfg: {**cfg, "t": -1},
         ],
         ids=["not-object", "unknown-key", "missing-key", "nonnumeric-float", "nonnumeric-int",
-             "dist-params-not-object", "unknown-dist-param", "ref-config-not-object",
+             "dist-params-not-object", "unknown-dist-param", "string-dist-param",
+             "ref-config-not-object",
              "ref-config-no-vector", "ref-config-no-dim", "ref-config-nan-theta",
              "ref-config-string-mc-features", "ref-config-float-mc-features",
              "removed-radius-scale", "augment-bias-string", "capped-string", "augment-bias-int",
@@ -154,12 +156,18 @@ class TestTrainCommand:
         ("step-smooth-1d", '{"width": NaN}', "width must be finite"),
         ("sphere-cap-teacher", '{"c": NaN}', "c must be finite"),
         ("sphere-cap-teacher", '{"d": 2.5}', "integer d >= 2"),
-    ], ids=["logistic-c-nan", "step-smooth-width-nan", "sphere-cap-c-nan", "sphere-cap-d-fraction"])
+        ("logistic-1d", '{"c": "2"}', "logistic-1d parameter 'c' must be a number, got '2'"),
+        ("step-smooth-1d", '{"width": null}', "parameter 'width' must be a number, got None"),
+        ("logistic-1d", '{"c": true}', "parameter 'c' must be a number, got True"),
+        ("sphere-cap-teacher", '{"d": [4]}', "parameter 'd' must be a number"),
+    ], ids=["logistic-c-nan", "step-smooth-width-nan", "sphere-cap-c-nan", "sphere-cap-d-fraction",
+            "logistic-c-string", "step-smooth-width-null", "logistic-c-bool", "sphere-cap-d-list"])
     def test_bad_dist_parameter_is_usage_error(self, tmp_path, capsys, dist, params, match):
         out = tmp_path / "out"
         code = main(["train", "--dist", dist, "--dist-params", params, "--out-dir", str(out)])
         assert code == 1
-        assert match in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("scale,bad", [(1.0, float("nan")), (2.0, None)], ids=["nan", "outside-ball"])
@@ -265,6 +273,17 @@ class TestConsistencyCommand:
         args = build_parser().parse_args(["consistency", "--n-grid", "64", *flags])
         assert args.augment_bias is expect
 
+    @pytest.mark.parametrize("params", ['{"width": null}', '{"width": "0.1"}'], ids=["null", "string"])
+    def test_dist_parameter_that_is_not_a_number_is_usage_error(self, tmp_path, capsys, params):
+        out = tmp_path / "out"
+        code = main(["consistency", "--n-grid", "64", "--seeds", "1", "--dist-params", params,
+                     "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step-smooth-1d parameter 'width' must be a number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_summary_records_base_config(self, tmp_path):
         bases = {}
         for flags in ([], ["--no-augment-bias"]):
@@ -322,13 +341,16 @@ class TestInterpCommand:
     @pytest.mark.parametrize("dist,params,match", [
         ("logistic-1d", '{"c": NaN}', "c must be finite"),
         ("step-smooth-1d", '{"width": NaN}', "width must be finite"),
-    ], ids=["logistic-c-nan", "step-smooth-width-nan"])
+        ("constant-1d", '{"p": "0.6"}', "parameter 'p' must be a number"),
+        ("step-smooth-1d", '{"width": null}', "parameter 'width' must be a number"),
+    ], ids=["logistic-c-nan", "step-smooth-width-nan", "constant-p-string", "step-smooth-width-null"])
     def test_bad_dist_parameter_is_usage_error(self, tmp_path, capsys, dist, params, match):
         out = tmp_path / "out"
         code = main(["interp-lb", "--n-grid", "50", "--dist", dist, "--dist-params", params,
                      "--out-dir", str(out)])
         assert code == 1
-        assert match in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -11,7 +11,7 @@ from shallowcal.network import (
     frozen_forward_batch,
     init_network,
 )
-from shallowcal.trainer import _risk_and_grad, empirical_risk, frozen_empirical_risk, gd_step
+from shallowcal.trainer import descend, empirical_risk, frozen_empirical_risk, gd_step
 
 
 def manual_net(signs, weights, rho=1.0):
@@ -205,7 +205,7 @@ class TestFrozenFeatures:
             risk = empirical_risk(net, X, y)
             assert risk.hex() == frozen_empirical_risk(net, net.weights, X, y).hex()
             # the risk that training records at the same weights
-            assert risk.hex() == _risk_and_grad(net.weights, net.signs, net.scale, X, y, ())[0].hex()
+            assert risk.hex() == next(descend(net, X, y, 1.0, 1)).risk.hex()
 
 
 class TestAugment:

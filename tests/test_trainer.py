@@ -5,10 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowcal.distributions import make_distribution, sample
 from shallowcal.kernel import DenseKernel
-from shallowcal.metrics import LOG2
+from shallowcal.metrics import LOG2, frobenius_norm
 from shallowcal.network import Network, clone_initial, freeze_features, init_network
 from shallowcal.reference import linear_teacher, sample_reference
 from shallowcal import trainer as trainer_module
@@ -16,10 +18,10 @@ from shallowcal.trainer import (
     DIVERGENCE_THRESHOLD,
     RegretCertificate,
     TrainConfig,
+    descend,
     empirical_risk,
     frozen_empirical_risk,
     gd_step,
-    _risk_and_grad,
     train,
     write_trajectory,
 )
@@ -157,6 +159,11 @@ class TestGdStep:
         expect = eta * (rho / np.sqrt(3)) * 0.5 * signs[:, None] * y * x[None, :]
         np.testing.assert_allclose(net.weights, expect, rtol=1e-14)
         assert np.array_equal(net.init_weights, np.zeros((3, 2)))
+
+    def test_rejects_weights_that_are_not_finite(self):
+        net = manual_net([1.0, -1.0], [[np.inf, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            gd_step(net, np.array([[1.0, 0.0]]), np.array([1.0]), eta=0.5)
 
     def test_determinism_bitwise(self):
         runs = []
@@ -339,6 +346,65 @@ class TestAgainstStepReplay:
         assert len(rows) == 5 and rows[-1, 0] > DIVERGENCE_THRESHOLD
 
 
+class TestDescend:
+    @staticmethod
+    def read(stream, net, k, Zs):
+        """What a consumer of ``stream`` reads up to and including record k:
+        per record (risk, dist_init, grad norm, frozen_next, *ref_risks),
+        and per record the squared distances to each of ``Zs``."""
+        rows, dist_sq = [], []
+        for step in stream:
+            grad_norm = math.nan if step.grad is None else frobenius_norm(step.grad)
+            rows.append([step.risk, net.dist_from_init(), grad_norm, step.frozen_next, *step.ref_risks])
+            dist_sq.append([float(np.sum((net.weights - Z) ** 2)) for Z in Zs])
+            if step.index == k:
+                break
+        return rows, dist_sq
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 3]), seed=st.integers(0, 1000), k=st.integers(1, 4),
+           extra=st.integers(0, 2), n_refs=st.integers(0, 2), monitors=st.booleans(),
+           diverging=st.booleans())
+    def test_stopping_after_record_k_is_training_k_steps(self, d, seed, k, extra, n_refs,
+                                                        monitors, diverging):
+        # d = 1 takes the arc kernel, d = 3 the dense one.  The diverging
+        # runs take 1.2e8/rho^2 steps, unmonitored; many of them end in a
+        # diverged iterate before record k.
+        monitors = monitors and not diverging
+        dist = make_distribution("logistic-1d", c=2.0) if d == 1 else \
+            make_distribution("sphere-cap-teacher", d=d)
+        samp = sample(dist, 40, seed=seed)
+        net = init_network(24, d, 24.0**-0.125, seed=seed + 1)
+        eta = (1.2e8 if diverging else 4.0) / net.rho**2
+        Zs = [net.init_weights + 0.25 * r for r in range(n_refs)]
+        refs = Zs if monitors or Zs else None
+        live = clone_initial(net)
+        rows, dist_sq = self.read(descend(live, samp.points, samp.labels, eta, k + extra, refs),
+                                  live, k, Zs)
+
+        traj = train(net, samp.points, samp.labels, TrainConfig(eta=eta, t_max=k),
+                     monitors=monitors, regret_refs={str(r): Z for r, Z in enumerate(Zs)})
+        assert np.array_equal(live.weights, net.weights)
+        assert len(traj.records) == len(rows) <= k + 1
+        stepped = [row for row in rows if row[0] <= DIVERGENCE_THRESHOLD][:k]
+        for i, (rec, row) in enumerate(zip(traj.records, rows)):
+            assert (rec.emp_risk.hex(), rec.dist_init.hex()) == (row[0].hex(), row[1].hex())
+            if i < len(stepped):
+                resid = (row[0] - row[3]) - 0.5 * eta * row[2] ** 2 if monitors else math.nan
+                assert (rec.grad_norm.hex(), rec.smooth_resid.hex()) == (row[2].hex(), resid.hex())
+        for r, Z in enumerate(Zs):
+            cert = traj.certificates[str(r)]
+            assert cert.frozen_next.tobytes() == np.array([row[3] for row in stepped]).tobytes()
+            assert cert.frozen_ref.tobytes() == np.array([row[4 + r] for row in stepped]).tobytes()
+            assert cert.dist_sq.tobytes() == np.array([sq[r] for sq in dist_sq]).tobytes()
+
+    def test_stream_ends_at_the_first_diverged_iterate(self):
+        net, X, y, cfg, _ = REPLAY_SETUPS["diverging"]
+        steps = list(descend(clone_initial(net), X, y, cfg.eta, cfg.t_max))
+        assert [s.index for s in steps] == list(range(5))
+        assert [s.diverged for s in steps] == [False] * 4 + [True]
+
+
 class TestPreconditions:
     def test_monitors_reject_inputs_outside_unit_ball(self):
         net, X, y = easy_setup(seed=26)
@@ -468,20 +534,20 @@ class TestMaskPasses:
         samp = sample(dist, n, seed=31)
         return init_network(m, d, float(m) ** -0.125, seed=32), samp.points, samp.labels
 
-    def test_monitored_step_forms_the_mask_once(self):
+    def test_monitored_record_forms_the_mask_once(self):
         # Up to 1024 points the tiles are full-height strips: a ReLU pass
         # for the margins at W, and one fused mask pass for the gradient,
         # the frozen risk along the step and the references.
         net, X, y = self.setup(1024)
         refs = [net.weights + 0.1, -net.weights]
+        record = lambda: next(descend(net, X, y, 0.5, 1, refs))
+        assert self.grids_covered(1024, 300, record) == (1, 1)
 
-        def step():
-            *_, frozen_along = _risk_and_grad(net.weights, net.signs, net.scale, X, y, refs)
-            frozen_along(0.5)
-
-        assert self.grids_covered(1024, 300, step) == (1, 1)
+    def test_monitored_step_forms_the_mask_once(self):
         # a monitored run of one step: the step, then the last iterate's gradient
-        run = lambda: train(net, X, y, TrainConfig(eta=1.0, t_max=1), regret_refs={"W0": refs[0]})
+        net, X, y = self.setup(1024)
+        run = lambda: train(net, X, y, TrainConfig(eta=1.0, t_max=1),
+                            regret_refs={"W0": net.weights + 0.1})
         assert self.grids_covered(1024, 300, run) == (1 + 1, 1 + 1)
 
     @pytest.mark.parametrize(
