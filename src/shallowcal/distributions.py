@@ -50,11 +50,13 @@ _NORM_SLACK = 1e-12
 
 # The 16-point Gauss-Legendre rule on [-1, 1], shared by the 1-d evaluator
 # and the exact zero-one integral; the evaluator's panel count before the
-# cuts split them; the size and seed of the Monte Carlo evaluator's points.
+# cuts split them; the size and seed of the Monte Carlo evaluator's points;
+# the number of points ``sample`` labels at a time.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUAD_PANELS = 32
 _MC_EVAL_N = 1 << 14
 _MC_EVAL_SEED = 2024
+_SAMPLE_BLOCK = 1 << 15
 
 
 def derived_seed(root: int, *path: int) -> int:
@@ -130,16 +132,24 @@ class Distribution:
 
 
 def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
-    """n iid draws; labels are +1 with probability cond_prob(x)."""
+    """n iid draws; labels are +1 with probability cond_prob(x).
+
+    X is drawn in one call; the norm check and the label uniforms then go
+    ``_SAMPLE_BLOCK`` points at a time, so no other n-long temporary is
+    made.  PCG64 gives the uniforms of consecutive blocks as one stream, so
+    the labels do not depend on the block size.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     X = dist.sample_x(rng, n)
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms > 1 + _NORM_SLACK):
-        raise AssertionError("marginal sampler produced a point outside the unit ball")
-    p = dist.cond_prob(X)
-    y = np.where(rng.uniform(size=n) < p, 1.0, -1.0)
+    y = np.empty(n)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        blk = slice(start, start + _SAMPLE_BLOCK)
+        if np.any(np.linalg.norm(X[blk], axis=1) > 1 + _NORM_SLACK):
+            raise AssertionError("marginal sampler produced a point outside the unit ball")
+        p = dist.cond_prob(X[blk])
+        y[blk] = np.where(rng.uniform(size=len(p)) < p, 1.0, -1.0)
     return LabeledSample(points=X, labels=y)
 
 

@@ -153,9 +153,6 @@ class Trajectory:
                 return False
         return True
 
-    def regret_ok(self) -> bool:
-        return all(c.holds() for c in self.certificates.values())
-
     def monitor_verdicts(self) -> dict:
         return {
             "smoothness_ok": self.smoothness_ok(),
@@ -291,9 +288,12 @@ def train(
             frozen_rows.append([step.frozen_next, *step.ref_risks])
             if monitors:
                 resid = (step.risk - step.frozen_next) - 0.5 * cfg.eta * grad_norm**2
-        dist = net.dist_from_init()
-        traj.records.append(IterateRecord(step.index, step.risk, dist, grad_norm, resid))
         dist_sq.append([float(np.sum((net.weights - Z) ** 2)) for Z in refs.values()])
+        # ||W_i - W_0|| is the root of a reference's dist_sq when that
+        # reference is W_0 itself; both sums have the same bits.
+        at_init = [sq for sq, Z in zip(dist_sq[-1], refs.values()) if Z is net.init_weights]
+        dist = math.sqrt(at_init[0]) if at_init else net.dist_from_init()
+        traj.records.append(IterateRecord(step.index, step.risk, dist, grad_norm, resid))
         if dist <= cfg.r_gd and not step.diverged and (
                 traj.selected_index is None or step.risk < traj.selected_risk):
             traj.selected_index, traj.selected_weights = step.index, net.weights.copy()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ def fixed_sample(xs, ys):
     return sorted_sample(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
 
 
-def excess_unique_predict(rule, dist):
-    """Reference integral: cut the support with np.unique, sign each piece
-    with rule.predict and integrate all wrong pieces in one node array."""
+def wrong_pieces_unique_predict(rule, dist):
+    """Reference pieces: cut the support with np.unique, sign each piece
+    with rule.predict and keep the ends of those against the Bayes sign."""
     lo, hi = dist.support
     cuts = np.concatenate(
         [
@@ -48,9 +49,16 @@ def excess_unique_predict(rule, dist):
     p_mid = dist.cond_prob(mids[:, None])
     bayes_sign = np.where(p_mid >= 0.5, 1.0, -1.0)
     wrong = rule_sign != bayes_sign
-    if not np.any(wrong):
+    return a[wrong], b[wrong]
+
+
+def excess_unique_predict(rule, dist):
+    """Reference integral: all wrong pieces of ``wrong_pieces_unique_predict``
+    in one node array."""
+    a, b = wrong_pieces_unique_predict(rule, dist)
+    if len(a) == 0:
         return 0.0
-    nodes, half = gauss_legendre(a[wrong], b[wrong])
+    nodes, half = gauss_legendre(a, b)
     dev = np.abs(dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape) - 0.5)
     piece_vals = np.einsum("ij,j->i", dev, _GL_WEIGHTS) * half
     return float(2.0 * dist.pdf * piece_vals.sum())
@@ -204,9 +212,7 @@ class TestExactExcess:
         samp = sample(dist, 3 * interpolation._GL_BLOCK, 9)
         s = sorted_sample(samp.points[:, 0], samp.labels)
         for rule in (one_nn_rule(s), knn_rule(s, 5)):
-            a, b, mids, signs = interpolation._pieces(rule, dist)
-            wrong = signs != np.where(dist.cond_prob(mids[:, None]) >= 0.5, 1.0, -1.0)
-            nodes, half = gauss_legendre(a[wrong], b[wrong])
+            nodes, half = gauss_legendre(*wrong_pieces_unique_predict(rule, dist))
             p = dist.cond_prob(nodes.reshape(-1, 1)).reshape(nodes.shape)
             per_node = np.abs(2.0 * p - 1.0) * dist.pdf * half[:, None] * _GL_WEIGHTS
             want = math.fsum(per_node.ravel())
@@ -304,23 +310,51 @@ class TestLinearWalk:
         for rule in rules_of(s):
             assert excess_zero_one_exact(rule, dist).hex() == excess_unique_predict(rule, dist).hex()
 
-    def test_nodes_are_evaluated_block_by_block(self):
+    def test_nodes_are_evaluated_block_by_block(self, monkeypatch):
+        # No cond_prob call sees more than one block: a walk block's piece
+        # midpoints or one _GL_BLOCK of wrong pieces' nodes.
         base = DISTS["constant-1d[0,1]"]
-        rows = []
+        node_arrays, mid_rows, node_rows = [], [], []
+
+        def nodes_of(a, b, out=None):
+            nodes, half = gauss_legendre(a, b, out=out)
+            node_arrays.append(nodes)
+            return nodes, half
 
         def recorded(X):
-            rows.append(len(X))
+            on_nodes = any(np.shares_memory(X, nodes) for nodes in node_arrays)
+            (node_rows if on_nodes else mid_rows).append(len(X))
             return base.cond_prob_raw(X)
 
+        monkeypatch.setattr(interpolation, "gauss_legendre", nodes_of)
         dist = dataclasses.replace(base, cond_prob_raw=recorded)
         samp = sample(base, 12 * interpolation._GL_BLOCK, 22)
         s = sorted_sample(samp.points[:, 0], samp.labels)
         wrong = int(np.sum(s.y == -1.0))
         excess_zero_one_exact(one_nn_rule(s), dist)
-        node_rows = rows[1:]  # rows[0] holds the piece midpoints
+        assert sum(mid_rows) == s.n  # one midpoint per cell
+        assert len(mid_rows) == -(-s.n // interpolation._WALK_BLOCK) > 1
+        assert max(mid_rows) == interpolation._WALK_BLOCK
         assert sum(node_rows) == 16 * wrong
+        assert all(rows % 16 == 0 for rows in node_rows)
         assert max(node_rows) == 16 * interpolation._GL_BLOCK
-        assert len(node_rows) == -(-wrong // interpolation._GL_BLOCK)
+
+    def test_walk_holds_one_array_of_piece_values(self):
+        # 2^18 points make an n-long float array 2 MiB.  Beyond the rule,
+        # the walk holds one array of wrong-piece values (sized for every
+        # piece) and one block's temporaries, about 2.7 MiB: a traced peak
+        # of 2.3 n-long arrays, where the walk over whole arrays took 4.0.
+        n = 1 << 18
+        dist = DISTS["constant-1d[0,1]"]
+        samp = sample(dist, n, 23)
+        rule = one_nn_rule(sorted_sample(samp.points[:, 0], samp.labels))
+        tracemalloc.start()
+        try:
+            excess_zero_one_exact(rule, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n
 
 
 class TestInputChecks:
@@ -338,11 +372,14 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="finite"):
             sorted_sample(np.array([0.1, bad, 0.5]), np.array([1.0, -1.0, 1.0]))
 
-    @pytest.mark.parametrize("trials", [0, -2])
-    def test_comparison_needs_a_trial(self, trials):
+    @pytest.mark.parametrize("trials", [0, -2, True, 2.0])
+    def test_comparison_needs_a_trial(self, monkeypatch, trials):
+        drawn = []
+        monkeypatch.setattr(interpolation, "draw_sample", lambda *a: drawn.append(a))
         dist = DISTS["constant-1d[0,1]"]
         with pytest.raises(ValueError, match="trials"):
             excess_risk_comparison(dist, [50], trials=trials)
+        assert drawn == []
 
     @pytest.mark.parametrize(
         "n_grid,bad",
@@ -354,8 +391,12 @@ class TestInputChecks:
             ([50, -5], "n=-5"),
             ([], "n_grid"),
             ([100, 50, 100], "twice"),
+            ([50.5], "n=50.5"),
+            ([100, True], "n=True"),
+            ([np.float64(100)], "n=100.0"),
         ],
-        ids=["1", "2", "1000,1", "50,0", "50,-5", "empty", "100,50,100"],
+        ids=["1", "2", "1000,1", "50,0", "50,-5", "empty", "100,50,100",
+             "50.5", "100,True", "float100"],
     )
     def test_comparison_checks_grid_before_any_trial(self, monkeypatch, n_grid, bad):
         drawn = []

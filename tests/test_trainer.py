@@ -336,6 +336,18 @@ class TestAgainstStepReplay:
         assert [r.selected for r in traj.records] == [i == expected for i in range(len(rows))]
         np.testing.assert_allclose(traj.selected_weights, weights[expected], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("name", REPLAY_SETUPS)
+    def test_dist_init_is_read_off_a_w0_reference(self, name):
+        # With W_0 itself among the references, dist_init is the root of
+        # its dist_sq entry and dist_from_init is not called; the bits match
+        # a run without references.
+        net, X, y, cfg, monitors = REPLAY_SETUPS[name]
+        plain = train(clone_initial(net), X, y, cfg, monitors=monitors)
+        live = clone_initial(net)
+        with mock.patch.object(Network, "dist_from_init", side_effect=AssertionError):
+            traj = train(live, X, y, cfg, monitors=monitors, regret_refs={"W0": live.init_weights})
+        assert [r.dist_init.hex() for r in traj.records] == [r.dist_init.hex() for r in plain.records]
+
     def test_setups_cover_radius_and_divergence(self):
         for name in ("arc", "dense"):
             net, X, y, cfg, monitors = REPLAY_SETUPS[name]
