@@ -56,7 +56,7 @@ from .reference import (
     model_from_config,
     sample_reference,
 )
-from .trainer import TrainConfig, Trajectory, train
+from .trainer import TrainConfig, Trajectory, step_size_ok, train
 
 __all__ = [
     "BoundTerms",
@@ -83,13 +83,13 @@ REGIMES = ("easy", "clairvoyant", "worstcase", "consistency")
 _ACCEPTS = {"int": is_int, "float": is_number, "float | None": lambda v: v is None or is_number(v)}
 
 
-def _snap_ceil(value: float, minimum: int = 1) -> int:
+def _snap_ceil(value: float) -> int:
     """Ceiling with a relative snap to the nearest integer, so closed-form
     powers that land on integers are not bumped up by float noise."""
     nearest = round(value)
     if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
         value = nearest
-    return max(minimum, int(math.ceil(value)))
+    return math.ceil(value)
 
 
 @dataclass
@@ -127,8 +127,8 @@ class RegimeConfig:
         for name in ("augment_bias", "capped"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if abs(self.eta * self.rho**2 - 4.0) > 1e-9:
-            raise ValueError("configs must satisfy eta * rho^2 = 4")
+        if not (step_size_ok(self.eta, self.rho) and self.eta * self.rho**2 >= 4.0 - 1e-9):
+            raise ValueError("configs must satisfy eta * rho^2 = 4, with eta <= 4/rho^2")
         if not isinstance(self.dist_params, dict):
             raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
         if self.ref_config is not None and not isinstance(self.ref_config, dict):
@@ -240,7 +240,7 @@ def _build(regime, m, cap, rho=None, r_gd=None, capped=False, **fields) -> Regim
     ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
     if m is None:  # easy regime: rho = 1 unless pinned, so R does not depend on m
         m = _radius(ref, 1.0 if rho is None else float(rho)) ** 8
-    m = _snap_ceil(float(m))
+    m = m if is_int(m) else _snap_ceil(m)  # only a derived width rounds up
     if m > cap:
         m, capped = cap, True
     rho, eta, r_gd = _coupling(regime, m, ref, rho, r_gd)
@@ -266,10 +266,10 @@ def derive_regime(
 
     The easy width R^8 and the clairvoyant radius R/rho read the norm bound
     R of the task's default reference (``_radius``).  ``overrides`` may pin
-    the derived fields m, n, eps_gd, rho and r_gd (e.g. a smaller m for a
-    quick run); any other key is a ValueError, and so is an eps small
-    enough that a derived size overflows.  rho, eta and r_gd are
-    re-derived from an overridden m to keep the couplings intact.
+    the derived fields m, n (integers >= 1), eps_gd, rho and r_gd; any
+    other key is a ValueError, and so is an eps small enough that a derived
+    size overflows.  rho, eta and r_gd are re-derived from an overridden m
+    to keep the couplings intact.
     """
     if regime == "consistency":
         raise ValueError("use derive_consistency for the consistency schedule")
@@ -281,16 +281,20 @@ def derive_regime(
     unknown = sorted(set(overrides) - set(_OVERRIDE_KEYS))
     if unknown:
         raise ValueError(f"unknown overrides {unknown}; accepted: {', '.join(_OVERRIDE_KEYS)}")
-    eps_gd = float(overrides.get("eps_gd", eps))
+    for key in ("m", "n"):
+        if key in overrides and not (is_int(overrides[key]) and overrides[key] >= 1):
+            raise ValueError(f"override {key} must be an integer >= 1, got {overrides[key]!r}")
     try:
-        n = _snap_ceil(float(overrides.get("n", 1.0 / eps**2)))
-        t = _snap_ceil(1.0 / (8.0 * eps_gd))
+        n = overrides.get("n") or _snap_ceil(1.0 / eps**2)
         m = None if regime == "easy" else eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"eps = {eps!r} is too small: a derived size is not finite") from None
+    eps_gd = overrides.get("eps_gd", eps)
+    if not (is_number(eps_gd) and eps_gd > 0 and math.isfinite(1.0 / (8.0 * eps_gd))):
+        raise ValueError(f"eps_gd must be positive and t = 1/(8 eps_gd) finite, got {eps_gd!r}")
     return _build(
         regime, overrides.get("m", m), cap, rho=overrides.get("rho"), r_gd=overrides.get("r_gd"),
-        capped=n > cap, n=min(n, cap), t=t, eps_gd=eps_gd,
+        capped=n > cap, n=min(n, cap), t=_snap_ceil(1.0 / (8.0 * eps_gd)), eps_gd=float(eps_gd),
         eps=eps, seed=seed, dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
     )
 
@@ -305,13 +309,13 @@ def derive_consistency(
     cap: int = DESK_CAP,
 ) -> RegimeConfig:
     """Schedule all parameters from the sample size under exponent xi."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not is_int(n) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     if not 0 < xi < 1:
         raise ValueError("xi must lie strictly inside (0, 1)")
     return _build(
         "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
-        n=int(n), t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
+        n=n, t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
         xi=xi, seed=seed, dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
     )
 
@@ -577,12 +581,12 @@ def _cell_config(base: RegimeConfig, axis: str, value) -> RegimeConfig:
     if axis == "n":
         if base.regime == "consistency":
             return derive_consistency(
-                int(value), base.xi, dist_name=base.dist_name, dist_params=base.dist_params,
+                value, base.xi, dist_name=base.dist_name, dist_params=base.dist_params,
                 augment_bias=base.augment_bias, seed=base.seed,
             )
-        return dataclasses.replace(base, n=int(value))
+        return dataclasses.replace(base, n=value)
     if axis == "m":  # uncapped, like the n axis
-        cfg = dataclasses.replace(base, m=int(value))  # checks the width before coupling
+        cfg = dataclasses.replace(base, m=value)  # checks the width before coupling
         pinned = None if base.regime == "clairvoyant" else base.r_gd
         rho, eta, r_gd = _coupling(base.regime, cfg.m, base.ref_config, r_gd=pinned)
         return dataclasses.replace(cfg, rho=rho, eta=eta, r_gd=r_gd)

@@ -16,9 +16,10 @@ is no Monte Carlo noise in the reported numbers.
 
 The pipeline sorts each sample once (``sorted_sample``) and is linear in n
 after that.  The rules' edges come out of the sorted points already sorted,
-which ``PiecewiseConstantRule`` checks; ``excess_zero_one_exact`` walks them
-in blocks of ``_WALK_BLOCK`` cells and integrates the wrong pieces in blocks
-of ``_GL_BLOCK``.
+which ``PiecewiseConstantRule`` checks.  ``excess_zero_one_exact`` splits
+the support once at the cuts of p and walks each segment's cells in blocks
+of ``_WALK_BLOCK``, then integrates the wrong pieces in blocks of
+``_GL_BLOCK``.
 
 The n-long arrays of a trial of ``excess_risk_comparison`` are the drawn
 sample (until it is sorted), the sorted sample's points and labels (and the
@@ -167,52 +168,40 @@ _GL_BLOCK = 4096
 
 def _pieces(rule: PiecewiseConstantRule, dist: Distribution):
     """Ends, midpoints and rule signs of the support's pieces, in order, one
-    block of ``_WALK_BLOCK`` cells at a time.
+    block of at most ``_WALK_BLOCK`` cells at a time.
 
-    The pieces are the gaps between the distinct values of the support
-    ends, the rule's edges and the distribution's cuts, all clipped to the
-    support.  A block's bounds ``[lo, *edges, hi][c0:c1 + 1]`` are already
-    sorted and bound its cells in order; the few cuts are inserted into the
-    cell each one splits and take that cell's sign.  A piece [a, b] of cell
-    j has e_(j-1) <= a < mid <= b <= e_j, so ``predict`` would give it sign
-    j, unless a and b are adjacent doubles and the midpoint rounds down
-    onto a: those pieces are looked up with ``predict``.
+    The pieces are the gaps between the distinct support ends, rule edges
+    and cuts of p, all clipped to the support.  The support is split once
+    at the cuts; a segment (s, e) meets cells ``first`` (the number of
+    edges at or below s) to ``last`` (the number below e), whose edges in
+    between lie strictly inside it, so a block's bounds are its edges with
+    s and e at the segment's ends.  A piece [a, b] of cell j has
+    e_(j-1) <= a < mid <= b <= e_j, so ``predict`` would give it sign j,
+    unless a and b are adjacent doubles and the midpoint rounds down onto
+    a: those pieces are looked up with ``predict``.
     """
     if dist.support is None:
         raise ValueError(f"exact integration needs a 1-d uniform marginal, not {dist.name}")
     lo, hi = dist.support
-    cuts = np.sort(np.clip(np.asarray(dist.cuts, dtype=float), lo, hi))
-    # The cell a cut splits is the number of clipped edges at or below it.
-    cut_cells = np.where(
-        cuts < hi, np.searchsorted(rule.edges, cuts, side="right"), len(rule.edges)
-    )
-    n_cells = len(rule.signs)
-    for c0 in range(0, n_cells, _WALK_BLOCK):
-        c1 = min(c0 + _WALK_BLOCK, n_cells)
-        first, last = c0 == 0, c1 == n_cells
-        bounds = np.empty(c1 - c0 + 1)
-        np.clip(rule.edges[c0 - 1 + first : c1 - last], lo, hi,
-                out=bounds[first : len(bounds) - last])
-        if first:
-            bounds[0] = lo
-        if last:
-            bounds[-1] = hi
-        signs = rule.signs[c0:c1]
-        here = (cut_cells >= c0) & (cut_cells < c1)
-        if np.any(here):
-            at = cut_cells[here] - c0 + 1
-            bounds = np.insert(bounds, at, cuts[here])
-            signs = np.insert(signs, at, signs[at - 1])
-        a, b = bounds[:-1], bounds[1:]
-        keep = b > a
-        if not np.all(keep):
-            a, b, signs = a[keep], b[keep], signs[keep]
-        mids = (a + b) / 2.0
-        tie = mids == a
-        if np.any(tie):
-            signs = signs.copy()  # may still be a view of the rule's signs
-            signs[tie] = rule.predict(mids[tie])
-        yield a, b, mids, signs
+    ends = np.unique(np.clip([lo, hi, *dist.cuts], lo, hi))
+    for s, e in zip(ends[:-1], ends[1:]):
+        first = np.searchsorted(rule.edges, s, side="right")
+        last = np.searchsorted(rule.edges, e, side="left")
+        for c0 in range(first, last + 1, _WALK_BLOCK):
+            c1 = min(c0 + _WALK_BLOCK, last + 1)
+            left = s if c0 == first else rule.edges[c0 - 1]
+            right = e if c1 > last else rule.edges[c1 - 1]
+            bounds = np.concatenate(([left], rule.edges[c0 : c1 - 1], [right]))
+            a, b, signs = bounds[:-1], bounds[1:], rule.signs[c0:c1]
+            keep = b > a
+            if not np.all(keep):
+                a, b, signs = a[keep], b[keep], signs[keep]
+            mids = (a + b) / 2.0
+            tie = mids == a
+            if np.any(tie):
+                signs = signs.copy()  # may still be a view of the rule's signs
+                signs[tie] = rule.predict(mids[tie])
+            yield a, b, mids, signs
 
 
 def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> float:
@@ -223,8 +212,9 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
     p (a discontinuity or 1/2-crossing), so the integrand is smooth
     on each piece and the Gauss-Legendre panels are exact for the
     piecewise-constant built-ins.  The work is linear in the number of
-    edges: one walk over the sorted edges in blocks of ``_WALK_BLOCK``
-    cells (no sort, no search per piece) finds each block's wrong pieces,
+    edges: one walk over the sorted edges, segment by segment between the
+    cuts, in blocks of ``_WALK_BLOCK`` cells (no sort, two binary searches
+    per segment) finds each block's wrong pieces,
     and those are integrated in blocks of ``_GL_BLOCK`` whose nodes share
     one buffer.  A block turns its conditional probabilities in place into
     |p - 1/2|, and a product with the rule's weights and half-widths gives
@@ -251,8 +241,6 @@ def excess_zero_one_exact(rule: PiecewiseConstantRule, dist: Distribution) -> fl
             np.multiply(np.einsum("ij,j->i", dev, _GL_WEIGHTS), half,
                         out=piece_vals[count : count + len(idx)])
             count += len(idx)
-    if count == 0:
-        return 0.0
     return float(2.0 * dist.pdf * piece_vals[:count].sum())
 
 

@@ -48,9 +48,9 @@ point set; it is the only place that chooses a backend:
   tile's preactivations are turned into their positive parts in place and
   meet the signs.  The choice is made by value, not identity.
 
-Points and sources must be finite: ``_operands``, the one entry of both
-backends, and ``Ring`` raise ``ValueError`` for a NaN or infinite
-coordinate, and no code below them handles one.
+Points and sources must be finite.  Each backend checks them once, where
+it first reads them (``Ring`` and ``Ring.arcs``, or ``DenseKernel()``), and
+raises ``ValueError`` for a NaN or infinite coordinate; no code below does.
 
 ``adjoint_margins(coeff, refs)`` returns the adjoint G, the margins of G and
 the margins of each reference matrix: the trainer's frozen risk along a
@@ -113,8 +113,8 @@ def _checked(A, name: str) -> np.ndarray:
 
 
 def _operands(sources, X) -> tuple[np.ndarray, np.ndarray]:
-    sources = np.ascontiguousarray(_checked(sources, "sources"))
-    X = np.ascontiguousarray(_checked(X, "points"))
+    sources = np.ascontiguousarray(sources, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if sources.ndim != 2:
         raise ValueError("sources must form an (m, d) array")
     if X.ndim != 2 or X.shape[1] != sources.shape[1]:
@@ -398,6 +398,9 @@ class DenseKernel(_MaskedSums):
     change while the kernel is in use.  The mask is the sign of the BLAS
     product, which may fuse multiply-adds.
     """
+
+    def __init__(self, sources, signs, scale: float, X):
+        super().__init__(_checked(sources, "sources"), signs, scale, _checked(X, "points"))
 
     def _preactivations(self, grid=None):
         # Each block of sources is copied once, transposed, to a C-ordered

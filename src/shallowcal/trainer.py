@@ -79,6 +79,11 @@ class TrainConfig:
             raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
 
 
+def step_size_ok(eta: float, rho: float) -> bool:
+    """The monitors' precondition eta <= 4/rho^2, up to one part in 10^12."""
+    return eta <= 4.0 / rho**2 * (1 + 1e-12)
+
+
 def _check_eta(eta) -> None:
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
@@ -265,10 +270,8 @@ def train(
     not all finite have diverged, with risk inf and no kernel pass.
     """
     X, y = _check_sample(X, y, net.d)
-    if monitors and cfg.eta > 4.0 / net.rho**2 * (1 + 1e-12):
-        raise ValueError(
-            f"monitors require eta <= 4/rho^2 = {4.0 / net.rho ** 2}, got {cfg.eta}"
-        )
+    if monitors and not step_size_ok(cfg.eta, net.rho):
+        raise ValueError(f"monitors require eta <= 4/rho^2 = {4.0 / net.rho**2}, got {cfg.eta}")
     if monitors and np.max(np.linalg.norm(X, axis=1)) > 1 + 1e-12:
         raise ValueError("monitors require input norms <= 1")
     refs = dict(regret_refs or {})

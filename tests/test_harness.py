@@ -21,7 +21,7 @@ from shallowcal.harness import (
 )
 from shallowcal.network import augment_batch, freeze_features, init_network
 from shallowcal.reference import model_from_config, sample_reference
-from shallowcal.trainer import DIVERGENCE_THRESHOLD, frozen_empirical_risk
+from shallowcal.trainer import DIVERGENCE_THRESHOLD, frozen_empirical_risk, step_size_ok
 
 
 class TestDeriveRegime:
@@ -71,6 +71,20 @@ class TestDeriveRegime:
         with pytest.raises(ValueError, match="m, n, eps_gd, rho, r_gd"):
             derive_regime("easy", 0.5, overrides=overrides)
 
+    @pytest.mark.parametrize(
+        "overrides", [{"m": 64.9}, {"m": 0}, {"m": -5}, {"m": True}, {"n": 0}, {"n": 32.0}]
+    )
+    def test_override_sizes_are_integers_of_at_least_one(self, overrides):
+        # Neither rounded up nor clamped to 1: only derived sizes round.
+        (key,) = overrides
+        with pytest.raises(ValueError, match=f"override {key} must be an integer >= 1"):
+            derive_regime("clairvoyant", 0.5, overrides=overrides)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, 5e-324, "0.1"])
+    def test_eps_gd_override_error_names_eps_gd(self, value):
+        with pytest.raises(ValueError, match="^eps_gd must be positive"):
+            derive_regime("easy", 0.5, overrides={"eps_gd": value})
+
 
 class TestDeriveConsistency:
     def test_power_example(self):
@@ -105,6 +119,12 @@ class TestDeriveConsistency:
         with pytest.raises(ValueError):
             derive_consistency(100, 1.0)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, True])
+    def test_n_is_an_integer(self, n):
+        # 100.5 would otherwise run at n = 100 with every other size derived from 100.5.
+        with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+            derive_consistency(n, 0.5)
+
 
 class TestRegimeConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
@@ -127,6 +147,17 @@ class TestRegimeConfigValidation:
         cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             dataclasses.replace(cfg, **{field: value})
+
+    def test_step_size_is_accepted_only_where_the_trainer_accepts_it(self):
+        cfg = derive_regime("clairvoyant", 0.5, seed=1, overrides={"m": 64, "n": 32})
+        over = cfg.eta * (1 + 5e-11)  # eta * rho^2 = 4.0000000002
+        assert not step_size_ok(over, cfg.rho)
+        with pytest.raises(ValueError, match="eta <= 4/rho"):
+            dataclasses.replace(cfg, eta=over)
+        with pytest.raises(ValueError, match="eta <= 4/rho"):
+            RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "eta": over})
+        for eta in (cfg.eta * (1 + 5e-13), cfg.eta * (1 - 5e-11)):
+            assert run_experiment(dataclasses.replace(cfg, eta=eta)).status == "ok"
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     @pytest.mark.parametrize("field", ["augment_bias", "capped"])
@@ -344,13 +375,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(base, "width", [128, 256], seeds=5)
 
-    @pytest.mark.parametrize("axis,values", [("n", [16, 0]), ("m", [64, -1])], ids=["n", "m"])
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("n", [16, 0]), ("m", [64, -1]), ("n", [16, 16.5]), ("m", [64, 64.9])],
+        ids=["n", "m", "n-fraction", "m-fraction"],
+    )
     def test_every_cell_is_checked_before_any_run(self, monkeypatch, axis, values):
         base = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 16})
         runs = []
         monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
         with pytest.raises(ValueError, match=f"{axis} must be an integer >= 1"):
             sweep(base, axis, values, seeds=5)
+        assert runs == []
+
+    @pytest.mark.parametrize("axis,value", [("n", 64.5), ("n", 64.0), ("m", 64.9)])
+    def test_consistency_cells_are_checked_before_any_run(self, monkeypatch, axis, value):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        with pytest.raises(ValueError, match=f"{axis} must be an integer"):
+            sweep(derive_consistency(64, 0.5), axis, [64, value], seeds=5)
         assert runs == []
 
     def test_seeds_disjoint_across_cells(self):

@@ -220,12 +220,24 @@ class TestExactExcess:
             assert abs(excess_zero_one_exact(rule, dist) - want) <= 1e-14 * want
 
 
+# p jumps at -0.5, 0 and 0.5, so the support has four segments; the cuts
+# also name 0 twice, the support's right end and a point outside it.
+MULTI_CUT = dataclasses.replace(
+    make_distribution("step-1d"),
+    name="multi-cut-1d",
+    cond_prob_raw=lambda X: np.select(
+        [X[:, 0] <= -0.5, X[:, 0] <= 0.0, X[:, 0] <= 0.5], [0.2, 0.7, 0.4], 0.9
+    ),
+    cuts=(0.5, -0.5, 0.0, 0.0, 1.0, 2.0),
+)
+
 DISTS = {
     "constant-1d[0,1]": make_distribution("constant-1d", p=0.75, lo=0.0, hi=1.0),
     "constant-1d[-1,1]": make_distribution("constant-1d", p=0.25),
     "step-1d": make_distribution("step-1d"),
     "step-smooth-1d": make_distribution("step-smooth-1d", width=0.1),
     "logistic-1d": make_distribution("logistic-1d", c=-3.0),
+    "multi-cut-1d": MULTI_CUT,
 }
 
 
@@ -247,6 +259,28 @@ def labeled_points(draw):
 
 def rules_of(s):
     return [one_nn_rule(s)] + [knn_rule(s, k) for k in (1, 3, 5) if k <= s.n]
+
+
+def ulp_neighbours(c, k=2):
+    """c and the k doubles on either side of it."""
+    out, down, up = [c], c, c
+    for _ in range(k):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return out
+
+
+@st.composite
+def multi_cut_points(draw):
+    """(x, y) for ``MULTI_CUT``, with points on every cut, on the support's
+    ends and on their one- and two-ulp neighbours."""
+    lo, hi = MULTI_CUT.support
+    pool = [v for c in (lo, hi, *MULTI_CUT.cuts) for v in ulp_neighbours(c)]
+    n = draw(st.integers(1, 40))
+    point = st.one_of(st.sampled_from(pool), st.floats(lo - 0.5, hi + 0.5))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return x, y
 
 
 class TestLinearWalk:
@@ -309,6 +343,23 @@ class TestLinearWalk:
         assert np.sum(s.y != bayes) > 2 * interpolation._GL_BLOCK
         for rule in rules_of(s):
             assert excess_zero_one_exact(rule, dist).hex() == excess_unique_predict(rule, dist).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(multi_cut_points())
+    def test_segments_between_cuts_match_unique_predict_bitwise(self, case):
+        s = sorted_sample(*case)
+        for rule in rules_of(s):
+            assert excess_zero_one_exact(rule, MULTI_CUT).hex() == excess_unique_predict(rule, MULTI_CUT).hex()
+
+    def test_segments_longer_than_a_block(self, monkeypatch):
+        # Blocks of 7 cells: most segments take several blocks, and some
+        # blocks hold only part of a segment's cells.
+        monkeypatch.setattr(interpolation, "_WALK_BLOCK", 7)
+        samp = sample(MULTI_CUT, 300, 24)
+        x = np.concatenate([samp.points[:, 0], ulp_neighbours(0.5), ulp_neighbours(-0.5)])
+        y = np.concatenate([samp.labels, np.tile([1.0, -1.0], 5)])
+        for rule in rules_of(sorted_sample(x, y)):
+            assert excess_zero_one_exact(rule, MULTI_CUT).hex() == excess_unique_predict(rule, MULTI_CUT).hex()
 
     def test_nodes_are_evaluated_block_by_block(self, monkeypatch):
         # No cond_prob call sees more than one block: a walk block's piece
