@@ -40,6 +40,11 @@ __all__ = [
     "sphere_points",
 ]
 
+# The row dimension of the Gaussian count check, whose bound holds in any
+# dimension, and the size and seed of the sphere gap's point set.
+_GAUSS_COUNT_DIM = 8
+_SPHERE_POINTS, _SPHERE_SEED = 4096, 0
+
 
 class LemmaReport:
     """A lemma check's outcome: its dataclass fields, a ``lemma_id`` and a
@@ -81,24 +86,23 @@ def gaussian_row_count_check(
     tau: float,
     trials: int = 2000,
     delta: float = 0.05,
-    d: int = 8,
     seed: int = 0,
 ) -> LemmaCheckReport:
     """Count of Gaussian rows nearly orthogonal to a fixed direction.
 
     For W with iid standard normal entries and any unit x, the number of
     rows with |w_j . x| <= tau falls below m tau + sqrt(8 m tau ln(1/delta))
-    except with probability 3 delta.
+    except with probability 3 delta.  Rows have ``_GAUSS_COUNT_DIM`` entries.
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(d)
+    x = rng.standard_normal(_GAUSS_COUNT_DIM)
     x /= np.linalg.norm(x)
     bound = m * tau + math.sqrt(8 * m * tau * math.log(1 / delta))
     counts = np.empty(trials)
     for t in range(trials):
-        W = rng.standard_normal((m, d))
+        W = rng.standard_normal((m, _GAUSS_COUNT_DIM))
         counts[t] = int(np.sum(np.abs(W @ x) <= tau))
     failures = int(np.sum(counts > bound))
     return LemmaCheckReport(
@@ -201,37 +205,32 @@ class SphereGapReport(LemmaReport):
         return self.sup_gap <= self.bound_value
 
 
-def sphere_linearization_gap(
-    net: Network,
-    V: np.ndarray,
-    resolution: int = 4096,
-    delta: float = 0.05,
-    seed: int = 0,
-) -> SphereGapReport:
+def sphere_linearization_gap(net: Network, V: np.ndarray, delta: float = 0.05) -> SphereGapReport:
     """Estimated sup over the unit sphere of |f(x; V) - <grad f(x; W0), V>|.
 
     Both functions are positively homogeneous in x, so the sup over the ball
     is attained on the sphere; a grid (d <= 3) or Monte Carlo (d > 3)
-    estimate is a lower bound on the true sup, the conservative direction
-    when checking an upper bound.  Reported next to the closed-form rate
-    25 rho R^(4/3) sqrt(ln(e d m / delta)) / m^(1/6)."""
+    estimate over ``_SPHERE_POINTS`` points is a lower bound on the true
+    sup, the conservative direction when checking an upper bound.  Reported
+    next to the closed-form rate 25 rho R^(4/3) sqrt(ln(e d m / delta)) /
+    m^(1/6), with R = max(1, ||V - W0||)."""
     V = np.asarray(V, dtype=float)
-    X = sphere_points(net.d, resolution, seed)
+    X = sphere_points(net.d, _SPHERE_POINTS, _SPHERE_SEED)
     direct = forward_batch(replace(net, weights=V), X)
     linear = frozen_forward_batch(freeze_features(net, at_init=True), V, X)
     sup_gap = float(np.max(np.abs(direct - linear)))
-    radius = max(1.0, frobenius_norm(V - net.init_weights))
+    radius = frobenius_norm(V - net.init_weights)
     bound = (
         25.0
         * net.rho
-        * radius ** (4.0 / 3.0)
+        * max(1.0, radius) ** (4.0 / 3.0)
         * math.sqrt(math.log(math.e * net.d * net.m / delta))
         / net.m ** (1.0 / 6.0)
     )
     return SphereGapReport(
         sup_gap=sup_gap,
         bound_value=bound,
-        radius=frobenius_norm(V - net.init_weights),
+        radius=radius,
         points=len(X),
         mode="grid" if net.d <= 3 else "mc",
     )

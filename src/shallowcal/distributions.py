@@ -204,14 +204,12 @@ def population_risk(
     return PopulationRisk(breakdown=breakdown, logistic_se=se)
 
 
-def bayes_risk(dist: Distribution, ev: PopulationEvaluator | None = None) -> float:
+def bayes_risk(dist: Distribution, ev: PopulationEvaluator) -> float:
     """Optimal population logistic risk: the integrated binary entropy of p_y."""
-    ev = ev or evaluator(dist)
     return pairwise_dot(ev.weights, binary_entropy(dist.cond_prob(ev.points)))
 
 
-def bayes_zero_one_risk(dist: Distribution, ev: PopulationEvaluator | None = None) -> float:
-    ev = ev or evaluator(dist)
+def bayes_zero_one_risk(dist: Distribution, ev: PopulationEvaluator) -> float:
     p = dist.cond_prob(ev.points)
     return pairwise_dot(ev.weights, np.minimum(p, 1 - p))
 

@@ -8,6 +8,9 @@ and n >= 1/eps^2 shared by all of them):
 * clairvoyant - rho = m^(-1/8), m = eps^(-8), radius R/rho;
 * worstcase   - rho = m^(-1/8), m = eps^(-40/3), radius infinite.
 
+A preset may pin m, n and eps_gd; rho, eta and the radius always follow
+from the width.
+
 The consistency schedule drives everything from the sample size n and an
 early stopping exponent xi in (0, 1):
 
@@ -133,6 +136,10 @@ class RegimeConfig:
             raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
         if self.ref_config is not None and not isinstance(self.ref_config, dict):
             raise ValueError(f"ref_config must be null or a JSON object, got {self.ref_config!r}")
+        if self.ref_config is not None:
+            dim = model_from_config(self.ref_config).dim
+            if dim != self.input_dim:
+                raise ValueError(f"reference dimension {dim} != input dimension {self.input_dim}")
 
     @property
     def input_dim(self) -> int:
@@ -221,35 +228,36 @@ def _radius(ref_config: dict | None, rho: float) -> float:
     return max(4.0, rho, norm)
 
 
-def _coupling(regime: str, m: int, ref_config: dict | None, rho=None, r_gd=None):
+def _coupling(regime: str, m: int, ref_config: dict | None, r_gd=None):
     """(rho, eta, r_gd) of a width-m run: rho = m^(-1/8) (1 in the easy
     regime), eta = 4/rho^2, radius R/rho in the clairvoyant regime and
-    infinite otherwise.  A pinned rho or r_gd replaces the derived one."""
-    rho = (1.0 if regime == "easy" else float(m) ** -0.125) if rho is None else float(rho)
+    infinite otherwise.  A pinned r_gd (the sweep's m axis keeps the base's)
+    replaces the derived one."""
+    rho = 1.0 if regime == "easy" else float(m) ** -0.125
     if r_gd is None:
         r_gd = _radius(ref_config, rho) / rho if regime == "clairvoyant" else math.inf
     return rho, 4.0 / rho**2, float(r_gd)
 
 
-def _build(regime, m, cap, rho=None, r_gd=None, capped=False, **fields) -> RegimeConfig:
+def _build(regime, m, cap, capped=False, **fields) -> RegimeConfig:
     """The presets' one constructor: pair the task with its default
     reference, round the width m up (the easy width R^8 when m is None), cap
     it and couple rho, eta and r_gd to it."""
     fields["dist_params"] = dict(fields["dist_params"] or {})
     make_distribution(fields["dist_name"], **fields["dist_params"])  # rejects bad parameters first
     ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
-    if m is None:  # easy regime: rho = 1 unless pinned, so R does not depend on m
-        m = _radius(ref, 1.0 if rho is None else float(rho)) ** 8
+    if m is None:  # easy regime: rho = 1, so R does not depend on m
+        m = _radius(ref, 1.0) ** 8
     m = m if is_int(m) else _snap_ceil(m)  # only a derived width rounds up
     if m > cap:
         m, capped = cap, True
-    rho, eta, r_gd = _coupling(regime, m, ref, rho, r_gd)
+    rho, eta, r_gd = _coupling(regime, m, ref)
     return RegimeConfig(
         regime=regime, m=m, rho=rho, eta=eta, r_gd=r_gd, ref_config=ref, capped=capped, **fields
     )
 
 
-_OVERRIDE_KEYS = ("m", "n", "eps_gd", "rho", "r_gd")
+_OVERRIDE_KEYS = ("m", "n", "eps_gd")
 
 
 def derive_regime(
@@ -266,10 +274,11 @@ def derive_regime(
 
     The easy width R^8 and the clairvoyant radius R/rho read the norm bound
     R of the task's default reference (``_radius``).  ``overrides`` may pin
-    the derived fields m, n (integers >= 1), eps_gd, rho and r_gd; any
-    other key is a ValueError, and so is an eps small enough that a derived
-    size overflows.  rho, eta and r_gd are re-derived from an overridden m
-    to keep the couplings intact.
+    the derived fields m, n (integers >= 1) and eps_gd; any other key is a
+    ValueError, and so is an eps small enough that a derived size
+    overflows.  rho, eta and r_gd are derived from the width, overridden or
+    not, so the couplings hold; a config built with ``dataclasses.replace``
+    or read from a file can set them otherwise.
     """
     if regime == "consistency":
         raise ValueError("use derive_consistency for the consistency schedule")
@@ -293,9 +302,9 @@ def derive_regime(
     if not (is_number(eps_gd) and eps_gd > 0 and math.isfinite(1.0 / (8.0 * eps_gd))):
         raise ValueError(f"eps_gd must be positive and t = 1/(8 eps_gd) finite, got {eps_gd!r}")
     return _build(
-        regime, overrides.get("m", m), cap, rho=overrides.get("rho"), r_gd=overrides.get("r_gd"),
-        capped=n > cap, n=min(n, cap), t=_snap_ceil(1.0 / (8.0 * eps_gd)), eps_gd=float(eps_gd),
-        eps=eps, seed=seed, dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
+        regime, overrides.get("m", m), cap, capped=n > cap, n=min(n, cap),
+        t=_snap_ceil(1.0 / (8.0 * eps_gd)), eps_gd=float(eps_gd), eps=eps, seed=seed,
+        dist_name=dist_name, dist_params=dist_params, augment_bias=augment_bias,
     )
 
 

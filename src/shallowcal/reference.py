@@ -33,9 +33,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import Distribution, PopulationEvaluator, evaluator, population_risk
+from .distributions import Distribution, PopulationEvaluator, population_risk
 from .kernel import DenseKernel, Ring
-from .metrics import frobenius_norm, is_int, pairwise_dot
+from .metrics import frobenius_norm, is_int, is_number, pairwise_dot
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -103,22 +103,43 @@ def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
     return InfiniteWidthModel(2.0 * np.sqrt(2.0) * np.concatenate([theta, [bias]]), **kw)
 
 
+# What each reference config field accepts, and how an error names it.
+_RULES = {
+    "dim": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "vector": (
+        lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v)),
+        "a nonempty list of numbers",
+    ),
+    "bias": (is_number, "a number"),
+}
+_RULES["theta"] = _RULES["vector"]
+
+
+def _field(cfg: dict, name: str):
+    """``cfg[name]``, or a ValueError if it is missing or ``_RULES`` refuse it."""
+    if name not in cfg:
+        raise ValueError(f"reference model {cfg.get('kind')!r} needs field {name!r}")
+    accepts, what = _RULES[name]
+    if not accepts(cfg[name]):
+        raise ValueError(f"reference field {name!r} must be {what}, got {cfg[name]!r}")
+    return cfg[name]
+
+
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
     """Build a built-in model from a config dict, e.g.
-    {"kind": "constant", "vector": [...]}.  A missing field is a ValueError."""
+    {"kind": "constant", "vector": [...]}.  A missing field, or one that
+    ``_RULES`` refuse (a string, a bool, an empty list, a ``dim`` below 1),
+    is a ValueError."""
     kind = cfg.get("kind")
     extra = {k: cfg[k] for k in ("mc_features", "mc_seed") if k in cfg}
-    try:
-        if kind == "zero":
-            return zero_model(int(cfg["dim"]), **extra)
-        if kind == "constant":
-            return InfiniteWidthModel(cfg["vector"], **extra)
-        if kind == "linear-teacher":
-            return linear_teacher(cfg["theta"], **extra)
-        if kind == "affine-teacher":
-            return affine_teacher(cfg["theta"], float(cfg["bias"]), **extra)
-    except KeyError as exc:
-        raise ValueError(f"reference model {kind!r} needs field {exc.args[0]!r}") from None
+    if kind == "zero":
+        return zero_model(_field(cfg, "dim"), **extra)
+    if kind == "constant":
+        return InfiniteWidthModel(_field(cfg, "vector"), **extra)
+    if kind == "linear-teacher":
+        return linear_teacher(_field(cfg, "theta"), **extra)
+    if kind == "affine-teacher":
+        return affine_teacher(_field(cfg, "theta"), _field(cfg, "bias"), **extra)
     raise ValueError(f"unknown reference model kind {kind!r}")
 
 
@@ -225,18 +246,17 @@ def gap_experiment(
     model: InfiniteWidthModel,
     net: Network,
     dist: Distribution,
-    ev: PopulationEvaluator | None = None,
+    ev: PopulationEvaluator,
     augment_inputs: bool = False,
 ) -> GapResult:
     """Multiplicative gap between the frozen-feature risk of the sampled
     reference and the Monte Carlo risk of the infinite-width model.
 
-    Both population logistic risks are evaluated on the same weighted point
-    set (bias-augmented first when ``augment_inputs`` is set); the reported
-    se is a conservative propagation of the per-point Monte Carlo feature
-    noise through the 1-Lipschitz loss.
+    Both population logistic risks are evaluated on the points and weights
+    of ``ev`` (the points bias-augmented first when ``augment_inputs`` is
+    set); the reported se is a conservative propagation of the per-point
+    Monte Carlo feature noise through the 1-Lipschitz loss.
     """
-    ev = ev or evaluator(dist)
     points = augment_batch(ev.points) if augment_inputs else ev.points
 
     def risk(margins):

@@ -46,6 +46,7 @@ __all__ = [
     "empirical_risk",
     "frozen_empirical_risk",
     "gd_step",
+    "step_size_ok",
     "train",
     "write_trajectory",
 ]
@@ -114,9 +115,7 @@ class RegretCertificate:
     frozen_ref: np.ndarray
     dist_sq: np.ndarray
 
-    def sides(self, t: int | None = None) -> tuple[float, float]:
-        if t is None:
-            t = len(self.frozen_next)
+    def sides(self, t: int) -> tuple[float, float]:
         if not 0 <= t <= len(self.frozen_next):
             raise ValueError(f"prefix must lie in [0, {len(self.frozen_next)}]")
         lhs = self.dist_sq[t] + 2 * self.eta * float(self.frozen_next[:t].sum())
@@ -315,8 +314,8 @@ def train(
     return traj
 
 
-def write_trajectory(traj: Trajectory, csv_path, json_path=None) -> None:
-    """CSV of per-iterate scalars plus an optional JSON metadata sidecar."""
+def write_trajectory(traj: Trajectory, csv_path, json_path) -> None:
+    """CSV of per-iterate scalars plus a JSON metadata sidecar."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -333,13 +332,12 @@ def write_trajectory(traj: Trajectory, csv_path, json_path=None) -> None:
                     int(rec.selected),
                 ]
             )
-    if json_path is not None:
-        # the config's fields, then every scalar field of the trajectory
-        meta = asdict(traj.config)
-        meta["r_gd"] = "inf" if math.isinf(meta["r_gd"]) else meta["r_gd"]
-        for f in fields(traj):
-            if f.name not in ("config", "records", "selected_weights", "certificates"):
-                meta[f.name] = getattr(traj, f.name)
-        meta["monitors"] = traj.monitor_verdicts()
-        with open(json_path, "w") as fh:
-            json.dump(meta, fh, indent=2)
+    # the config's fields, then every scalar field of the trajectory
+    meta = asdict(traj.config)
+    meta["r_gd"] = "inf" if math.isinf(meta["r_gd"]) else meta["r_gd"]
+    for f in fields(traj):
+        if f.name not in ("config", "records", "selected_weights", "certificates"):
+            meta[f.name] = getattr(traj, f.name)
+    meta["monitors"] = traj.monitor_verdicts()
+    with open(json_path, "w") as fh:
+        json.dump(meta, fh, indent=2)

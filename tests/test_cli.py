@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +11,7 @@ import pytest
 from shallowcal import diagnostics, harness, interpolation
 from shallowcal.cli import build_parser, main
 from shallowcal.diagnostics import LemmaCheckReport
-from shallowcal.distributions import sample as draw_sample
+from shallowcal.distributions import make_distribution, sample as draw_sample
 from shallowcal.harness import derive_regime
 
 
@@ -120,6 +122,27 @@ class TestTrainCommand:
         assert runs == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "bound"])
+    @pytest.mark.parametrize(
+        "ref",
+        [{"kind": "bogus"}, {"kind": "linear-teacher", "theta": [1.0, 2.0]}],
+        ids=["unknown-kind", "dimension-mismatch"],
+    )
+    def test_bad_reference_is_refused_before_any_run(self, small_config, tmp_path, monkeypatch, capsys,
+                                                     command, ref):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        monkeypatch.setattr(harness, "compute_bound_terms", lambda cfg, **kw: runs.append(cfg))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(small_config.read_text()), "ref_config": ref}))
+        flags = {"train": [], "sweep": ["--axis", "n", "--values", "64,128"],
+                 "bound": ["--ref-risk", "0.5"]}[command]
+        code = main([command, "--config", str(bad), *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--regime", "worstcase"], ["--eps", "0.01"], ["--dist", "step-1d"],
@@ -195,7 +218,8 @@ class TestTrainCommand:
     def test_large_rho_run_exits_diverged(self, tmp_path, capsys):
         # The sampled reference at rho = 1e8 used to fail its norm check by
         # cancellation and end in a traceback; the run diverges at iterate 0.
-        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8, "rho": 1e8})
+        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8})
+        cfg = dataclasses.replace(cfg, rho=1e8, eta=4e-16)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_flat_dict()))
         out = tmp_path / "out"
@@ -210,8 +234,9 @@ class TestTrainCommand:
 class TestParserErrors:
     @pytest.mark.parametrize(
         "argv",
-        [["train", "--bogus"], ["lemma-check", "--lemma", "no-such"], ["train", "--format", "csv"]],
-        ids=["unknown-flag", "unknown-lemma", "format-not-read"],
+        [["train", "--bogus"], ["lemma-check", "--lemma", "no-such"], ["train", "--format", "csv"],
+         ["interp-lb", "--p", "0.6"]],
+        ids=["unknown-flag", "unknown-lemma", "format-not-read", "interp-lb-p"],
     )
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -314,19 +339,6 @@ class TestInterpCommand:
         summary = json.loads((out / "interp_lb_summary.json").read_text())
         assert any(key.startswith("n=50") for key in summary)
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--dist", "logistic-1d", "--p", "0.6"],
-         ["--dist-params", '{"lo": 0.0, "hi": 1.0, "p": 0.6}', "--p", "0.6"]],
-        ids=["other-dist", "p-given-twice"],
-    )
-    def test_misplaced_p_is_usage_error(self, tmp_path, capsys, flags):
-        out = tmp_path / "out"
-        code = main(["interp-lb", "--n-grid", "50", "--trials", "2", "--out-dir", str(out), *flags])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
-
     def test_p_in_dist_params_is_used(self, tmp_path):
         def table(*flags):
             out = tmp_path / str(len(list(tmp_path.iterdir())))
@@ -335,7 +347,11 @@ class TestInterpCommand:
             return (out / "interp_lb.csv").read_text()
 
         in_params = table("--dist-params", '{"lo": 0.0, "hi": 1.0, "p": 0.6}')
-        assert in_params == table("--p", "0.6")
+        dist = make_distribution("constant-1d", p=0.6, lo=0.0, hi=1.0)
+        rows, _ = interpolation.excess_risk_comparison(dist, [50, 100], trials=3)
+        assert [float(r["excess_z"]) for r in csv.DictReader(io.StringIO(in_params))] == [
+            r["excess_z"] for r in rows
+        ]
         assert in_params != table()
 
     @pytest.mark.parametrize("dist,params,match", [

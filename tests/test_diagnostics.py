@@ -107,12 +107,12 @@ class TestSphereGap:
 
     def test_zero_at_initialization(self):
         net = init_network(128, 2, 0.9, seed=10)
-        rep = sphere_linearization_gap(net, net.init_weights, resolution=256)
+        rep = sphere_linearization_gap(net, net.init_weights)
         assert rep.sup_gap <= 1e-12
 
     def test_zero_below_smallest_activation_margin(self):
         net = init_network(32, 2, 1.0, seed=11)
-        X = sphere_points(2, 128)
+        X = sphere_points(2, 4096)
         margins = np.abs(X @ net.init_weights.T)
         eps = 0.5 * margins.min()  # no activation can flip on the grid
         rng = np.random.default_rng(12)
@@ -120,7 +120,7 @@ class TestSphereGap:
         delta *= eps / np.linalg.norm(delta, axis=1, keepdims=True).max() / np.sqrt(32)
         V = net.init_weights + delta
         assert float(np.linalg.norm(V - net.init_weights, axis=1).max()) < margins.min()
-        rep = sphere_linearization_gap(net, V, resolution=128)
+        rep = sphere_linearization_gap(net, V)
         assert rep.sup_gap == 0.0
 
     def test_gap_below_bound_after_training(self):

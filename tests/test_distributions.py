@@ -138,7 +138,7 @@ class TestEvaluator:
         # panel; the closed form is (2 ln 2 - ln(1 + e^-1) - ln(1 + e^-2)) / 3.
         dist = make_distribution("logistic-1d", c=2.0, lo=-0.5, hi=1.0)
         closed = (2 * math.log(2) - math.log1p(math.exp(-1)) - math.log1p(math.exp(-2))) / 3
-        assert abs(bayes_zero_one_risk(dist) - closed) <= 4 * math.ulp(closed)
+        assert abs(bayes_zero_one_risk(dist, evaluator(dist)) - closed) <= 4 * math.ulp(closed)
 
     def test_mc_sample_size_is_not_a_parameter(self):
         with pytest.raises(ValueError, match="mc_eval_n"):
@@ -153,19 +153,21 @@ class TestEvaluator:
 class TestCatalogConstants:
     def test_constant_bayes_risks(self):
         dist = make_distribution("constant-1d", p=0.75)
+        ev = evaluator(dist)
         expect = -0.75 * math.log(0.75) - 0.25 * math.log(0.25)
-        assert bayes_risk(dist) == pytest.approx(expect, abs=1e-12)
-        assert bayes_risk(dist) == pytest.approx(0.5623, abs=5e-5)
-        assert bayes_zero_one_risk(dist) == pytest.approx(0.25, abs=1e-12)
+        assert bayes_risk(dist, ev) == pytest.approx(expect, abs=1e-12)
+        assert bayes_risk(dist, ev) == pytest.approx(0.5623, abs=5e-5)
+        assert bayes_zero_one_risk(dist, ev) == pytest.approx(0.25, abs=1e-12)
 
     def test_logistic_with_zero_slope_is_fair_coin(self):
         dist = make_distribution("logistic-1d", c=0.0)
-        assert bayes_risk(dist) == pytest.approx(LOG2, abs=1e-12)
+        assert bayes_risk(dist, evaluator(dist)) == pytest.approx(LOG2, abs=1e-12)
 
     def test_step_bayes_zero_one(self):
         dist = make_distribution("step-1d")
-        assert bayes_zero_one_risk(dist) == pytest.approx(0.3, abs=1e-12)
-        assert bayes_risk(dist) == pytest.approx(binary_entropy(0.3), abs=1e-12)
+        ev = evaluator(dist)
+        assert bayes_zero_one_risk(dist, ev) == pytest.approx(0.3, abs=1e-12)
+        assert bayes_risk(dist, ev) == pytest.approx(binary_entropy(0.3), abs=1e-12)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

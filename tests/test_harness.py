@@ -66,9 +66,11 @@ class TestDeriveRegime:
         cfg = derive_regime("easy", 0.1, overrides={"m": 512, "n": 256})
         assert cfg.m == 512 and cfg.n == 256 and cfg.rho == 1.0
 
-    @pytest.mark.parametrize("overrides", [{"M": 16, "n": 8}, {"ref_config": None}])
+    @pytest.mark.parametrize(
+        "overrides", [{"M": 16, "n": 8}, {"ref_config": None}, {"rho": 1e8}, {"r_gd": 0.25}]
+    )
     def test_unknown_override_is_error(self, overrides):
-        with pytest.raises(ValueError, match="m, n, eps_gd, rho, r_gd"):
+        with pytest.raises(ValueError, match="accepted: m, n, eps_gd$"):
             derive_regime("easy", 0.5, overrides=overrides)
 
     @pytest.mark.parametrize(
@@ -158,6 +160,22 @@ class TestRegimeConfigValidation:
             RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "eta": over})
         for eta in (cfg.eta * (1 + 5e-13), cfg.eta * (1 - 5e-11)):
             assert run_experiment(dataclasses.replace(cfg, eta=eta)).status == "ok"
+
+    @pytest.mark.parametrize(
+        "ref,match",
+        [
+            ({"kind": "bogus"}, "unknown reference model kind"),
+            ({"kind": "linear-teacher", "theta": [True]}, "reference field 'theta'"),
+            ({"kind": "linear-teacher", "theta": [1.0, 2.0]}, "reference dimension 2 != input dimension 1"),
+        ],
+        ids=["unknown-kind", "bool-theta", "dimension-mismatch"],
+    )
+    def test_reference_is_checked_when_built(self, ref, match):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(cfg, ref_config=ref)
+        with pytest.raises(ValueError, match=match):
+            RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "ref_config": ref})
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     @pytest.mark.parametrize("field", ["augment_bias", "capped"])
@@ -249,15 +267,15 @@ class TestBoundTerms:
         assert terms.tau_1 == pytest.approx(tau_1, rel=1e-12)
 
     def test_small_radius_pins_b(self):
-        cfg = derive_regime("clairvoyant", 0.5, overrides={"r_gd": 0.25})
+        cfg = dataclasses.replace(derive_regime("clairvoyant", 0.5), r_gd=0.25)
         terms = compute_bound_terms(cfg, 0.5)
         assert terms.b_eff == 0.25
 
     def test_tau_monotone_in_m_with_b_fixed(self):
         prev_tau1, prev_tau0_m_part = None, None
         for m in (1024, 4096, 16384):
-            cfg = derive_regime(
-                "clairvoyant", 0.5, overrides={"m": m, "rho": 0.5, "r_gd": 1.0}
+            cfg = dataclasses.replace(
+                derive_regime("clairvoyant", 0.5, overrides={"m": m}), rho=0.5, eta=16.0, r_gd=1.0
             )
             terms = compute_bound_terms(cfg, 0.5)
             d = cfg.input_dim
@@ -341,7 +359,8 @@ class TestRunExperiment:
         # rho = 1e8 puts the initial risk far above the divergence threshold
         # while it stays finite: no step is taken, and the diverged iterate 0
         # is not selected, so no risk or reference block is computed.
-        cfg = derive_regime("easy", 0.5, seed=1, overrides={"m": 16, "n": 8, "rho": 1e8})
+        cfg = derive_regime("easy", 0.5, seed=1, overrides={"m": 16, "n": 8})
+        cfg = dataclasses.replace(cfg, rho=1e8, eta=4e-16)
         report = run_experiment(cfg)
         assert report.status == "diverged"
         assert report.trajectory.records[0].emp_risk > DIVERGENCE_THRESHOLD
@@ -352,7 +371,8 @@ class TestRunExperiment:
         # At rho = 1e8 the offset a u(w0) / (rho sqrt(m)) is near the rounding
         # of W0, so Ubar - W0 recomputed by subtraction cancels; the norm
         # bound is checked on the offset, and the run reports its status.
-        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8, "rho": 1e8})
+        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8})
+        cfg = dataclasses.replace(cfg, rho=1e8, eta=4e-16)
         report = run_experiment(cfg)
         assert report.status == "diverged"
         assert report.trajectory.selected_index is None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shallowcal.distributions import derived_seed, make_distribution
+from shallowcal.distributions import derived_seed, evaluator, make_distribution
 from shallowcal.metrics import LOG2
 from shallowcal.network import (
     Network,
@@ -115,6 +115,25 @@ class TestInfiniteForward:
         with pytest.raises(ValueError):
             model_from_config({"kind": "mystery"})
 
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            ({"kind": "affine-teacher", "theta": [1.0], "bias": "2"}, "bias"),
+            ({"kind": "affine-teacher", "theta": [1.0], "bias": True}, "bias"),
+            ({"kind": "linear-teacher", "theta": [True]}, "theta"),
+            ({"kind": "constant", "vector": ["1"]}, "vector"),
+            ({"kind": "constant", "vector": []}, "vector"),
+            ({"kind": "zero", "dim": 2.7}, "dim"),
+            ({"kind": "zero", "dim": 0}, "dim"),
+            ({"kind": "zero", "dim": True}, "dim"),
+        ],
+        ids=["string-bias", "bool-bias", "bool-theta", "string-vector", "empty-vector",
+             "fractional-dim", "zero-dim", "bool-dim"],
+    )
+    def test_model_from_config_refuses_malformed_fields(self, cfg, field):
+        with pytest.raises(ValueError, match=f"reference field '{field}' must be"):
+            model_from_config(cfg)
+
 
 class TestSampleReference:
     def test_zero_map_reproduces_initialization(self):
@@ -161,7 +180,7 @@ class TestGapExperiment:
         # of the identically-zero predictor on the same point set
         net = zero_weight_net(8, 1)
         dist = make_distribution("constant-1d", p=0.5)
-        res = gap_experiment(zero_model(1, mc_features=100), net, dist)
+        res = gap_experiment(zero_model(1, mc_features=100), net, dist, evaluator(dist))
         assert res.gap == 1.0
         assert res.frozen_risk == pytest.approx(LOG2, abs=1e-12)
         assert res.infinite_risk == pytest.approx(LOG2, abs=1e-12)
@@ -169,14 +188,14 @@ class TestGapExperiment:
     def test_small_temperature_fair_coin(self):
         dist = make_distribution("constant-1d", p=0.5)
         net = init_network(256, 1, 1e-3, seed=14)
-        res = gap_experiment(zero_model(1, mc_features=100), net, dist)
+        res = gap_experiment(zero_model(1, mc_features=100), net, dist, evaluator(dist))
         assert res.frozen_risk == pytest.approx(LOG2, abs=1e-3)
         assert 1.0 <= res.gap <= 1.001
 
     def test_json_record_fields(self):
         net = init_network(64, 1, 0.5, seed=15)
         dist = make_distribution("logistic-1d", c=1.0)
-        res = gap_experiment(linear_teacher([1.0], mc_features=20_000), net, dist)
+        res = gap_experiment(linear_teacher([1.0], mc_features=20_000), net, dist, evaluator(dist))
         d = res.to_dict()
         assert set(d) == {"m", "rho", "frozen_risk", "infinite_risk", "gap", "se"}
         assert d["gap"] >= 1.0

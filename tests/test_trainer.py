@@ -290,7 +290,7 @@ class TestRegretCertificate:
         traj = train(net, X, y, cfg, regret_refs=refs)
         for cert in traj.certificates.values():
             assert cert.holds()
-            lhs, rhs = cert.sides()
+            lhs, rhs = cert.sides(len(cert.frozen_next))
             assert lhs <= rhs + 1e-8 * max(1.0, rhs)
 
     def test_holds_for_sampled_reference(self):
