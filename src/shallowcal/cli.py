@@ -1,15 +1,20 @@
-"""Command-line front end.
+"""Command-line front end, and the package's one reader and writer of files.
 
 Subcommands: train, sweep, consistency, interp-lb, lemma-check, bound.
 Exit codes: 0 on success, 1 on a usage error, 2 on a monitor violation, an
 empty selection or a failed lemma check, 3 on optimizer divergence.  Every
 run prints the root seed it derives all randomness from.
+
+The library returns plain records; this module formats them and writes
+every output file through ``_write_json`` (non-finite floats as the strings
+of ``harness.json_safe``) and ``_write_csv``, printing each path it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +26,7 @@ from . import diagnostics, harness, interpolation
 from .distributions import make_distribution
 from .metrics import frobenius_norm
 from .network import freeze_features
-from .trainer import train, write_trajectory
+from .trainer import train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +91,7 @@ def cmd_train(args) -> int:
                 raise ValueError(f"--{flag.replace('_', '-')} cannot be combined with --config")
         cfg = _load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     else:
         cfg = harness.derive_regime(
             args.regime or "easy",
@@ -99,10 +104,15 @@ def cmd_train(args) -> int:
     report = harness.run_experiment(cfg)
     print(f"root seed: {report.root_seed}")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_dict(), out / "report.json")
-    write_trajectory(report.trajectory, out / "trajectory.csv", out / "trajectory_meta.json")
-    print(f"wrote {out / 'trajectory.csv'}")
+    traj = report.trajectory
+    cols = ["emp_risk", "dist_init", "grad_norm", "smooth_resid"]  # to 17 significant digits
+    rows = [{"iter": r.index, **{c: f"{getattr(r, c):.17g}" for c in cols},
+             "selected": int(r.index == traj.selected_index)} for r in traj.records]
+    _write_csv(rows, ["iter", *cols, "selected"], out / "trajectory.csv")
+    meta = {"rho": traj.rho, "n_examples": traj.n_examples, "status": traj.status,
+            "selected_index": traj.selected_index, "monitors": report.monitors}
+    _write_json({**dataclasses.asdict(traj.config), **meta}, out / "trajectory_meta.json")
     print(f"status: {report.status}")
     return _report_exit(report)
 

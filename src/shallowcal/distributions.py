@@ -332,7 +332,7 @@ def builtin_distributions() -> dict:
 
 
 def make_distribution(name: str, **params) -> Distribution:
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise ValueError(f"unknown distribution {name!r}; have {sorted(_CATALOG)}")
     factory = _CATALOG[name]
     unknown = sorted(set(params) - set(inspect.signature(factory).parameters))

@@ -127,6 +127,10 @@ class RegimeConfig:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.regime == "consistency" and not (is_number(self.xi) and 0 < self.xi < 1):
+            raise ValueError(f"a consistency config needs 0 < xi < 1, got {self.xi!r}")
         for name in ("augment_bias", "capped"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -136,10 +140,11 @@ class RegimeConfig:
             raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
         if self.ref_config is not None and not isinstance(self.ref_config, dict):
             raise ValueError(f"ref_config must be null or a JSON object, got {self.ref_config!r}")
+        input_dim = self.input_dim  # builds the task, so checks dist_name and dist_params
         if self.ref_config is not None:
             dim = model_from_config(self.ref_config).dim
-            if dim != self.input_dim:
-                raise ValueError(f"reference dimension {dim} != input dimension {self.input_dim}")
+            if dim != input_dim:
+                raise ValueError(f"reference dimension {dim} != input dimension {input_dim}")
 
     @property
     def input_dim(self) -> int:
@@ -161,15 +166,14 @@ class RegimeConfig:
         )
 
     def to_flat_dict(self) -> dict:
-        out = asdict(self)
-        out["r_gd"] = "inf" if math.isinf(self.r_gd) else self.r_gd
-        return out
+        return json_safe(asdict(self))
 
     @classmethod
     def from_flat_dict(cls, data: dict) -> "RegimeConfig":
         """Inverse of ``to_flat_dict``; raises ValueError unless ``data`` is
         a dict with every required field, no unknown field and a number in
-        every numeric field; ``__post_init__`` checks the values and flags."""
+        every numeric field (a float field may hold ``json_safe``'s "inf",
+        "-inf" or "nan"); ``__post_init__`` checks the values and flags."""
         if not isinstance(data, dict):
             raise ValueError("a config must be a JSON object")
         known = {f.name: f for f in dataclasses.fields(cls)}
@@ -186,9 +190,9 @@ class RegimeConfig:
         if missing:
             raise ValueError(f"missing config fields: {', '.join(missing)}")
         data = dict(data)
-        if data.get("r_gd") == "inf":
-            data["r_gd"] = math.inf
         for name, value in data.items():
+            if value in ("inf", "-inf", "nan") and "float" in known[name].type:
+                data[name] = value = float(value)
             accepts = _ACCEPTS.get(known[name].type)
             if accepts and not accepts(value):
                 raise ValueError(f"config field {name!r} must be {known[name].type}, got {value!r}")
@@ -320,8 +324,8 @@ def derive_consistency(
     """Schedule all parameters from the sample size under exponent xi."""
     if not is_int(n) or n < 2:
         raise ValueError(f"n must be an integer of at least 2, got {n!r}")
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie strictly inside (0, 1)")
+    if not (is_number(xi) and 0 < xi < 1):
+        raise ValueError(f"xi must lie strictly inside (0, 1), got {xi!r}")
     return _build(
         "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
         n=n, t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),

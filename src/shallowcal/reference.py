@@ -125,22 +125,30 @@ def _field(cfg: dict, name: str):
     return cfg[name]
 
 
+# The fields each kind reads and the builder it passes them to; every kind
+# also reads "kind" and the Monte Carlo budget, "mc_features" and "mc_seed".
+_KINDS = {
+    "zero": (("dim",), zero_model),
+    "constant": (("vector",), InfiniteWidthModel),
+    "linear-teacher": (("theta",), linear_teacher),
+    "affine-teacher": (("theta", "bias"), affine_teacher),
+}
+
+
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
     """Build a built-in model from a config dict, e.g.
-    {"kind": "constant", "vector": [...]}.  A missing field, or one that
-    ``_RULES`` refuse (a string, a bool, an empty list, a ``dim`` below 1),
-    is a ValueError."""
+    {"kind": "constant", "vector": [...]}.  An unknown kind, a field the
+    kind does not read, a missing field, or one that ``_RULES`` refuse (a
+    string, a bool, an empty list, a ``dim`` below 1) is a ValueError."""
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown reference model kind {kind!r}")
+    names, build = _KINDS[kind]
+    unread = sorted(set(cfg) - {"kind", "mc_features", "mc_seed", *names})
+    if unread:
+        raise ValueError(f"reference model {kind!r} does not read {', '.join(map(repr, unread))}")
     extra = {k: cfg[k] for k in ("mc_features", "mc_seed") if k in cfg}
-    if kind == "zero":
-        return zero_model(_field(cfg, "dim"), **extra)
-    if kind == "constant":
-        return InfiniteWidthModel(_field(cfg, "vector"), **extra)
-    if kind == "linear-teacher":
-        return linear_teacher(_field(cfg, "theta"), **extra)
-    if kind == "affine-teacher":
-        return affine_teacher(_field(cfg, "theta"), _field(cfg, "bias"), **extra)
-    raise ValueError(f"unknown reference model kind {kind!r}")
+    return build(*(_field(cfg, name) for name in names), **extra)
 
 
 def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:

@@ -24,10 +24,8 @@ not diverge, breaking ties toward the earliest index.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +46,6 @@ __all__ = [
     "gd_step",
     "step_size_ok",
     "train",
-    "write_trajectory",
 ]
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -97,7 +94,6 @@ class IterateRecord:
     dist_init: float
     grad_norm: float
     smooth_resid: float
-    selected: bool = False
 
 
 @dataclass
@@ -307,37 +303,7 @@ def train(
 
     if step.diverged:
         traj.status = "diverged"
-    if traj.selected_index is not None:
-        traj.records[traj.selected_index].selected = True
-    elif not step.diverged:
+    elif traj.selected_index is None:
         traj.status = "no-selection"
     return traj
 
-
-def write_trajectory(traj: Trajectory, csv_path, json_path) -> None:
-    """CSV of per-iterate scalars plus a JSON metadata sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iter", "emp_risk", "dist_init", "grad_norm", "smooth_resid", "selected"]
-        )
-        for rec in traj.records:
-            writer.writerow(
-                [
-                    rec.index,
-                    f"{rec.emp_risk:.17g}",
-                    f"{rec.dist_init:.17g}",
-                    f"{rec.grad_norm:.17g}",
-                    f"{rec.smooth_resid:.17g}",
-                    int(rec.selected),
-                ]
-            )
-    # the config's fields, then every scalar field of the trajectory
-    meta = asdict(traj.config)
-    meta["r_gd"] = "inf" if math.isinf(meta["r_gd"]) else meta["r_gd"]
-    for f in fields(traj):
-        if f.name not in ("config", "records", "selected_weights", "certificates"):
-            meta[f.name] = getattr(traj, f.name)
-    meta["monitors"] = traj.monitor_verdicts()
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2)

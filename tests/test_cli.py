@@ -23,6 +23,12 @@ def small_config(tmp_path):
     return path
 
 
+def read_trajectory(out: Path):
+    with open(out / "trajectory.csv") as fh:
+        rows = list(csv.reader(fh))
+    return rows, json.loads((out / "trajectory_meta.json").read_text())
+
+
 class TestTrainCommand:
     def test_config_run_writes_report(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -46,6 +52,60 @@ class TestTrainCommand:
         assert list(meta) == ["eta", "t_max", "eps_gd", "r_gd", "seed", "rho", "n_examples",
                               "status", "selected_index", "monitors"]
         assert list(meta["monitors"]) == ["smoothness_ok", "regret_ok", "status"]
+
+    def test_trajectory_csv_and_sidecar(self, tmp_path):
+        cfg = derive_regime("clairvoyant", 0.5, seed=2, overrides={"m": 128, "n": 64, "eps_gd": 0.05})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_flat_dict()))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 0
+        traj = harness.run_experiment(cfg).trajectory  # the same run, in memory
+
+        rows, meta = read_trajectory(out)
+        assert rows[0] == ["iter", "emp_risk", "dist_init", "grad_norm", "smooth_resid", "selected"]
+        assert len(rows) == len(traj.records) + 1 == cfg.t + 2
+        # 17 significant digits round-trip
+        for row, rec in zip(rows[1:], traj.records):
+            assert float(row[1]) == rec.emp_risk
+            assert float(row[2]) == rec.dist_init
+        assert [row[5] for row in rows[1:]] == [
+            str(int(rec.index == traj.selected_index)) for rec in traj.records]
+        assert [row[5] for row in rows[1:]].count("1") == 1
+
+        assert meta["status"] == "ok"
+        assert meta["selected_index"] == traj.selected_index
+        assert meta["monitors"]["smoothness_ok"] is True
+        assert meta["monitors"]["regret_ok"]["W0"] is True
+
+    def test_diverged_run_selects_no_row(self, tmp_path):
+        cfg = derive_regime("easy", 0.5, seed=2, overrides={"m": 16, "n": 8})
+        cfg = dataclasses.replace(cfg, rho=1e8, eta=4e-16)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_flat_dict()))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 3
+        rows, meta = read_trajectory(out)
+        assert len(rows) > 1
+        assert [row[5] for row in rows[1:]] == ["0"] * (len(rows) - 1)
+        assert (meta["status"], meta["selected_index"], meta["r_gd"]) == ("diverged", None, "inf")
+
+    @pytest.mark.parametrize("use_config", [False, True], ids=["preset", "config"])
+    def test_negative_seed_is_refused_before_any_run(self, small_config, tmp_path, monkeypatch, capsys,
+                                                     use_config):
+        runs = []
+
+        def record(cfg, **kw):
+            runs.append(cfg)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(harness, "run_experiment", record)
+        argv = ["train", *(["--config", str(small_config)] if use_config else []),
+                "--out-dir", str(tmp_path / "out")]
+        assert main([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
+        assert runs == []
+        assert main([*argv, "--seed", "4"]) == 1
+        assert [cfg.seed for cfg in runs] == [4]
 
     def test_preset_run(self, tmp_path):
         out = tmp_path / "out"
@@ -536,6 +596,19 @@ class TestSweepCommand:
              "--values", "64", "--seeds", "5", "--out-dir", str(tmp_path)]
         )
         assert code == 1
+
+    def test_consistency_config_without_xi_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kw: runs.append(cfg))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**harness.derive_consistency(16, 0.8).to_flat_dict(), "xi": None}))
+        code = main(["sweep", "--config", str(path), "--axis", "n", "--values", "16,32",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "xi" in err and "Traceback" not in err
+        assert runs == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("values", ["0,64", "-64,64", "64,0"])
     def test_width_below_one_is_usage_error(self, small_config, tmp_path, monkeypatch, capsys, values):

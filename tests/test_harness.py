@@ -177,6 +177,43 @@ class TestRegimeConfigValidation:
         with pytest.raises(ValueError, match=match):
             RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "ref_config": ref})
 
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            ({"dist_name": "bogus"}, "unknown distribution 'bogus'"),
+            ({"dist_name": ["sphere-cap-teacher"]}, "unknown distribution"),
+            ({"dist_params": {"d": 4, "width": 0.1}}, "takes no parameter 'width'"),
+            ({"dist_params": {"d": 1}}, "integer d >= 2"),
+        ],
+        ids=["unknown-name", "list-name", "unknown-param", "bad-param"],
+    )
+    def test_task_is_checked_when_built_without_a_reference(self, edit, match):
+        cfg = derive_regime("clairvoyant", 0.5, dist_name="sphere-cap-teacher", dist_params={"d": 4},
+                            overrides={"m": 64, "n": 32})
+        assert cfg.ref_config is None
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(cfg, **edit)
+        with pytest.raises(ValueError, match=match):
+            RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), **edit})
+
+    @pytest.mark.parametrize("xi", [None, 0.0, 1.0, -0.5, math.nan], ids=str)
+    def test_consistency_config_needs_xi_inside_the_unit_interval(self, xi):
+        cfg = derive_consistency(64, 0.5, cap=1024)
+        with pytest.raises(ValueError, match="consistency config needs 0 < xi < 1"):
+            dataclasses.replace(cfg, xi=xi)
+        with pytest.raises(ValueError, match="consistency config needs 0 < xi < 1"):
+            RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "xi": xi})
+        assert dataclasses.replace(cfg, regime="clairvoyant", xi=xi).xi is xi  # only read there
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None], ids=repr)
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            dataclasses.replace(cfg, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            derive_regime("clairvoyant", 0.5, seed=seed, overrides={"m": 64, "n": 32})
+        assert dataclasses.replace(cfg, seed=0).seed == 0
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     @pytest.mark.parametrize("field", ["augment_bias", "capped"])
     def test_rejects_flags_that_are_not_booleans(self, field, value):
@@ -377,11 +414,12 @@ class TestRunExperiment:
         assert report.status == "diverged"
         assert report.trajectory.selected_index is None
 
-    def test_config_flat_round_trip(self):
-        cfg = derive_regime("worstcase", 0.25, seed=9)
+    @pytest.mark.parametrize("edit", [{}, {"eps": math.inf, "xi": math.nan}], ids=["preset", "non-finite"])
+    def test_config_flat_round_trip(self, edit):
+        cfg = dataclasses.replace(derive_regime("worstcase", 0.25, seed=9), **edit)
         flat = cfg.to_flat_dict()
         assert flat["r_gd"] == "inf"
-        back = RegimeConfig.from_flat_dict(json.loads(json.dumps(flat)))
+        back = RegimeConfig.from_flat_dict(json.loads(json.dumps(flat, allow_nan=False)))
         assert back.to_flat_dict() == flat
 
 

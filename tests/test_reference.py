@@ -114,6 +114,33 @@ class TestInfiniteForward:
         assert m.norm_bound == 1.0
         with pytest.raises(ValueError):
             model_from_config({"kind": "mystery"})
+        with pytest.raises(ValueError, match="unknown reference model kind"):
+            model_from_config({"kind": ["zero"], "dim": 1})
+
+    @pytest.mark.parametrize(
+        "cfg,unread",
+        [
+            ({"kind": "linear-teacher", "theta": [1.0], "bias": 2.0}, "'bias'"),
+            ({"kind": "zero", "dim": 2, "thetaa": [1.0]}, "'thetaa'"),
+            ({"kind": "constant", "vector": [1.0], "dim": 1, "theta": [1.0]}, "'dim', 'theta'"),
+            ({"kind": "affine-teacher", "theta": [1.0], "bias": 0.0, "vector": [1.0]}, "'vector'"),
+        ],
+        ids=["linear-bias", "zero-typo", "constant-two", "affine-vector"],
+    )
+    def test_model_from_config_refuses_fields_its_kind_does_not_read(self, cfg, unread):
+        with pytest.raises(ValueError, match=f"reference model '{cfg['kind']}' does not read {unread}$"):
+            model_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"kind": "zero", "dim": 2}, {"kind": "constant", "vector": [1.0, 0.0]},
+         {"kind": "linear-teacher", "theta": [1.0]},
+         {"kind": "affine-teacher", "theta": [1.0], "bias": 0.5}],
+        ids=lambda cfg: cfg["kind"],
+    )
+    def test_every_kind_reads_the_monte_carlo_budget(self, cfg):
+        model = model_from_config({**cfg, "mc_features": 64, "mc_seed": 3})
+        assert (model.mc_features, model.mc_seed) == (64, 3)
 
     @pytest.mark.parametrize(
         "cfg,field",

@@ -1,5 +1,3 @@
-import csv
-import json
 import math
 from unittest import mock
 
@@ -23,7 +21,6 @@ from shallowcal.trainer import (
     frozen_empirical_risk,
     gd_step,
     train,
-    write_trajectory,
 )
 
 
@@ -189,7 +186,7 @@ class TestTrainSelection:
         cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=3, r_gd=0.0)
         traj = train(net, X, y, cfg)
         assert traj.selected_index == 0
-        assert traj.records[0].selected
+        assert traj.records[traj.selected_index].index == 0
 
     def test_schedule_horizon(self):
         eps_gd = 1 / 80
@@ -333,7 +330,7 @@ class TestAgainstStepReplay:
         eligible = [i for i, r in enumerate(rows) if r[1] <= cfg.r_gd and math.isfinite(r[0])]
         expected = min(eligible, key=lambda i: rows[i, 0])
         assert traj.selected_index == expected
-        assert [r.selected for r in traj.records] == [i == expected for i in range(len(rows))]
+        assert [r.index for r in traj.records if r.index == traj.selected_index] == [expected]
         np.testing.assert_allclose(traj.selected_weights, weights[expected], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", REPLAY_SETUPS)
@@ -501,8 +498,8 @@ class TestDivergenceGuard:
             assert np.isinf(net.weights[:, 0]).all()
             assert (traj.status, traj.selected_index) == ("diverged", 0)
             assert [r.emp_risk for r in traj.records] == [LOG2, math.inf]
-            runs.append([(r.index, r.emp_risk, r.dist_init, r.grad_norm, r.smooth_resid, r.selected)
-                         for r in traj.records])
+            runs.append([(r.index, r.emp_risk, r.dist_init, r.grad_norm, r.smooth_resid,
+                          r.index == traj.selected_index) for r in traj.records])
         assert str(runs[0]) == str(runs[1])
 
     def test_no_selection_status(self):
@@ -585,28 +582,3 @@ class TestMaskPasses:
         net, X, y = self.setup(1025)
         assert self.grids_covered(1025, 300, lambda: call(net, X, y)) == passes
 
-
-class TestSerialization:
-    def test_csv_and_sidecar(self, tmp_path):
-        net, X, y = easy_setup(seed=16)
-        cfg = TrainConfig(eta=4.0 / net.rho**2, t_max=4, eps_gd=0.05)
-        traj = train(net, X, y, cfg, regret_refs={"W0": net.init_weights.copy()})
-        csv_path = tmp_path / "traj.csv"
-        json_path = tmp_path / "traj.json"
-        write_trajectory(traj, csv_path, json_path)
-
-        with open(csv_path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "iter", "emp_risk", "dist_init", "grad_norm", "smooth_resid", "selected",
-        ]
-        assert len(rows) == len(traj.records) + 1
-        # 17 significant digits round-trip
-        for row, rec in zip(rows[1:], traj.records):
-            assert float(row[1]) == rec.emp_risk
-            assert float(row[2]) == rec.dist_init
-
-        meta = json.loads(json_path.read_text())
-        assert meta["status"] == "ok"
-        assert meta["monitors"]["smoothness_ok"] is True
-        assert meta["monitors"]["regret_ok"]["W0"] is True
