@@ -120,8 +120,8 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     base = _load_config(args.config)
     values = [float(v) if args.axis == "eps" else int(v) for v in args.values.split(",")]
-    result = harness.sweep(base, args.axis, values, seeds=args.seeds, root_seed=args.seed or 0)
-    print(f"root seed: {args.seed or 0}")
+    result = harness.sweep(base, args.axis, values, seeds=args.seeds, root_seed=args.seed)
+    print(f"root seed: {args.seed}")
     _write_result(result, args.format, Path(args.out_dir), "sweep")
     return EXIT_OK
 
@@ -135,8 +135,8 @@ def cmd_consistency(args) -> int:
         dist_params=_dist_params(args),
         augment_bias=args.augment_bias,
     )
-    result = harness.sweep(base, "n", n_grid, seeds=args.seeds, root_seed=args.seed or 0)
-    print(f"root seed: {args.seed or 0}")
+    result = harness.sweep(base, "n", n_grid, seeds=args.seeds, root_seed=args.seed)
+    print(f"root seed: {args.seed}")
     _write_result(result, args.format, Path(args.out_dir), "consistency")
     return EXIT_OK
 
@@ -145,9 +145,9 @@ def cmd_interp_lb(args) -> int:
     dist = make_distribution(args.dist, **_dist_params(args))
     n_grid = [int(v) for v in args.n_grid.split(",")]
     rows, summary = interpolation.excess_risk_comparison(
-        dist, n_grid, trials=args.trials, seed=args.seed or 0
+        dist, n_grid, trials=args.trials, seed=args.seed
     )
-    print(f"root seed: {args.seed or 0}")
+    print(f"root seed: {args.seed}")
     out = Path(args.out_dir)
     _write_csv(rows, ["n", "trial", "rule", "excess_z", "covered_mass"], out / "interp_lb.csv")
     _write_json(summary, out / "interp_lb_summary.json")
@@ -159,27 +159,26 @@ def cmd_lemma_check(args) -> int:
         raise ValueError(f"--m must be positive, got {args.m}")
     if not 0 < args.delta < 1:
         raise ValueError(f"--delta must lie in (0, 1), got {args.delta}")
-    seed = args.seed or 0
     if args.lemma == "gauss-count":
         tau = 0.1 if args.tau is None else args.tau
         trials = 2000 if args.trials is None else args.trials
         if trials < 1:
             raise ValueError(f"--trials must be at least 1, got {trials}")
         report = diagnostics.gaussian_row_count_check(
-            m=args.m, tau=tau, trials=trials, delta=args.delta, seed=seed
+            m=args.m, tau=tau, trials=trials, delta=args.delta, seed=args.seed
         )
     else:
         for flag in ("tau", "trials"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} applies to gauss-count only, not {args.lemma}")
-        report = _canned_lemma_run(args.lemma, args, seed)
+        report = _canned_lemma_run(args)
     result = report.to_dict()
     _write_json(result, Path(args.out_dir) / f"lemma_{args.lemma}.json")
     print(f"lemma {args.lemma}: {result['verdict']}")
     return EXIT_OK if report.verdict else EXIT_MONITOR
 
 
-def _canned_lemma_run(lemma: str, args, seed: int) -> diagnostics.LemmaReport:
+def _canned_lemma_run(args) -> diagnostics.LemmaReport:
     """Small pinned training context shared by the run-based checks: the
     clairvoyant logistic-1d (c = 2) run at width --m (uncapped) with
     n = 512 and t = 10."""
@@ -188,23 +187,23 @@ def _canned_lemma_run(lemma: str, args, seed: int) -> diagnostics.LemmaReport:
         0.5,
         dist_name="logistic-1d",
         dist_params={"c": 2.0},
-        seed=seed,
+        seed=args.seed,
         cap=math.inf,
         overrides={"m": args.m, "n": 512, "eps_gd": 1 / 80},
     )
     dist, X, y, net, _ = harness.prepare_run(run)
     cfg = run.train_config()
-    if lemma == "risk-ratio":
+    if args.lemma == "risk-ratio":
         return diagnostics.risk_ratio_check(net, X, y, cfg, net.init_weights, delta=args.delta)
-    if lemma == "gen-gap":
+    if args.lemma == "gen-gap":
         ff = freeze_features(net, at_init=True)
-        rng = np.random.default_rng(harness.derived_seed(seed, 3))
+        rng = np.random.default_rng(harness.derived_seed(args.seed, 3))
         delta_dir = rng.standard_normal(net.weights.shape)
         delta_dir /= frobenius_norm(delta_dir)
         V = net.init_weights + delta_dir
         return diagnostics.generalization_gap(ff, V, X, y, dist, delta=args.delta)
     train(net, X, y, cfg, monitors=True)
-    if lemma == "flip-count":
+    if args.lemma == "flip-count":
         return diagnostics.activation_flip_count(net.init_weights, net.weights, X, delta=args.delta)
     return diagnostics.sphere_linearization_gap(net, net.weights, delta=args.delta)
 
@@ -225,8 +224,15 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:  # the --seed type
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default="out")
 
 
@@ -241,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="default logistic-1d")
     p.add_argument("--dist-params", help="JSON dict of distribution params")
     p.add_argument("--augment-bias", action="store_true", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="default 0, or the --config file's seed")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="sweep one axis of a base config")

@@ -1,10 +1,10 @@
-"""Synthetic joint distributions with known conditional probabilities.
+"""Synthetic tasks with known conditional probabilities.
 
-Every distribution bundles a marginal sampler over the unit ball and an
-exact conditional probability function x -> P(Y = +1 | X = x).  A 1-d task
-is uniform on its ``support``, and population risks over it are composite
-Gauss-Legendre quadrature (deterministic, with a panel edge at every cut of
-p); the other tasks are evaluated by seeded Monte Carlo.
+A task is declared once, in its factory: a marginal over the unit ball,
+p(x) = P(Y = +1 | X = x) and the teacher its reference realizes.  A 1-d
+task is uniform on its ``support``, and population risks over it are
+composite Gauss-Legendre quadrature (deterministic, with a panel edge at
+every cut of p); the other tasks are evaluated by seeded Monte Carlo.
 
 Population quantities are always computed against the true conditional
 model, never estimated from sampled labels.
@@ -97,27 +97,37 @@ class PopulationRisk:
 
 @dataclass
 class Distribution:
-    """Marginal sampler plus exact conditional probability model.
+    """A task: a marginal, its exact conditional probability and its teacher.
 
-    A 1-d distribution is uniform on ``support``, which gives its density
-    ``pdf`` and its CDF.  It also carries its ``cuts``, the abscissas where
-    the conditional probability is discontinuous or crosses 1/2, and
-    optionally an interval on which p is bounded away from {0, 1/2, 1}
-    (used by the interpolation experiments).  A distribution without a
-    support is evaluated by Monte Carlo.
+    ``cond_prob`` maps an (n, dim) array of points to p; ``teacher`` is
+    (theta, bias), the reference's logit x -> <theta, x> + bias, or None.  A
+    1-d task is uniform on ``support`` (``pdf``, ``cdf``) and lists its
+    ``cuts``, where p jumps or crosses 1/2, and optionally an interval on
+    which p is bounded away from {0, 1/2, 1} (for the interpolation
+    experiments).  A task without a support draws from ``sample_x`` and is
+    evaluated by Monte Carlo.
     """
 
     name: str
-    dim: int
-    sample_x: Callable[[np.random.Generator, int], np.ndarray]
-    cond_prob_raw: Callable[[np.ndarray], np.ndarray]
+    cond_prob: Callable[[np.ndarray], np.ndarray]
+    teacher: tuple[tuple[float, ...], float] | None = None
+    dim: int = 1
     support: tuple[float, float] | None = None
+    sample_x: Callable[[np.random.Generator, int], np.ndarray] | None = None
     cuts: tuple[float, ...] = ()
     wrong_pair_interval: tuple[float, float] | None = None
 
-    def cond_prob(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.clip(self.cond_prob_raw(X), 0.0, 1.0)
+    def __post_init__(self):
+        if self.support is not None:
+            lo, hi = self.support
+            if not -1 - _NORM_SLACK <= lo < hi <= 1 + _NORM_SLACK:
+                raise ValueError("1-d support must sit inside [-1, 1]")
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points of the marginal: uniform on ``support``, else ``sample_x``."""
+        if self.support is None:
+            return self.sample_x(rng, n)
+        return rng.uniform(*self.support, size=(n, 1))
 
     @property
     def pdf(self) -> float:
@@ -142,7 +152,7 @@ def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    X = dist.sample_x(rng, n)
+    X = dist.draw(rng, n)
     y = np.empty(n)
     for start in range(0, n, _SAMPLE_BLOCK):
         blk = slice(start, start + _SAMPLE_BLOCK)
@@ -168,7 +178,7 @@ def evaluator(dist: Distribution) -> PopulationEvaluator:
     the 16-point rule on equal panels of its support, split at every cut."""
     if dist.support is None:
         return PopulationEvaluator(
-            points=dist.sample_x(np.random.default_rng(_MC_EVAL_SEED), _MC_EVAL_N),
+            points=dist.draw(np.random.default_rng(_MC_EVAL_SEED), _MC_EVAL_N),
             weights=np.full(_MC_EVAL_N, 1.0 / _MC_EVAL_N),
             provenance={"scheme": "mc", "points": _MC_EVAL_N, "seed": _MC_EVAL_SEED},
         )
@@ -214,21 +224,11 @@ def bayes_zero_one_risk(dist: Distribution, ev: PopulationEvaluator) -> float:
     return pairwise_dot(ev.weights, np.minimum(p, 1 - p))
 
 
-def _uniform_1d(lo: float, hi: float):
-    if not (-1 - _NORM_SLACK <= lo < hi <= 1 + _NORM_SLACK):
-        raise ValueError("1-d support must sit inside [-1, 1]")
-
-    def sample_x(rng, n):
-        return rng.uniform(lo, hi, size=(n, 1))
-
-    return sample_x
-
-
 def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distribution:
     """Uniform marginal with smooth logistic conditional p(x) = sigmoid(c x).
 
-    Realizable by a linear-in-feature teacher, so this is the canonical
-    easy task.  The Bayes predictor is x -> c x.
+    Realized by its teacher x -> c x, the Bayes predictor, so this is the
+    canonical easy task.
     """
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
@@ -239,9 +239,8 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
         interval = (lo, min(hi, lo / 4.0))
     return Distribution(
         name=f"logistic-1d(c={c})",
-        dim=1,
-        sample_x=_uniform_1d(lo, hi),
-        cond_prob_raw=lambda X: sigmoid(c * X[:, 0]),
+        cond_prob=lambda X: sigmoid(c * X[:, 0]),
+        teacher=((float(c),), 0.0),
         support=(lo, hi),
         cuts=(0.0,) if c != 0 else (),
         wrong_pair_interval=interval,
@@ -252,9 +251,8 @@ def step_1d(lo: float = -1.0, hi: float = 1.0) -> Distribution:
     """Uniform marginal with discontinuous conditional 0.3 + 0.4 [x > 0]."""
     return Distribution(
         name="step-1d",
-        dim=1,
-        sample_x=_uniform_1d(lo, hi),
-        cond_prob_raw=lambda X: 0.3 + 0.4 * (X[:, 0] > 0),
+        cond_prob=lambda X: 0.3 + 0.4 * (X[:, 0] > 0),
+        teacher=((4.0,), 0.0),
         support=(lo, hi),
         cuts=(0.0,),
     )
@@ -271,9 +269,8 @@ def step_smooth_1d(width: float = 0.1, lo: float = -1.0, hi: float = 1.0) -> Dis
     interval = (min(5 * width, hi / 2.0), hi)
     return Distribution(
         name=f"step-smooth-1d(width={width})",
-        dim=1,
-        sample_x=_uniform_1d(lo, hi),
-        cond_prob_raw=lambda X: 0.3 + 0.4 * sigmoid(X[:, 0] / width),
+        cond_prob=lambda X: 0.3 + 0.4 * sigmoid(X[:, 0] / width),
+        teacher=((0.4 / float(width),), 0.0),  # the logit slope of p at 0
         support=(lo, hi),
         cuts=(0.0,),
         wrong_pair_interval=interval,
@@ -285,11 +282,11 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     interval = (lo, hi) if p not in (0.0, 0.5, 1.0) else None
+    q = min(max(float(p), 1e-6), 1 - 1e-6)
     return Distribution(
         name=f"constant-1d(p={p})",
-        dim=1,
-        sample_x=_uniform_1d(lo, hi),
-        cond_prob_raw=lambda X: np.full(X.shape[0], p),
+        cond_prob=lambda X: np.full(X.shape[0], float(p)),
+        teacher=((0.0,), math.log(q / (1 - q))),
         support=(lo, hi),
         wrong_pair_interval=interval,
     )
@@ -311,9 +308,9 @@ def sphere_cap_teacher(d: int = 4, c: float = 4.0) -> Distribution:
 
     return Distribution(
         name=f"sphere-cap-teacher(d={d},c={c})",
+        cond_prob=lambda X: sigmoid(c * X[:, 0]),
         dim=d,
         sample_x=sample_x,
-        cond_prob_raw=lambda X: sigmoid(c * X[:, 0]),
     )
 
 

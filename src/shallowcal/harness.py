@@ -9,7 +9,7 @@ and n >= 1/eps^2 shared by all of them):
 * worstcase   - rho = m^(-1/8), m = eps^(-40/3), radius infinite.
 
 A preset may pin m, n and eps_gd; rho, eta and the radius always follow
-from the width.
+from the width, and R from the reference: the task's teacher.
 
 The consistency schedule drives everything from the sample size n and an
 early stopping exponent xi in (0, 1):
@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distributions import (
+    Distribution,
     bayes_risk,
     bayes_zero_one_risk,
     derived_seed,
@@ -129,8 +130,12 @@ class RegimeConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (self.eps is None or (is_number(self.eps) and 0 < self.eps <= 0.5)):
+            raise ValueError(f"eps must be null or lie in (0, 1/2], got {self.eps!r}")
         if self.regime == "consistency" and not (is_number(self.xi) and 0 < self.xi < 1):
             raise ValueError(f"a consistency config needs 0 < xi < 1, got {self.xi!r}")
+        if not (self.xi is None or (is_number(self.xi) and 0 < self.xi < 1)):
+            raise ValueError(f"xi must be null or lie in (0, 1), got {self.xi!r}")
         for name in ("augment_bias", "capped"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -199,29 +204,15 @@ class RegimeConfig:
         return cls(**data)
 
 
-def default_reference_for(
-    dist_name: str, dist_params: dict, augment_bias: bool
-) -> dict | None:
-    """Reference model paired with each built-in task.
-
-    The smooth logistic task gets the exactly matching linear teacher (so
-    its reference conditional model has zero binary KL to the truth); the
-    noisy tasks get bounded affine surrogates on augmented inputs.
-    """
-    if dist_name == "logistic-1d":
-        slope, bias = float(dist_params.get("c", 2.0)), 0.0
-    elif dist_name == "constant-1d":
-        p = min(max(float(dist_params.get("p", 0.75)), 1e-6), 1 - 1e-6)
-        slope, bias = 0.0, math.log(p / (1 - p))
-    elif dist_name == "step-smooth-1d":  # logit slope of p at the transition center
-        slope, bias = 0.4 / float(dist_params.get("width", 0.1)), 0.0
-    elif dist_name == "step-1d":
-        slope, bias = 4.0, 0.0
-    else:
+def default_reference_for(dist: Distribution, augment_bias: bool) -> dict | None:
+    """The reference config of ``dist.teacher``: an affine teacher on
+    bias-lifted inputs, else a linear teacher; None without a teacher."""
+    if dist.teacher is None:
         return None
+    theta, bias = dist.teacher
     if augment_bias:
-        return {"kind": "affine-teacher", "theta": [slope], "bias": bias}
-    return {"kind": "linear-teacher", "theta": [slope]}
+        return {"kind": "affine-teacher", "theta": list(theta), "bias": bias}
+    return {"kind": "linear-teacher", "theta": list(theta)}
 
 
 def _radius(ref_config: dict | None, rho: float) -> float:
@@ -244,14 +235,18 @@ def _coupling(regime: str, m: int, ref_config: dict | None, r_gd=None):
 
 
 def _build(regime, m, cap, capped=False, **fields) -> RegimeConfig:
-    """The presets' one constructor: pair the task with its default
-    reference, round the width m up (the easy width R^8 when m is None), cap
-    it and couple rho, eta and r_gd to it."""
+    """The presets' one constructor: build the task, pair it with its
+    teacher's reference, round the width m up (the easy width R^8 when m is
+    None), cap it and couple rho, eta and r_gd to it."""
     fields["dist_params"] = dict(fields["dist_params"] or {})
-    make_distribution(fields["dist_name"], **fields["dist_params"])  # rejects bad parameters first
-    ref = default_reference_for(fields["dist_name"], fields["dist_params"], fields["augment_bias"])
+    dist = make_distribution(fields["dist_name"], **fields["dist_params"])
+    ref = default_reference_for(dist, fields["augment_bias"])
     if m is None:  # easy regime: rho = 1, so R does not depend on m
-        m = _radius(ref, 1.0) ** 8
+        R = _radius(ref, 1.0)
+        try:
+            m = _snap_ceil(R**8)
+        except OverflowError:
+            raise ValueError(f"reference norm {R:g} is too large for the easy width R^8") from None
     m = m if is_int(m) else _snap_ceil(m)  # only a derived width rounds up
     if m > cap:
         m, capped = cap, True
@@ -277,7 +272,7 @@ def derive_regime(
     """Populate a full configuration from a target accuracy eps.
 
     The easy width R^8 and the clairvoyant radius R/rho read the norm bound
-    R of the task's default reference (``_radius``).  ``overrides`` may pin
+    R of the task's teacher (``_radius``).  ``overrides`` may pin
     the derived fields m, n (integers >= 1) and eps_gd; any other key is a
     ValueError, and so is an eps small enough that a derived size
     overflows.  rho, eta and r_gd are derived from the width, overridden or

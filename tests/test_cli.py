@@ -275,6 +275,13 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_easy_width_overflow_is_usage_error(self, tmp_path, capsys):
+        # The easy width R^8 of the teacher x -> 1e40 x overflows a float.
+        out = tmp_path / "out"
+        assert main(["train", "--dist-params", '{"c": 1e40}', "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: reference norm 2e+40 is too large for the easy width")
+        assert not out.exists()
+
     def test_large_rho_run_exits_diverged(self, tmp_path, capsys):
         # The sampled reference at rho = 1e8 used to fail its norm check by
         # cancellation and end in a traceback; the run diverges at iterate 0.
@@ -301,6 +308,21 @@ class TestParserErrors:
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--config", "{config}", "--axis", "n", "--values", "16,32", "--seeds", "5"],
+         ["consistency", "--n-grid", "16,32", "--seeds", "5"],
+         ["interp-lb", "--n-grid", "10,20", "--trials", "1"],
+         ["lemma-check", "--lemma", "gauss-count", "--m", "8", "--trials", "2"]],
+        ids=["sweep", "consistency", "interp-lb", "lemma-check"],
+    )
+    def test_negative_seed_is_refused_by_the_parser(self, small_config, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(config=small_config) for a in argv]
+        assert main([*argv, "--seed", "-1", "--out-dir", str(out)]) == 1
+        assert "argument --seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["train", "--help"]) == 0

@@ -13,7 +13,7 @@ from shallowcal.distributions import (
     population_risk,
     sample,
 )
-from shallowcal.metrics import LOG2, binary_entropy, binary_kl
+from shallowcal.metrics import LOG2, binary_entropy, binary_kl, sigmoid
 
 
 class TestSampling:
@@ -87,7 +87,7 @@ class TestPopulationRisk:
         quad = population_risk(dist, predictor)
         k = 1_000_000
         mc_ev = PopulationEvaluator(
-            points=dist.sample_x(np.random.default_rng(2024), k),
+            points=dist.draw(np.random.default_rng(2024), k),
             weights=np.full(k, 1.0 / k),
             provenance={"scheme": "mc", "points": k, "seed": 2024},
         )
@@ -102,7 +102,7 @@ def per_panel_evaluator(dist):
     split at every interior cut, with the 16-point rule built per panel;
     a task without a support gets 2^14 uniform draws from seed 2024."""
     if dist.support is None:
-        X = dist.sample_x(np.random.default_rng(2024), 1 << 14)
+        X = dist.draw(np.random.default_rng(2024), 1 << 14)
         return X, np.full(len(X), 1.0 / len(X))
     lo, hi = dist.support
     edges = np.linspace(lo, hi, 33)
@@ -189,3 +189,34 @@ class TestCatalogConstants:
         out = population_risk(dist, lambda P: 4.0 * P[:, 0])
         assert out.logistic_se is not None
         assert out.breakdown.excess_logistic <= 5 * out.logistic_se + 1e-6
+
+
+class TestTeacher:
+    @pytest.mark.parametrize(
+        "name,params",
+        [("logistic-1d", {}), ("logistic-1d", {"c": -3.0}), ("constant-1d", {}),
+         ("constant-1d", {"p": 0.2}), ("constant-1d", {"p": 0.5})],
+        ids=repr,
+    )
+    def test_teacher_logit_gives_p(self, name, params):
+        dist = make_distribution(name, **params)
+        theta, bias = dist.teacher
+        X = np.linspace(-1.0, 1.0, 201)[:, None]
+        np.testing.assert_allclose(sigmoid(X @ np.asarray(theta) + bias), dist.cond_prob(X), rtol=1e-14)
+
+    @pytest.mark.parametrize("width", [0.1, 0.3, 2.0])
+    def test_step_smooth_slope_is_the_logit_slope_of_p_at_0(self, width):
+        dist = make_distribution("step-smooth-1d", width=width)
+        h = 1e-6 * width
+        p = dist.cond_prob(np.array([[-h], [h]]))
+        logit = np.log(p / (1 - p))
+        assert dist.teacher[1] == 0.0
+        assert dist.teacher[0][0] == pytest.approx((logit[1] - logit[0]) / (2 * h), rel=1e-6)
+
+    def test_cond_prob_reads_no_flat_array_as_one_point(self):
+        # An (n, 1) array holds n points; a flat one is no longer read as one row.
+        x = np.array([-0.5, 0.5, 0.9])
+        np.testing.assert_array_equal(make_distribution("constant-1d").cond_prob(x), [0.75, 0.75, 0.75])
+        for name in ("logistic-1d", "step-1d", "step-smooth-1d"):
+            with pytest.raises(IndexError):
+                make_distribution(name).cond_prob(x)

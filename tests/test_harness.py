@@ -203,7 +203,19 @@ class TestRegimeConfigValidation:
             dataclasses.replace(cfg, xi=xi)
         with pytest.raises(ValueError, match="consistency config needs 0 < xi < 1"):
             RegimeConfig.from_flat_dict({**cfg.to_flat_dict(), "xi": xi})
-        assert dataclasses.replace(cfg, regime="clairvoyant", xi=xi).xi is xi  # only read there
+        if xi is None:
+            assert dataclasses.replace(cfg, regime="clairvoyant", xi=xi).xi is None
+        else:
+            with pytest.raises(ValueError, match=r"xi must be null or lie in \(0, 1\)"):
+                dataclasses.replace(cfg, regime="clairvoyant", xi=xi)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.75, -1.0, math.inf, math.nan, "0.25", True], ids=repr)
+    def test_eps_is_null_or_inside_the_preset_range(self, eps):
+        cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
+        with pytest.raises(ValueError, match=r"eps must be null or lie in \(0, 1/2\]"):
+            dataclasses.replace(cfg, eps=eps)
+        assert dataclasses.replace(cfg, eps=None).eps is None
+        assert dataclasses.replace(cfg, eps=0.5).eps == 0.5
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None], ids=repr)
     def test_seed_is_a_nonnegative_integer(self, seed):
@@ -243,6 +255,13 @@ class TestRadius:
         assert cfg.radius == 8.0  # 8^8 > 2^16
         assert cfg.capped and cfg.m == DESK_CAP
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e40, 1e200])
+    def test_easy_width_overflow_names_the_reference_norm(self, c):
+        # R^8 overflows a float from R of about 3.4e38; at 1e200 R itself is inf.
+        with pytest.raises(ValueError, match="^reference norm .* is too large"):
+            derive_regime("easy", 1 / 80, dist_params={"c": c})
+
     def test_no_reference_keeps_the_floor(self):
         cfg = derive_regime("clairvoyant", 0.5, dist_name="sphere-cap-teacher")
         assert cfg.ref_config is None
@@ -256,6 +275,37 @@ class TestRadius:
         report = run_experiment(cfg)
         assert report.bound_terms["radius_scale"] == cfg.radius == cfg.rho * cfg.r_gd
         assert cfg.radius == pytest.approx(8.0 * math.sqrt(2.0), rel=1e-15)
+
+
+# Each built-in task's default reference: (task, parameters, theta, bias),
+# theta None for a task without one.
+TEACHERS = [
+    ("logistic-1d", {}, 2.0, 0.0),
+    ("logistic-1d", {"c": -3}, -3.0, 0.0),
+    ("logistic-1d", {"c": 0.5, "lo": 0.0}, 0.5, 0.0),
+    ("step-1d", {}, 4.0, 0.0),
+    ("step-1d", {"lo": -0.5, "hi": 0.5}, 4.0, 0.0),
+    ("step-smooth-1d", {}, 4.0, 0.0),
+    ("step-smooth-1d", {"width": 0.3}, 1.3333333333333335, 0.0),
+    ("constant-1d", {}, 0.0, 1.0986122886681098),
+    ("constant-1d", {"p": 0.2}, 0.0, -1.3862943611198906),
+    ("constant-1d", {"p": 0}, 0.0, -13.815509557963773),  # p clamped to 1e-6
+    ("constant-1d", {"p": 1}, 0.0, 13.815509557935018),  # p clamped to 1 - 1e-6
+    ("sphere-cap-teacher", {}, None, None),
+    ("sphere-cap-teacher", {"d": 3, "c": 2.0}, None, None),
+]
+
+
+@pytest.mark.parametrize("augment_bias", [False, True])
+@pytest.mark.parametrize("name,params,theta,bias", TEACHERS)
+def test_default_reference_of_each_task(name, params, theta, bias, augment_bias):
+    cfg = derive_regime("clairvoyant", 0.5, dist_name=name, dist_params=params, augment_bias=augment_bias)
+    want = None
+    if theta is not None and augment_bias:
+        want = {"kind": "affine-teacher", "theta": [theta], "bias": bias}
+    elif theta is not None:
+        want = {"kind": "linear-teacher", "theta": [theta]}
+    assert json.dumps(cfg.ref_config) == json.dumps(want)  # floats to the last bit
 
 
 class TestBoundTerms:
@@ -414,13 +464,17 @@ class TestRunExperiment:
         assert report.status == "diverged"
         assert report.trajectory.selected_index is None
 
-    @pytest.mark.parametrize("edit", [{}, {"eps": math.inf, "xi": math.nan}], ids=["preset", "non-finite"])
-    def test_config_flat_round_trip(self, edit):
-        cfg = dataclasses.replace(derive_regime("worstcase", 0.25, seed=9), **edit)
-        flat = cfg.to_flat_dict()
+    def test_config_flat_round_trip(self):
+        flat = derive_regime("worstcase", 0.25, seed=9).to_flat_dict()
         assert flat["r_gd"] == "inf"
         back = RegimeConfig.from_flat_dict(json.loads(json.dumps(flat, allow_nan=False)))
         assert back.to_flat_dict() == flat
+
+    @pytest.mark.parametrize("edit,match", [({"eps": "inf"}, "eps must be null"), ({"xi": "nan"}, "xi must be null")])
+    def test_reading_back_a_non_finite_eps_or_xi_is_refused(self, edit, match):
+        flat = derive_regime("worstcase", 0.25, seed=9).to_flat_dict()
+        with pytest.raises(ValueError, match=match):
+            RegimeConfig.from_flat_dict({**flat, **edit})
 
 
 class TestSweep:

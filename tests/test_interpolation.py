@@ -225,7 +225,7 @@ class TestExactExcess:
 MULTI_CUT = dataclasses.replace(
     make_distribution("step-1d"),
     name="multi-cut-1d",
-    cond_prob_raw=lambda X: np.select(
+    cond_prob=lambda X: np.select(
         [X[:, 0] <= -0.5, X[:, 0] <= 0.0, X[:, 0] <= 0.5], [0.2, 0.7, 0.4], 0.9
     ),
     cuts=(0.5, -0.5, 0.0, 0.0, 1.0, 2.0),
@@ -375,10 +375,10 @@ class TestLinearWalk:
         def recorded(X):
             on_nodes = any(np.shares_memory(X, nodes) for nodes in node_arrays)
             (node_rows if on_nodes else mid_rows).append(len(X))
-            return base.cond_prob_raw(X)
+            return base.cond_prob(X)
 
         monkeypatch.setattr(interpolation, "gauss_legendre", nodes_of)
-        dist = dataclasses.replace(base, cond_prob_raw=recorded)
+        dist = dataclasses.replace(base, cond_prob=recorded)
         samp = sample(base, 12 * interpolation._GL_BLOCK, 22)
         s = sorted_sample(samp.points[:, 0], samp.labels)
         wrong = int(np.sum(s.y == -1.0))
