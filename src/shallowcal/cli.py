@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="default logistic-1d")
     p.add_argument("--dist-params", help="JSON dict of distribution params")
     p.add_argument("--augment-bias", action="store_true", default=None)
-    p.add_argument("--seed", type=int, help="default 0, or the --config file's seed")
+    p.add_argument("--seed", type=_seed, help="default 0, or the --config file's seed")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_train)
 

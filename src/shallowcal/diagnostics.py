@@ -18,9 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distributions import Distribution, derived_seed, population_risk, sample as draw_sample
+from .distributions import Distribution, derived_seed, evaluator, sample as draw_sample
 from .kernel import tiles
-from .metrics import frobenius_norm
+from .metrics import frobenius_norm, logistic_risk
 from .network import Network, clone_initial, forward_batch, freeze_features, frozen_forward_batch
 from .trainer import TrainConfig, frozen_empirical_risk, train
 
@@ -325,7 +325,8 @@ def generalization_gap(
     gradient features of ``net`` at its weights, next to the norm-based rate
     80 rho R (d ln(e m^2 d^3/delta))^(3/2)/sqrt(n)."""
     V = np.asarray(V, dtype=float)
-    pop = population_risk(dist, lambda P: frozen_forward_batch(net, V, P)).breakdown.logistic_risk
+    ev = evaluator(dist)
+    pop = logistic_risk(frozen_forward_batch(net, V, ev.points), dist.cond_prob(ev.points), ev.weights)
     emp = frozen_empirical_risk(net, V, X, y)
     n = len(y)
     d = net.d

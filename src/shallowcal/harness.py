@@ -52,7 +52,7 @@ from .distributions import (
     population_risk,
     sample as draw_sample,
 )
-from .metrics import LOG2, is_int, is_number, spread
+from .metrics import LOG2, is_int, is_number, logistic_risk, spread
 from .network import augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
@@ -394,7 +394,8 @@ def compute_bound_terms(
             / m ** (1.0 / 6.0)
         )
         reference_error = kbin + float(np.expm1(tau_1 + tau_0)) * ref_risk
-        optimization_error = float(np.exp(tau_1)) * R**2 * cfg.eps_gd
+        # A numpy power overflows to inf where a float power raises.
+        optimization_error = float(np.exp(tau_1)) * float(np.float64(R) ** 2) * cfg.eps_gd
         generalization_error = float(np.exp(tau_1)) * (rho * b_eff + R) * tau_n
         total = reference_error + optimization_error + generalization_error
         b_emp = None
@@ -517,10 +518,9 @@ def run_experiment(cfg: RegimeConfig, with_reference: bool = True) -> Experiment
         risk["logistic_se"] = pop.logistic_se
 
         if model is not None:
-            ref = population_risk(
-                dist, lambda P: infinite_forward_batch(model, cfg.lift(P))[0], ev
-            ).breakdown
-            ref_risk, kbin = ref.logistic_risk, ref.excess_logistic
+            ref_margins = infinite_forward_batch(model, cfg.lift(ev.points))[0]
+            ref_risk = logistic_risk(ref_margins, dist.cond_prob(ev.points), ev.weights)
+            kbin = ref_risk - bayes["logistic"]
             # hat-R^(0)(Ubar): the Ubar certificate's first frozen reference
             # risk; a run with a selected iterate took its first step.
             emp_ref_risk = float(traj.certificates["Ubar"].frozen_ref[0])

@@ -33,6 +33,7 @@ __all__ = [
     "is_number",
     "logistic_loss",
     "logistic_loss_derivative",
+    "logistic_risk",
     "pairwise_dot",
     "risk_breakdown",
     "sigmoid",
@@ -57,8 +58,17 @@ def pairwise_dot(a, b) -> float:
 
 
 def frobenius_norm(A) -> float:
-    """sqrt(sum(A * A)) by ``pairwise_dot``."""
-    return math.sqrt(pairwise_dot(A, A))
+    """sqrt(sum(A * A)) by ``pairwise_dot``.  Where the sum overflows and A
+    is finite, A is scaled by max |a| first, so the norm is finite whenever
+    it is representable."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(pairwise_dot(A, A))
+    if math.isinf(norm):
+        big = float(np.max(np.abs(A)))
+        if math.isfinite(big):
+            scaled = np.divide(A, big)
+            norm = big * math.sqrt(pairwise_dot(scaled, scaled))
+    return norm
 
 
 def is_number(v) -> bool:
@@ -180,18 +190,10 @@ class RiskBreakdown:
         return asdict(self)
 
 
-def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
-    """Full risk decomposition over a weighted point set.
-
-    Parameters
-    ----------
-    margins : array (n,)
-        Predictor output f(x_k) at each point.
-    cond_probs : array (n,)
-        True conditional probability p(y = +1 | x_k) at each point.
-    weights : array (n,)
-        Nonnegative weights summing to 1 (quadrature or Monte Carlo).
-    """
+def logistic_risk(margins, cond_probs, weights) -> float:
+    """Population logistic risk sum_k w_k [p_k loss(f_k) + (1 - p_k) loss(-f_k)]
+    over a weighted point set, the ``logistic_risk`` of ``risk_breakdown``
+    on the same arguments, which it checks in the same way."""
     m = np.asarray(margins, dtype=float)
     p = np.asarray(cond_probs, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -204,10 +206,27 @@ def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
         raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
     if np.any((p < 0) | (p > 1)):
         raise ValueError("conditional probabilities must lie in [0, 1]")
+    return pairwise_dot(w, expected_logistic_loss(m, p))
 
+
+def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
+    """Full risk decomposition over a weighted point set.
+
+    Parameters
+    ----------
+    margins : array (n,)
+        Predictor output f(x_k) at each point.
+    cond_probs : array (n,)
+        True conditional probability p(y = +1 | x_k) at each point.
+    weights : array (n,)
+        Nonnegative weights summing to 1 (quadrature or Monte Carlo).
+    """
+    risk = logistic_risk(margins, cond_probs, weights)  # checks the arguments
+    m = np.asarray(margins, dtype=float)
+    p = np.asarray(cond_probs, dtype=float)
+    w = np.asarray(weights, dtype=float)
     losses = expected_logistic_loss(m, p)
     entropies = binary_entropy(p)
-    logistic_risk = pairwise_dot(w, losses)
     bayes_logistic = pairwise_dot(w, entropies)
 
     # Pointwise KL(p, sigmoid(f)) is the expected loss less the entropy, which
@@ -224,8 +243,8 @@ def risk_breakdown(margins, cond_probs, weights) -> RiskBreakdown:
     bayes_zero_one = pairwise_dot(w, np.minimum(p, 1 - p))
 
     return RiskBreakdown(
-        logistic_risk=logistic_risk,
-        excess_logistic=logistic_risk - bayes_logistic,
+        logistic_risk=risk,
+        excess_logistic=risk - bayes_logistic,
         binary_kl=kl,
         l2_calibration_sq=l2_sq,
         zero_one_risk=zero_one,

@@ -12,8 +12,12 @@ on v, the estimate at x is <w, x> c/M, where c counts the M sampled
 directions active at x.  The sample depends only on the model's seed,
 feature count and dimension, so it is drawn and prepared for counting once
 and then shared by every call on a model with that key: the widths of a
-gap experiment and the runs of one teacher read one sample.  The process
-holds the prepared sample of the last key evaluated, and no other.
+gap experiment and the runs of one teacher read one sample.  The count c
+depends only on the sample and the points, so the held sample also keeps
+the last point set it counted and its count, which a later call under the
+key on the same points reuses: the widths of a gap experiment count their
+evaluator points once.  The process holds the prepared sample of the last
+key evaluated, with its count, and no other.
 
 Given a concrete network, the model also induces a canonical finite-width
 reference matrix coupled to the initialization, row-wise
@@ -29,13 +33,14 @@ augmented-inputs) are provided instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import Distribution, PopulationEvaluator, population_risk
+from .distributions import Distribution, PopulationEvaluator
 from .kernel import DenseKernel, Ring
-from .metrics import frobenius_norm, is_int, is_number, pairwise_dot
+from .metrics import frobenius_norm, is_int, is_number, logistic_risk, pairwise_dot
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -75,8 +80,12 @@ class InfiniteWidthModel:
 
     @property
     def norm_bound(self) -> float:
-        """sup_v ||u(v)||, which is ||w|| for a constant map."""
-        return float(np.linalg.norm(self.vector))
+        """sup_v ||u(v)||, which is ||w|| for a constant map.  Where ||w||^2
+        overflows, ``frobenius_norm`` scales w by max |w_i| first, so the
+        norm is finite whenever it is representable."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.vector))
+        return frobenius_norm(self.vector) if math.isinf(norm) else norm
 
     def weight_map(self, V) -> np.ndarray:
         """u(v) = w at every row of V."""
@@ -157,23 +166,34 @@ def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:
     )
 
 
-# The prepared sample of the last (mc_seed, mc_features, dim) evaluated;
-# the vector only scales <w, x>, so it is not part of the key.
-_held_sample: dict[tuple, Ring | np.ndarray] = {}
+@dataclass
+class _HeldSample:
+    """The prepared directions of one key, read-only, and the last point set
+    counted over them, as its bytes, with its read-only count."""
+
+    directions: Ring | np.ndarray
+    points: bytes | None = None
+    count: np.ndarray | None = None
 
 
-def _feature_sample(model: InfiniteWidthModel) -> Ring | np.ndarray:
-    """The model's directions, drawn once per key and held read-only: as a
-    ``Ring`` for dimension at most 2, else as the array.  A new key drops
-    the held sample before drawing its own."""
+# The held sample of the last (mc_seed, mc_features, dim) evaluated; the
+# vector only scales <w, x>, so it is not part of the key.
+_held_sample: dict[tuple, _HeldSample] = {}
+
+
+def _feature_sample(model: InfiniteWidthModel) -> _HeldSample:
+    """The model's held sample, its directions drawn once per key and held
+    read-only: as a ``Ring`` for dimension at most 2, else as the array.  A
+    new key drops the held sample, its last count with it, before drawing
+    its own."""
     key = (model.mc_seed, model.mc_features, model.dim)
-    sample = _held_sample.get(key)
-    if sample is None:
+    held = _held_sample.get(key)
+    if held is None:
         _held_sample.clear()
         dirs = _mc_directions(model)
         dirs.flags.writeable = False
-        sample = _held_sample[key] = Ring(dirs) if model.dim <= 2 else dirs
-    return sample
+        held = _held_sample[key] = _HeldSample(Ring(dirs) if model.dim <= 2 else dirs)
+    return held
 
 
 def _active_count(sample: Ring | np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -199,13 +219,21 @@ def infinite_forward_batch(
     Each direction contributes <w, x> or 0 at x, so the estimate is
     <w, x> c/M and the second moment <w, x>^2 c/M, where c is the number of
     directions active at x, from ``_active_count``, which rejects a point
-    with a NaN or infinite coordinate.
+    with a NaN or infinite coordinate.  The held sample keeps the last
+    point set it counted and its count, so a later call under the same key
+    on a bitwise equal X, from a model with any vector, reuses c.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X must have shape (n, {model.dim})")
     M = model.mc_features
-    count = _active_count(_feature_sample(model), X)
+    held = _feature_sample(model)
+    points = X.tobytes()
+    if points != held.points:
+        count = _active_count(held.directions, X)
+        count.flags.writeable = False
+        held.points, held.count = points, count
+    count = held.count
     lin = X @ model.vector
     est = lin * count / M
     var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)
@@ -266,15 +294,14 @@ def gap_experiment(
     Monte Carlo feature noise through the 1-Lipschitz loss.
     """
     points = augment_batch(ev.points) if augment_inputs else ev.points
-
-    def risk(margins):
-        return population_risk(dist, lambda _: margins, ev).breakdown.logistic_risk
+    p = dist.cond_prob(ev.points)
 
     ref = sample_reference(model, net)
-    frozen_risk = risk(frozen_forward_batch(freeze_features(net, at_init=True), ref.ubar, points))
+    frozen_margins = frozen_forward_batch(freeze_features(net, at_init=True), ref.ubar, points)
+    frozen_risk = logistic_risk(frozen_margins, p, ev.weights)
 
     inf_margins, inf_se = infinite_forward_batch(model, points)
-    infinite_risk = risk(inf_margins)
+    infinite_risk = logistic_risk(inf_margins, p, ev.weights)
     risk_se = pairwise_dot(ev.weights, inf_se)
 
     if frozen_risk <= 0 or infinite_risk <= 0:

@@ -10,6 +10,7 @@ data at realistic sizes.
 """
 
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -376,10 +377,11 @@ class TestFeatureSample:
         with mock.patch.object(reference, "_mc_directions", directions):
             reference._held_sample.clear()
             cold = infinite_forward_batch(model, X)
-            sample = reference._feature_sample(model)
+            entry = reference._feature_sample(model)
+            sample = entry.directions
             warm = infinite_forward_batch(model, X)
             rescaled = InfiniteWidthModel(2.0 * model.vector, model.mc_features, model.mc_seed)
-            assert reference._feature_sample(rescaled) is sample
+            assert reference._feature_sample(rescaled) is entry
             held = ((sample.rows, sample.phi, sample.order, sample.zero) if model.dim <= 2
                     else (sample,))
             for a in held:
@@ -401,13 +403,64 @@ class TestFeatureSample:
             ]
             for other in others:
                 held = reference._feature_sample(other)
-                assert held is not sample
+                assert held is not entry
                 assert list(reference._held_sample) == [
                     (other.mc_seed, other.mc_features, other.dim)]
-            assert reference._feature_sample(model) is not sample
+            assert reference._feature_sample(model).directions is not sample
             again = infinite_forward_batch(model, X)
             np.testing.assert_array_equal(again[0], cold[0])
             np.testing.assert_array_equal(again[1], cold[1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_new_directions_after_clear_get_a_fresh_count(self, d):
+        # One key, one point set, two direction samples: the count held with
+        # the first sample goes with it, so the second is counted afresh.
+        rng = np.random.default_rng(40 + d)
+        X = rng.standard_normal((64, d))
+        model = InfiniteWidthModel(np.ones(d), mc_features=500, mc_seed=1)
+        for S in (rng.standard_normal((500, d)), -rng.standard_normal((500, d))):
+            with mock.patch.object(reference, "_mc_directions", lambda _: S.copy()):
+                reference._held_sample.clear()
+                est, _ = infinite_forward_batch(model, X)
+            np.testing.assert_array_equal(est, (X @ model.vector) * held_count(S, X) / 500)
+
+    def test_count_is_reused_only_on_equal_points(self):
+        rng = np.random.default_rng(43)
+        X, Y = rng.standard_normal((2, 64, 2))
+        model = InfiniteWidthModel([1.0, -0.5], mc_features=5000, mc_seed=2)
+        doubled = InfiniteWidthModel(2.0 * model.vector, model.mc_features, model.mc_seed)
+        cold = {k: infinite_forward_batch(model, P) for k, P in (("X", X), ("Y", Y))}
+        counted = mock.Mock(wraps=reference._active_count)
+        with mock.patch.object(reference, "_active_count", counted):
+            reference._held_sample.clear()
+            first = infinite_forward_batch(model, X)
+            again = infinite_forward_batch(model, X.copy())
+            scaled = infinite_forward_batch(doubled, X)
+            assert counted.call_count == 1
+            other = infinite_forward_batch(model, Y)
+            assert counted.call_count == 2
+            back = infinite_forward_batch(model, X)
+            assert counted.call_count == 3
+        for est, se in (first, again, back):
+            np.testing.assert_array_equal(est, cold["X"][0])
+            np.testing.assert_array_equal(se, cold["X"][1])
+        np.testing.assert_array_equal(other[0], cold["Y"][0])
+        np.testing.assert_array_equal(other[1], cold["Y"][1])
+        # Doubling w doubles <w, x> exactly, so the estimate and its error double.
+        np.testing.assert_array_equal(scaled[0], 2.0 * first[0])
+        np.testing.assert_array_equal(scaled[1], 2.0 * first[1])
+        held = reference._feature_sample(model)
+        assert not held.count.flags.writeable
+
+    def test_new_key_frees_the_old_sample_and_its_count(self):
+        X = np.random.default_rng(45).uniform(-1, 1, (32, 2))
+        model = InfiniteWidthModel(np.ones(2), mc_features=1000, mc_seed=1)
+        infinite_forward_batch(model, X)
+        held = reference._feature_sample(model)
+        ring, count = weakref.ref(held.directions), weakref.ref(held.count)
+        del held
+        infinite_forward_batch(InfiniteWidthModel(np.ones(2), mc_features=1000, mc_seed=2), X)
+        assert ring() is None and count() is None
 
 
 class TestDenseKernel:
@@ -534,9 +587,9 @@ class TestMaskedSums:
         # d = 2, M = 200k directions, 512 points: the directions are 3.1 MiB
         # and a 512 x M mask would be 781 MiB; the per-direction arcs of the
         # arc kernel took 22.4 MiB, preparing the sorted directions takes a
-        # few M-long arrays.  A second call with the same key, here from a
-        # model with another vector, counts over the held sample: it makes
-        # not even a byte per direction.
+        # few M-long arrays.  A second call with the same key on the same
+        # points, here from a model with another vector, reuses the held
+        # count: it makes a few 512-long rows and not a byte per direction.
         M = 200_000
         X = np.random.default_rng(27).uniform(-1, 1, (512, 2))
         reference._held_sample.clear()
@@ -545,7 +598,7 @@ class TestMaskedSums:
         warm = traced_peak(lambda: infinite_forward_batch(
             InfiniteWidthModel(np.full(2, 3.0), mc_features=M, mc_seed=1), X))
         assert cold < 16 * 2**20
-        assert warm < M
+        assert warm < 64 * 2**10
 
 
 @st.composite

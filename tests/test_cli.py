@@ -102,7 +102,7 @@ class TestTrainCommand:
         argv = ["train", *(["--config", str(small_config)] if use_config else []),
                 "--out-dir", str(tmp_path / "out")]
         assert main([*argv, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
+        assert "argument --seed: must be an integer >= 0, got -1" in capsys.readouterr().err
         assert runs == []
         assert main([*argv, "--seed", "4"]) == 1
         assert [cfg.seed for cfg in runs] == [4]

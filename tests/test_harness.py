@@ -258,7 +258,7 @@ class TestRadius:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("c", [1e40, 1e200])
     def test_easy_width_overflow_names_the_reference_norm(self, c):
-        # R^8 overflows a float from R of about 3.4e38; at 1e200 R itself is inf.
+        # R^8 overflows a float from R of about 3.4e38; R itself stays finite.
         with pytest.raises(ValueError, match="^reference norm .* is too large"):
             derive_regime("easy", 1 / 80, dist_params={"c": c})
 

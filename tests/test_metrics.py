@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from shallowcal.metrics import (
     LOG2,
     binary_entropy,
     binary_kl,
+    frobenius_norm,
     logistic_loss,
     logistic_loss_derivative,
+    logistic_risk,
     risk_breakdown,
     sigmoid,
     sign_convention,
@@ -108,6 +111,16 @@ class TestBinaryKL:
         assert np.all(kl[~same] > 0)
 
 
+class TestFrobeniusNorm:
+    def test_finite_when_the_squares_overflow(self):
+        A = np.array([[0.3, -1.7], [2.0, 1e-3]])
+        assert frobenius_norm(A) == math.sqrt(float(np.sum(A * A)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.full((2, 2), 1e200)) == 2e200
+            assert frobenius_norm(np.array([np.inf, 1.0])) == math.inf
+
+
 class TestRiskBreakdown:
     def test_bayes_optimal_point(self):
         b = risk_breakdown([0.0], [0.5], [1.0])
@@ -129,11 +142,12 @@ class TestRiskBreakdown:
         assert sign_convention(0.0) == 1.0
         assert sign_convention(-0.0) == 1.0
 
-    def test_rejects_bad_weights(self):
+    @pytest.mark.parametrize("risk", [risk_breakdown, logistic_risk])
+    def test_rejects_bad_weights(self, risk):
         with pytest.raises(ValueError):
-            risk_breakdown([0.0, 1.0], [0.5, 0.5], [0.6, 0.5])
+            risk([0.0, 1.0], [0.5, 0.5], [0.6, 0.5])
         with pytest.raises(ValueError):
-            risk_breakdown([0.0], [0.5], [-1.0])
+            risk([0.0], [0.5], [-1.0])
 
     def test_chain_on_random_discrete_distributions(self):
         # the error chain, each member within 1e-9 of direct aggregation
@@ -145,6 +159,7 @@ class TestRiskBreakdown:
             w = rng.uniform(0.05, 1.0, size=k)
             w /= w.sum()
             b = risk_breakdown(margins, p, w)
+            assert logistic_risk(margins, p, w) == b.logistic_risk
 
             # direct aggregation oracles
             phi = sigmoid(margins)

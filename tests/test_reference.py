@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from shallowcal.distributions import derived_seed, evaluator, make_distribution
+from shallowcal import harness, reference
+from shallowcal.distributions import derived_seed, evaluator, make_distribution, population_risk
 from shallowcal.metrics import LOG2
 from shallowcal.network import (
     Network,
+    augment_batch,
     forward_batch,
     freeze_features,
     frozen_forward_batch,
@@ -108,6 +111,24 @@ class TestInfiniteForward:
         x_aug = np.array([0.5, 1.0]) / math.sqrt(2.0)
         est2, se2 = infinite_at(aff, x_aug)
         assert abs(est2 - math.log(3.0)) <= 4 * se2
+
+    def test_norm_bound_is_finite_when_the_squares_overflow(self):
+        # Without overflow the norm keeps numpy's bits; past about 1.3e154
+        # the squares overflow and w is scaled by max |w_i| first.
+        for theta in ([0.3, -1.7], [1e-3], [3.0, 4.0, 12.0]):
+            model = linear_teacher(theta)
+            assert model.norm_bound == float(np.linalg.norm(model.vector))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linear_teacher([1e200]).norm_bound == 2e200
+            assert InfiniteWidthModel([3e200, -4e200]).norm_bound == pytest.approx(5e200, rel=1e-15)
+            cfg = harness.derive_regime("clairvoyant", 0.5, dist_params={"c": 1e200})
+            ref = sample_reference(linear_teacher([1e200]), init_network(16, 1, 1.0, seed=1))
+            terms = harness.compute_bound_terms(cfg, 0.5)
+        assert ref.dist_from_init == 2e200
+        assert cfg.radius == terms.radius_scale == 2e200
+        assert terms.optimization_error == math.inf
+        assert math.isfinite(cfg.r_gd)
 
     def test_model_from_config(self):
         m = model_from_config({"kind": "constant", "vector": [1.0, 0.0]})
@@ -218,6 +239,43 @@ class TestGapExperiment:
         res = gap_experiment(zero_model(1, mc_features=100), net, dist, evaluator(dist))
         assert res.frozen_risk == pytest.approx(LOG2, abs=1e-3)
         assert 1.0 <= res.gap <= 1.001
+
+    def test_risks_match_the_population_risk_breakdown(self):
+        # The reference-gap task: constant p = 0.75 and a bias teacher on
+        # augmented inputs.  Each expected value is computed on a cold
+        # sample; the gap experiments then share one sample and point set,
+        # so the first counts and the others reuse its count.
+        dist = make_distribution("constant-1d", p=0.75)
+        ev = evaluator(dist)
+        points = augment_batch(ev.points)
+        model = affine_teacher([0.0], bias=2.0, mc_features=20_000, mc_seed=7)
+        nets = [init_network(m, 2, float(m) ** -0.125, seed=m) for m in (64, 256, 1024)]
+
+        def risk(margins):
+            return population_risk(dist, lambda _: margins, ev).breakdown.logistic_risk
+
+        def hexed(record):
+            return {k: v if k == "m" else float.hex(v) for k, v in record.items()}
+
+        expected = []
+        for net in nets:
+            reference._held_sample.clear()
+            ubar = sample_reference(model, net).ubar
+            frozen = risk(frozen_forward_batch(freeze_features(net, at_init=True), ubar, points))
+            est, se = infinite_forward_batch(model, points)
+            infinite = risk(est)
+            expected.append(hexed({
+                "m": net.m,
+                "rho": net.rho,
+                "frozen_risk": frozen,
+                "infinite_risk": infinite,
+                "gap": max(frozen / infinite, infinite / frozen),
+                "se": float(np.sum(ev.weights * se)),
+            }))
+        reference._held_sample.clear()
+        for net, record in zip(nets + nets[:1], expected + expected[:1]):
+            res = gap_experiment(model, net, dist, ev, augment_inputs=True)
+            assert hexed(res.to_dict()) == record
 
     def test_json_record_fields(self):
         net = init_network(64, 1, 0.5, seed=15)
