@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diagnostics, harness, interpolation
 from .distributions import make_distribution
-from .metrics import frobenius_norm
+from .metrics import check, frobenius_norm
 from .network import freeze_features
 from .trainer import train
 
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MONITOR = 2
 EXIT_DIVERGED = 3
+
+# The rule of each number flag, checked before any command runs.
+_FLAGS = {"seed": "seed", "m": "count", "trials": "count", "delta": "fraction", "tau": "fraction"}
 
 
 def _load_config(path: str) -> harness.RegimeConfig:
@@ -69,9 +72,7 @@ def _write_result(result: dict, fmt: str, out: Path, stem: str) -> None:
 
 def _dist_params(args) -> dict:
     params = json.loads(args.dist_params) if args.dist_params else {}
-    if not isinstance(params, dict):
-        raise ValueError(f"--dist-params must be a JSON object, got {args.dist_params}")
-    return params
+    return check("--dist-params", params, "object")
 
 
 def _report_exit(report) -> int:
@@ -155,15 +156,9 @@ def cmd_interp_lb(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    if args.m <= 0:
-        raise ValueError(f"--m must be positive, got {args.m}")
-    if not 0 < args.delta < 1:
-        raise ValueError(f"--delta must lie in (0, 1), got {args.delta}")
     if args.lemma == "gauss-count":
         tau = 0.1 if args.tau is None else args.tau
         trials = 2000 if args.trials is None else args.trials
-        if trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {trials}")
         report = diagnostics.gaussian_row_count_check(
             m=args.m, tau=tau, trials=trials, delta=args.delta, seed=args.seed
         )
@@ -224,15 +219,8 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:  # the --seed type
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
-    return seed
-
-
 def _add_common(p):
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")
 
 
@@ -247,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="default logistic-1d")
     p.add_argument("--dist-params", help="JSON dict of distribution params")
     p.add_argument("--augment-bias", action="store_true", default=None)
-    p.add_argument("--seed", type=_seed, help="default 0, or the --config file's seed")
+    p.add_argument("--seed", type=int, help="default 0, or the --config file's seed")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_train)
 
@@ -311,6 +299,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which is EXIT_MONITOR here.
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        for flag, kind in _FLAGS.items():
+            if getattr(args, flag, None) is not None:
+                check(f"--{flag}", getattr(args, flag), kind)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import Distribution, derived_seed, evaluator, sample as draw_sample
 from .kernel import tiles
-from .metrics import frobenius_norm, logistic_risk
+from .metrics import check, frobenius_norm, logistic_risk
 from .network import Network, clone_initial, forward_batch, freeze_features, frozen_forward_batch
 from .trainer import TrainConfig, frozen_empirical_risk, train
 
@@ -94,8 +94,9 @@ def gaussian_row_count_check(
     rows with |w_j . x| <= tau falls below m tau + sqrt(8 m tau ln(1/delta))
     except with probability 3 delta.  Rows have ``_GAUSS_COUNT_DIM`` entries.
     """
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
+    for name, value, kind in (("m", m, "count"), ("tau", tau, "fraction"),
+                              ("trials", trials, "count"), ("delta", delta, "fraction")):
+        check(name, value, kind)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(_GAUSS_COUNT_DIM)
     x /= np.linalg.norm(x)

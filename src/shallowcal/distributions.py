@@ -22,9 +22,8 @@ import numpy as np
 from .metrics import (
     RiskBreakdown,
     binary_entropy,
+    check,
     expected_logistic_loss,
-    is_int,
-    is_number,
     pairwise_dot,
     risk_breakdown,
     sigmoid,
@@ -149,8 +148,7 @@ def sample(dist: Distribution, n: int, seed: int) -> LabeledSample:
     made.  PCG64 gives the uniforms of consecutive blocks as one stream, so
     the labels do not depend on the block size.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check("n", n, "count")
     rng = np.random.default_rng(seed)
     X = dist.draw(rng, n)
     y = np.empty(n)
@@ -230,8 +228,7 @@ def logistic_1d(c: float = 2.0, lo: float = -1.0, hi: float = 1.0) -> Distributi
     Realized by its teacher x -> c x, the Bayes predictor, so this is the
     canonical easy task.
     """
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c!r}")
+    check("c", c, "finite")
     interval = None
     if c > 0:
         interval = (max(lo, hi / 4.0), hi)
@@ -264,8 +261,7 @@ def step_smooth_1d(width: float = 0.1, lo: float = -1.0, hi: float = 1.0) -> Dis
     Continuous with range (0.3, 0.7); the declared interval keeps p away
     from {0, 1/2, 1} by at least 0.19.
     """
-    if not (math.isfinite(width) and width > 0):
-        raise ValueError(f"width must be finite and positive, got {width!r}")
+    check("width", width, "positive")
     interval = (min(5 * width, hi / 2.0), hi)
     return Distribution(
         name=f"step-smooth-1d(width={width})",
@@ -279,8 +275,7 @@ def step_smooth_1d(width: float = 0.1, lo: float = -1.0, hi: float = 1.0) -> Dis
 
 def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribution:
     """Pure label noise: p_y identically p on a uniform 1-d marginal."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+    check("p", p, "probability")
     interval = (lo, hi) if p not in (0.0, 0.5, 1.0) else None
     q = min(max(float(p), 1e-6), 1 - 1e-6)
     return Distribution(
@@ -295,10 +290,8 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
 def sphere_cap_teacher(d: int = 4, c: float = 4.0) -> Distribution:
     """Uniform on the hemisphere cap {x in S^(d-1): x_1 >= 0} with a
     logistic teacher p(x) = sigmoid(c x_1).  Monte Carlo evaluation."""
-    if not is_int(d) or d < 2:
-        raise ValueError(f"sphere cap marginal requires an integer d >= 2, got {d!r}")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c!r}")
+    check("d", d, "pair")
+    check("c", c, "finite")
 
     def sample_x(rng, n):
         g = rng.standard_normal((n, d))
@@ -336,6 +329,5 @@ def make_distribution(name: str, **params) -> Distribution:
     if unknown:
         raise ValueError(f"{name} takes no parameter {', '.join(map(repr, unknown))}")
     for key, value in params.items():
-        if not is_number(value):
-            raise ValueError(f"{name} parameter {key!r} must be a number, got {value!r}")
+        check(f"{name} parameter {key!r}", value, "number")
     return factory(**params)

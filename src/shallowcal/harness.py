@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,7 +52,9 @@ from .distributions import (
     population_risk,
     sample as draw_sample,
 )
-from .metrics import LOG2, is_int, is_number, logistic_risk, spread
+from .metrics import (
+    LOG2, RULES, check, check_fields, is_int, is_number, logistic_risk, rule, spread,
+)
 from .network import augment_batch, forward_batch, init_network
 from .reference import (
     InfiniteWidthModel,
@@ -83,9 +85,6 @@ DESK_CAP = 1 << 16
 
 REGIMES = ("easy", "clairvoyant", "worstcase", "consistency")
 
-# JSON values accepted for the numeric RegimeConfig fields, by annotation.
-_ACCEPTS = {"int": is_int, "float": is_number, "float | None": lambda v: v is None or is_number(v)}
-
 
 def _snap_ceil(value: float) -> int:
     """Ceiling with a relative snap to the nearest integer, so closed-form
@@ -98,53 +97,33 @@ def _snap_ceil(value: float) -> int:
 
 @dataclass
 class RegimeConfig:
+    """One run's settings; each field that names a ``metrics.rule`` meets it."""
+
     regime: str
-    rho: float
-    m: int
-    n: int
-    eta: float
-    t: int
-    eps_gd: float
-    r_gd: float
-    seed: int = 0
-    eps: float | None = None
-    xi: float | None = None
+    rho: float = rule("positive")
+    m: int = rule("count")
+    n: int = rule("count")
+    eta: float = rule("positive")
+    t: int = rule("count")
+    eps_gd: float = rule("positive")
+    r_gd: float = rule("radius")
+    seed: int = rule("seed", default=0)
+    eps: float | None = rule("eps-or-null", default=None)
+    xi: float | None = rule("fraction-or-null", default=None)
     dist_name: str = "logistic-1d"
-    dist_params: dict = field(default_factory=dict)
-    ref_config: dict | None = None
-    augment_bias: bool = False
-    capped: bool = False
+    dist_params: dict = rule("object", default_factory=dict)
+    ref_config: dict | None = rule("object-or-null", default=None)
+    augment_bias: bool = rule("flag", default=False)
+    capped: bool = rule("flag", default=False)
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        for name in ("rho", "eta", "eps_gd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not self.r_gd >= 0:
-            raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
-        for name in ("m", "n", "t"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (self.eps is None or (is_number(self.eps) and 0 < self.eps <= 0.5)):
-            raise ValueError(f"eps must be null or lie in (0, 1/2], got {self.eps!r}")
-        if self.regime == "consistency" and not (is_number(self.xi) and 0 < self.xi < 1):
+        if self.regime == "consistency" and not RULES["fraction"][0](self.xi):
             raise ValueError(f"a consistency config needs 0 < xi < 1, got {self.xi!r}")
-        if not (self.xi is None or (is_number(self.xi) and 0 < self.xi < 1)):
-            raise ValueError(f"xi must be null or lie in (0, 1), got {self.xi!r}")
-        for name in ("augment_bias", "capped"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        check_fields(self)
         if not (step_size_ok(self.eta, self.rho) and self.eta * self.rho**2 >= 4.0 - 1e-9):
             raise ValueError("configs must satisfy eta * rho^2 = 4, with eta <= 4/rho^2")
-        if not isinstance(self.dist_params, dict):
-            raise ValueError(f"dist_params must be a JSON object, got {self.dist_params!r}")
-        if self.ref_config is not None and not isinstance(self.ref_config, dict):
-            raise ValueError(f"ref_config must be null or a JSON object, got {self.ref_config!r}")
         input_dim = self.input_dim  # builds the task, so checks dist_name and dist_params
         if self.ref_config is not None:
             dim = model_from_config(self.ref_config).dim
@@ -176,11 +155,10 @@ class RegimeConfig:
     @classmethod
     def from_flat_dict(cls, data: dict) -> "RegimeConfig":
         """Inverse of ``to_flat_dict``; raises ValueError unless ``data`` is
-        a dict with every required field, no unknown field and a number in
-        every numeric field (a float field may hold ``json_safe``'s "inf",
-        "-inf" or "nan"); ``__post_init__`` checks the values and flags."""
-        if not isinstance(data, dict):
-            raise ValueError("a config must be a JSON object")
+        a dict with every required field and no unknown field.  A float
+        field may hold ``json_safe``'s "inf", "-inf" or "nan";
+        ``__post_init__`` checks every value."""
+        check("a config", data, "object")
         known = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(known))
         if unknown:
@@ -197,10 +175,7 @@ class RegimeConfig:
         data = dict(data)
         for name, value in data.items():
             if value in ("inf", "-inf", "nan") and "float" in known[name].type:
-                data[name] = value = float(value)
-            accepts = _ACCEPTS.get(known[name].type)
-            if accepts and not accepts(value):
-                raise ValueError(f"config field {name!r} must be {known[name].type}, got {value!r}")
+                data[name] = float(value)
         return cls(**data)
 
 
@@ -283,15 +258,14 @@ def derive_regime(
         raise ValueError("use derive_consistency for the consistency schedule")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if not 0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+    check("eps", eps, "eps")
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(_OVERRIDE_KEYS))
     if unknown:
         raise ValueError(f"unknown overrides {unknown}; accepted: {', '.join(_OVERRIDE_KEYS)}")
     for key in ("m", "n"):
-        if key in overrides and not (is_int(overrides[key]) and overrides[key] >= 1):
-            raise ValueError(f"override {key} must be an integer >= 1, got {overrides[key]!r}")
+        if key in overrides:
+            check(f"override {key}", overrides[key], "count")
     try:
         n = overrides.get("n") or _snap_ceil(1.0 / eps**2)
         m = None if regime == "easy" else eps ** (-8.0 if regime == "clairvoyant" else -40.0 / 3.0)
@@ -317,10 +291,8 @@ def derive_consistency(
     cap: int = DESK_CAP,
 ) -> RegimeConfig:
     """Schedule all parameters from the sample size under exponent xi."""
-    if not is_int(n) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
-    if not (is_number(xi) and 0 < xi < 1):
-        raise ValueError(f"xi must lie strictly inside (0, 1), got {xi!r}")
+    check("n", n, "pair")
+    check("xi", xi, "fraction")
     return _build(
         "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
         n=n, t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
@@ -366,14 +338,19 @@ def compute_bound_terms(
     is supplied, the alternative empirical form of the effective radius is
     reported too.  The three risks must be finite and nonnegative.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    for name, value in (("ref_risk", ref_risk), ("kbin", kbin), ("emp_ref_risk", emp_ref_risk)):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    check("delta", delta, "fraction")
+    check("ref_risk", ref_risk, "nonnegative")
+    check("kbin", kbin, "nonnegative")
+    if emp_ref_risk is not None:
+        check("emp_ref_risk", emp_ref_risk, "nonnegative")
     R = cfg.radius
     d = cfg.input_dim
     m, n, rho, t = cfg.m, cfg.n, cfg.rho, cfg.t
+
+    def times_ref_risk(factor: float) -> float:
+        """factor * ref_risk, where a zero risk adds nothing however large
+        the factor (inf * 0 would be nan)."""
+        return factor * ref_risk if ref_risk else 0.0
 
     log_mn = d * math.log(math.e * m**2 * d**3 / delta)
     tau_n = 80.0 * log_mn**1.5 / math.sqrt(n)
@@ -384,7 +361,7 @@ def compute_bound_terms(
     with np.errstate(over="ignore"):
         b_candidate = (3.0 * R / rho) + (4.0 * math.e / rho) * math.sqrt(
             t
-        ) * math.sqrt(float(np.exp(tau_0)) * ref_risk + R * tau_n)
+        ) * math.sqrt(times_ref_risk(float(np.exp(tau_0))) + R * tau_n)
         b_eff = min(cfg.r_gd, b_candidate)
         tau_1 = (
             100.0
@@ -393,7 +370,7 @@ def compute_bound_terms(
             * math.sqrt(d * math.log(math.e * n * m**2 * d**3 / delta))
             / m ** (1.0 / 6.0)
         )
-        reference_error = kbin + float(np.expm1(tau_1 + tau_0)) * ref_risk
+        reference_error = kbin + times_ref_risk(float(np.expm1(tau_1 + tau_0)))
         # A numpy power overflows to inf where a float power raises.
         optimization_error = float(np.exp(tau_1)) * float(np.float64(R) ** 2) * cfg.eps_gd
         generalization_error = float(np.exp(tau_1)) * (rho * b_eff + R) * tau_n

@@ -42,7 +42,7 @@ import numpy as np
 
 from .distributions import _GL_WEIGHTS, Distribution, derived_seed, gauss_legendre
 from .distributions import sample as draw_sample
-from .metrics import is_int, spread
+from .metrics import check, spread
 
 __all__ = [
     "PiecewiseConstantRule",
@@ -301,13 +301,11 @@ def excess_risk_comparison(
     keys would collide), and the k-NN rule's ``default_k(n)`` must be at
     most n.  Each trial drops its unsorted draw once it is sorted.
     """
-    if not is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer of at least 1, got {trials}")
+    check("trials", trials, "count")
     if len(n_grid) == 0:
         raise ValueError("n_grid must name at least one sample size")
     for n in n_grid:
-        if not is_int(n) or n < 1:
-            raise ValueError(f"sample size n={n} must be an integer of at least 1")
+        check(f"sample size n={n}", n, "count")
         if default_k(n) > n:
             raise ValueError(f"k={default_k(n)} for n={n} must be at most n")
     if len(set(n_grid)) != len(n_grid):

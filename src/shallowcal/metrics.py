@@ -18,15 +18,18 @@ population and empirical risk in this package is ultimately represented.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
     "LOG2",
+    "RULES",
     "RiskBreakdown",
     "binary_entropy",
     "binary_kl",
+    "check",
+    "check_fields",
     "expected_logistic_loss",
     "frobenius_norm",
     "is_int",
@@ -36,6 +39,7 @@ __all__ = [
     "logistic_risk",
     "pairwise_dot",
     "risk_breakdown",
+    "rule",
     "sigmoid",
     "sign_convention",
     "spread",
@@ -79,6 +83,57 @@ def is_number(v) -> bool:
 def is_int(v) -> bool:
     """An integer that is not a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# The single-value setting rules: kind -> (predicate, the phrase an error
+# uses).  Each predicate tests the type first, so a value of the wrong type
+# is refused as one out of range is, with a ValueError.
+RULES = {
+    "positive": (lambda v: is_number(v) and 0 < v < math.inf, "finite and positive"),
+    "nonnegative": (lambda v: is_number(v) and 0 <= v < math.inf, "finite and nonnegative"),
+    "finite": (lambda v: is_number(v) and -math.inf < v < math.inf, "finite"),
+    "number": (is_number, "a number"),
+    "numbers": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v)),
+                "a nonempty list of numbers"),
+    "count": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "pair": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+    "seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "radius": (lambda v: is_number(v) and v >= 0, "nonnegative or inf"),
+    "probability": (lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]"),
+    "fraction": (lambda v: is_number(v) and 0 < v < 1, "in (0, 1)"),
+    "eps": (lambda v: is_number(v) and 0 < v <= 0.5, "in (0, 1/2]"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def _null_or(kind: str):
+    accepts, phrase = RULES[kind]
+    return (lambda v: v is None or accepts(v)), f"null or {phrase}"
+
+
+RULES.update({f"{kind}-or-null": _null_or(kind) for kind in ("fraction", "eps", "object")})
+
+
+def check(name: str, value, kind: str):
+    """``value``, or a ValueError naming ``name`` where the rule ``kind`` of
+    ``RULES`` refuses it."""
+    accepts, phrase = RULES[kind]
+    if not accepts(value):
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
+    return value
+
+
+def rule(kind: str, **kw):
+    """A dataclass field that ``check_fields`` checks by the rule ``kind``."""
+    return field(metadata={"rule": kind}, **kw)
+
+
+def check_fields(obj) -> None:
+    """``check`` each field of the dataclass ``obj`` that names a rule."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            check(f.name, getattr(obj, f.name), f.metadata["rule"])
 
 
 def spread(values) -> dict:

@@ -39,13 +39,12 @@ package on a given NumPy build.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import kernel
-from .metrics import frobenius_norm
+from .metrics import check, frobenius_norm
 
 __all__ = [
     "Network",
@@ -74,10 +73,9 @@ class Network:
     init_weights: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ValueError("m and d must be at least 1")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        check("m", self.m, "count")
+        check("d", self.d, "count")
+        check("rho", self.rho, "positive")
         if self.signs.shape != (self.m,):
             raise ValueError("signs must have shape (m,)")
         if self.weights.shape != (self.m, self.d):
@@ -102,13 +100,15 @@ def init_network(m: int, d: int, rho: float, seed: int) -> Network:
 
     The RNG stream order is fixed: all of W row-major first, then the signs.
     """
+    check("m", m, "count")
+    check("d", d, "count")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((m, d))
     signs = rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
     return Network(
         m=m,
         d=d,
-        rho=float(rho),
+        rho=float(check("rho", rho, "positive")),
         signs=signs,
         weights=weights,
         init_weights=weights.copy(),

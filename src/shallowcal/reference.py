@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import Distribution, PopulationEvaluator
 from .kernel import DenseKernel, Ring
-from .metrics import frobenius_norm, is_int, is_number, logistic_risk, pairwise_dot
+from .metrics import check, check_fields, frobenius_norm, logistic_risk, pairwise_dot, rule
 from .network import Network, augment_batch, freeze_features, frozen_forward_batch
 
 __all__ = [
@@ -62,17 +62,14 @@ class InfiniteWidthModel:
     """Constant weight map u(v) = ``vector`` and its Monte Carlo budget."""
 
     vector: np.ndarray
-    mc_features: int = 100_000
-    mc_seed: int = 0
+    mc_features: int = rule("pair", default=100_000)
+    mc_seed: int = rule("seed", default=0)
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=float)
         if self.vector.ndim != 1 or not np.isfinite(self.vector).all():
             raise ValueError(f"reference vector must be finite and 1-d: {self.vector.tolist()}")
-        if not is_int(self.mc_features) or self.mc_features < 2:
-            raise ValueError(f"mc_features must be an integer >= 2, got {self.mc_features!r}")
-        if not is_int(self.mc_seed) or self.mc_seed < 0:
-            raise ValueError(f"mc_seed must be a nonnegative integer, got {self.mc_seed!r}")
+        check_fields(self)
 
     @property
     def dim(self) -> int:
@@ -112,52 +109,35 @@ def affine_teacher(theta, bias: float, **kw) -> InfiniteWidthModel:
     return InfiniteWidthModel(2.0 * np.sqrt(2.0) * np.concatenate([theta, [bias]]), **kw)
 
 
-# What each reference config field accepts, and how an error names it.
-_RULES = {
-    "dim": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
-    "vector": (
-        lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v)),
-        "a nonempty list of numbers",
-    ),
-    "bias": (is_number, "a number"),
-}
-_RULES["theta"] = _RULES["vector"]
-
-
-def _field(cfg: dict, name: str):
-    """``cfg[name]``, or a ValueError if it is missing or ``_RULES`` refuse it."""
-    if name not in cfg:
-        raise ValueError(f"reference model {cfg.get('kind')!r} needs field {name!r}")
-    accepts, what = _RULES[name]
-    if not accepts(cfg[name]):
-        raise ValueError(f"reference field {name!r} must be {what}, got {cfg[name]!r}")
-    return cfg[name]
-
-
-# The fields each kind reads and the builder it passes them to; every kind
-# also reads "kind" and the Monte Carlo budget, "mc_features" and "mc_seed".
+# The fields each kind reads, with their rules, and the builder it passes them
+# to; every kind also reads "kind" and the Monte Carlo budget, "mc_features"
+# and "mc_seed".
 _KINDS = {
-    "zero": (("dim",), zero_model),
-    "constant": (("vector",), InfiniteWidthModel),
-    "linear-teacher": (("theta",), linear_teacher),
-    "affine-teacher": (("theta", "bias"), affine_teacher),
+    "zero": ({"dim": "count"}, zero_model),
+    "constant": ({"vector": "numbers"}, InfiniteWidthModel),
+    "linear-teacher": ({"theta": "numbers"}, linear_teacher),
+    "affine-teacher": ({"theta": "numbers", "bias": "number"}, affine_teacher),
 }
 
 
 def model_from_config(cfg: dict) -> InfiniteWidthModel:
     """Build a built-in model from a config dict, e.g.
     {"kind": "constant", "vector": [...]}.  An unknown kind, a field the
-    kind does not read, a missing field, or one that ``_RULES`` refuse (a
+    kind does not read, a missing field, or one its rule refuses (a
     string, a bool, an empty list, a ``dim`` below 1) is a ValueError."""
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown reference model kind {kind!r}")
-    names, build = _KINDS[kind]
-    unread = sorted(set(cfg) - {"kind", "mc_features", "mc_seed", *names})
+    rules, build = _KINDS[kind]
+    unread = sorted(set(cfg) - {"kind", "mc_features", "mc_seed", *rules})
     if unread:
         raise ValueError(f"reference model {kind!r} does not read {', '.join(map(repr, unread))}")
+    for name in rules:
+        if name not in cfg:
+            raise ValueError(f"reference model {kind!r} needs field {name!r}")
     extra = {k: cfg[k] for k in ("mc_features", "mc_seed") if k in cfg}
-    return build(*(_field(cfg, name) for name in names), **extra)
+    args = [check(f"reference field {name!r}", cfg[name], kind) for name, kind in rules.items()]
+    return build(*args, **extra)
 
 
 def _mc_directions(model: InfiniteWidthModel) -> np.ndarray:

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import kernel
-from .metrics import frobenius_norm, is_int, logistic_loss, logistic_loss_derivative
+from .metrics import (
+    check, check_fields, frobenius_norm, logistic_loss, logistic_loss_derivative, rule,
+)
 from .network import Network, frozen_forward_batch
 
 __all__ = [
@@ -63,28 +65,19 @@ class TrainConfig:
     ``inf`` for no early stopping).
     """
 
-    eta: float
-    t_max: int
+    eta: float = rule("positive")
+    t_max: int = rule("count")
     eps_gd: float | None = None
-    r_gd: float = math.inf
+    r_gd: float = rule("radius", default=math.inf)
     seed: int = 0
 
     def __post_init__(self):
-        _check_eta(self.eta)
-        if not is_int(self.t_max) or self.t_max < 1:
-            raise ValueError(f"t_max must be an integer >= 1, got {self.t_max!r}")
-        if not self.r_gd >= 0:
-            raise ValueError(f"r_gd must be nonnegative or inf, got {self.r_gd!r}")
+        check_fields(self)
 
 
 def step_size_ok(eta: float, rho: float) -> bool:
     """The monitors' precondition eta <= 4/rho^2, up to one part in 10^12."""
     return eta <= 4.0 / rho**2 * (1 + 1e-12)
-
-
-def _check_eta(eta) -> None:
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
 @dataclass
@@ -168,7 +161,7 @@ def empirical_risk(net: Network, X: np.ndarray, y: np.ndarray) -> float:
 
 def gd_step(net: Network, X: np.ndarray, y: np.ndarray, eta: float) -> np.ndarray:
     """One full-batch descent step in place; returns the applied gradient."""
-    _check_eta(eta)
+    check("eta", eta, "positive")
     X, y = _check_sample(X, y, net.d)
     grad = next(descend(net, X, y, eta, 1)).grad
     if grad is None:

@@ -102,7 +102,7 @@ class TestTrainCommand:
         argv = ["train", *(["--config", str(small_config)] if use_config else []),
                 "--out-dir", str(tmp_path / "out")]
         assert main([*argv, "--seed", "-1"]) == 1
-        assert "argument --seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert "error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert runs == []
         assert main([*argv, "--seed", "4"]) == 1
         assert [cfg.seed for cfg in runs] == [4]
@@ -238,7 +238,7 @@ class TestTrainCommand:
         ("logistic-1d", '{"c": NaN}', "c must be finite"),
         ("step-smooth-1d", '{"width": NaN}', "width must be finite"),
         ("sphere-cap-teacher", '{"c": NaN}', "c must be finite"),
-        ("sphere-cap-teacher", '{"d": 2.5}', "integer d >= 2"),
+        ("sphere-cap-teacher", '{"d": 2.5}', "d must be an integer >= 2"),
         ("logistic-1d", '{"c": "2"}', "logistic-1d parameter 'c' must be a number, got '2'"),
         ("step-smooth-1d", '{"width": null}', "parameter 'width' must be a number, got None"),
         ("logistic-1d", '{"c": true}', "parameter 'c' must be a number, got True"),
@@ -321,7 +321,7 @@ class TestParserErrors:
         out = tmp_path / "out"
         argv = [a.format(config=small_config) for a in argv]
         assert main([*argv, "--seed", "-1", "--out-dir", str(out)]) == 1
-        assert "argument --seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert "error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exits_0(self, capsys):
@@ -456,7 +456,7 @@ class TestInterpCommand:
         out = tmp_path / "out"
         code = main(["interp-lb", "--n-grid", "50", f"--trials={trials}", "--out-dir", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: trials")
+        assert capsys.readouterr().err.startswith("error: --trials")
         assert not out.exists()
 
     @pytest.mark.parametrize("grid,bad", [("1", "1"), ("2", "2"), ("1000,1", "1")])
@@ -504,7 +504,7 @@ class TestLemmaCheckCommand:
     def test_nonpositive_width_is_usage_error(self, tmp_path, capsys, lemma, m):
         code = main(["lemma-check", "--lemma", lemma, "--m", m, "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "--m must be positive" in capsys.readouterr().err
+        assert "--m must be an integer >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

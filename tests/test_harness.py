@@ -124,7 +124,7 @@ class TestDeriveConsistency:
     @pytest.mark.parametrize("n", [100.5, 100.0, True])
     def test_n_is_an_integer(self, n):
         # 100.5 would otherwise run at n = 100 with every other size derived from 100.5.
-        with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
             derive_consistency(n, 0.5)
 
 
@@ -183,7 +183,7 @@ class TestRegimeConfigValidation:
             ({"dist_name": "bogus"}, "unknown distribution 'bogus'"),
             ({"dist_name": ["sphere-cap-teacher"]}, "unknown distribution"),
             ({"dist_params": {"d": 4, "width": 0.1}}, "takes no parameter 'width'"),
-            ({"dist_params": {"d": 1}}, "integer d >= 2"),
+            ({"dist_params": {"d": 1}}, "d must be an integer >= 2"),
         ],
         ids=["unknown-name", "list-name", "unknown-param", "bad-param"],
     )
@@ -206,13 +206,13 @@ class TestRegimeConfigValidation:
         if xi is None:
             assert dataclasses.replace(cfg, regime="clairvoyant", xi=xi).xi is None
         else:
-            with pytest.raises(ValueError, match=r"xi must be null or lie in \(0, 1\)"):
+            with pytest.raises(ValueError, match=r"xi must be null or in \(0, 1\)"):
                 dataclasses.replace(cfg, regime="clairvoyant", xi=xi)
 
     @pytest.mark.parametrize("eps", [0.0, 0.75, -1.0, math.inf, math.nan, "0.25", True], ids=repr)
     def test_eps_is_null_or_inside_the_preset_range(self, eps):
         cfg = derive_regime("clairvoyant", 0.5, overrides={"m": 64, "n": 32})
-        with pytest.raises(ValueError, match=r"eps must be null or lie in \(0, 1/2\]"):
+        with pytest.raises(ValueError, match=r"eps must be null or in \(0, 1/2\]"):
             dataclasses.replace(cfg, eps=eps)
         assert dataclasses.replace(cfg, eps=None).eps is None
         assert dataclasses.replace(cfg, eps=0.5).eps == 0.5
@@ -391,6 +391,23 @@ class TestBoundTerms:
             3.0 * cfg.radius / cfg.rho + 2.0 * math.e * math.sqrt(cfg.eta * cfg.t * 0.6),
         )
         assert terms.b_eff_empirical == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("regime", ["clairvoyant", "worstcase"])
+    def test_zero_reference_risk_adds_nothing_however_large_its_factor(self, regime):
+        # R = 2e200 sends e^(tau_1 + tau_0), and in the worst case e^(tau_0),
+        # past the largest float; a zero reference risk times either is 0,
+        # not inf * 0 = nan, so the bound reads inf (vacuous), not nan.
+        cfg = derive_regime(regime, 0.5, dist_params={"c": 1e200}, overrides={"n": 16, "m": 16})
+        terms = compute_bound_terms(cfg, 0.0)
+        assert (terms.reference_error, terms.total, terms.vacuous) == (0.0, math.inf, True)
+        R, rho = cfg.radius, cfg.rho
+        expect = 3.0 * R / rho + (4.0 * math.e / rho) * math.sqrt(cfg.t) * math.sqrt(R * terms.tau_n)
+        assert terms.b_eff == min(cfg.r_gd, expect) < math.inf
+        report = run_experiment(cfg).bound_terms
+        assert report["ref_risk"] == 0.0 and report["total"] == math.inf
+        assert not any(isinstance(v, float) and math.isnan(v) for v in report.values())
 
     def test_validation(self):
         cfg = derive_regime("clairvoyant", 0.5)
