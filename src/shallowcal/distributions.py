@@ -103,8 +103,12 @@ class Distribution:
     1-d task is uniform on ``support`` (``pdf``, ``cdf``) and lists its
     ``cuts``, where p jumps or crosses 1/2, and optionally an interval on
     which p is bounded away from {0, 1/2, 1} (for the interpolation
-    experiments).  A task without a support draws from ``sample_x`` and is
-    evaluated by Monte Carlo.
+    experiments).  A 1-d task sets ``piecewise_constant`` when p is constant
+    on each open interval between consecutive cuts and support ends; the
+    exact zero-one integral then reads p once per block of such an interval
+    and puts quadrature nodes only near its ends.  A task
+    without a support draws from ``sample_x`` and is evaluated by Monte
+    Carlo, and may not set ``piecewise_constant``.
     """
 
     name: str
@@ -115,8 +119,11 @@ class Distribution:
     sample_x: Callable[[np.random.Generator, int], np.ndarray] | None = None
     cuts: tuple[float, ...] = ()
     wrong_pair_interval: tuple[float, float] | None = None
+    piecewise_constant: bool = False
 
     def __post_init__(self):
+        if self.piecewise_constant and self.support is None:
+            raise ValueError(f"{self.name} declares p piecewise constant but has no 1-d support")
         if self.support is not None:
             lo, hi = self.support
             if not -1 - _NORM_SLACK <= lo < hi <= 1 + _NORM_SLACK:
@@ -252,6 +259,7 @@ def step_1d(lo: float = -1.0, hi: float = 1.0) -> Distribution:
         teacher=((4.0,), 0.0),
         support=(lo, hi),
         cuts=(0.0,),
+        piecewise_constant=True,
     )
 
 
@@ -284,6 +292,7 @@ def constant_1d(p: float = 0.75, lo: float = -1.0, hi: float = 1.0) -> Distribut
         teacher=((0.0,), math.log(q / (1 - q))),
         support=(lo, hi),
         wrong_pair_interval=interval,
+        piecewise_constant=True,
     )
 
 

@@ -259,6 +259,7 @@ def derive_regime(
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     check("eps", eps, "eps")
+    check("cap", cap, "cap")
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(_OVERRIDE_KEYS))
     if unknown:
@@ -293,6 +294,7 @@ def derive_consistency(
     """Schedule all parameters from the sample size under exponent xi."""
     check("n", n, "pair")
     check("xi", xi, "fraction")
+    check("cap", cap, "cap")
     return _build(
         "consistency", float(n) ** ((40.0 / 3.0) * (1.0 - xi)), cap,
         n=n, t=_snap_ceil(float(n) ** (1.0 - xi) / 8.0), eps_gd=float(n) ** (xi - 1.0),
@@ -588,7 +590,7 @@ def sweep(base: RegimeConfig, axis: str, values, seeds: int, root_seed: int = 0)
     values = list(values)
     if len(values) < 2:
         raise ValueError("sweep needs at least 2 axis values")
-    if seeds < 5:
+    if check("seeds", seeds, "count") < 5:
         raise ValueError("sweep needs at least 5 seeds per cell")
     configs = [_cell_config(base, axis, value) for value in values]  # all checked before any run
     cells = []

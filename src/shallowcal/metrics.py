@@ -96,6 +96,8 @@ RULES = {
     "numbers": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v)),
                 "a nonempty list of numbers"),
     "count": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "cap": (lambda v: (is_int(v) and v >= 1) or (is_number(v) and v == math.inf),
+            "an integer >= 1 or inf"),
     "pair": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
     "seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
     "radius": (lambda v: is_number(v) and v >= 0, "nonnegative or inf"),

@@ -90,7 +90,7 @@ class InfiniteWidthModel:
 
 
 def zero_model(dim: int, **kw) -> InfiniteWidthModel:
-    return InfiniteWidthModel(np.zeros(dim), **kw)
+    return InfiniteWidthModel(np.zeros(check("dim", dim, "count")), **kw)
 
 
 def linear_teacher(theta, **kw) -> InfiniteWidthModel:
@@ -216,8 +216,15 @@ def infinite_forward_batch(
     count = held.count
     lin = X @ model.vector
     est = lin * count / M
-    var = np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)
-    return est, np.sqrt(var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = np.sqrt(np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1))
+    # Where lin^2 overflows, the same variance lin^2 q (1 - q) / (M - 1),
+    # q = c/M, is taken with |lin| outside the square root.
+    if not np.isfinite(se).all():
+        lost = ~np.isfinite(se) & np.isfinite(est)
+        q = count[lost] / M
+        se[lost] = np.abs(lin[lost]) * np.sqrt(np.maximum(q - q * q, 0.0) / (M - 1))
+    return est, se
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -220,3 +221,62 @@ class TestTeacher:
         for name in ("logistic-1d", "step-1d", "step-smooth-1d"):
             with pytest.raises(IndexError):
                 make_distribution(name).cond_prob(x)
+
+
+def near_ends(s, e, k=3):
+    """The k doubles just inside each end of the segment (s, e)."""
+    out, up, down = [], s, e
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.array(out)
+
+
+class TestPiecewiseConstant:
+    """``piecewise_constant`` claims p constant on each open interval
+    between consecutive cuts and support ends; the exact zero-one integral
+    reads p once per such interval on its word."""
+
+    VARIANTS = [
+        ("logistic-1d", {}),
+        ("logistic-1d", {"c": -3.0}),
+        ("step-1d", {}),
+        ("step-1d", {"lo": 0.0, "hi": 1.0}),
+        ("step-1d", {"lo": -0.5, "hi": 0.25}),
+        ("step-smooth-1d", {}),
+        ("step-smooth-1d", {"width": 0.5, "lo": 0.0, "hi": 1.0}),
+        ("constant-1d", {}),
+        ("constant-1d", {"p": 0.25, "lo": 0.0, "hi": 1.0}),
+        ("constant-1d", {"p": 0.5}),
+    ]
+
+    def test_every_one_d_factory_is_covered(self):
+        one_d = {name for name, factory in builtin_distributions().items()
+                 if factory().support is not None}
+        assert one_d == {name for name, _ in self.VARIANTS}
+
+    @pytest.mark.parametrize("name,params", VARIANTS, ids=[f"{n}{p}" for n, p in VARIANTS])
+    def test_declared_value_matches_cond_prob(self, name, params):
+        dist = make_distribution(name, **params)
+        lo, hi = dist.support
+        ends = np.unique(np.clip([lo, hi, *dist.cuts], lo, hi))
+        constant = True
+        for s, e in zip(ends[:-1], ends[1:]):
+            x = np.concatenate([np.linspace(s, e, 4097)[1:-1], near_ends(s, e)])
+            p = dist.cond_prob(x[:, None])
+            constant &= bool(np.all(p == p[0]))
+        assert dist.piecewise_constant == constant
+
+    @pytest.mark.parametrize("name", ["logistic-1d", "step-smooth-1d"])
+    def test_smooth_tasks_do_not_declare_it(self, name):
+        assert not make_distribution(name).piecewise_constant
+
+    def test_a_task_without_a_support_may_not_declare_it(self):
+        cap = make_distribution("sphere-cap-teacher")
+        with pytest.raises(ValueError, match="no 1-d support"):
+            dataclasses.replace(cap, piecewise_constant=True)
+
+    def test_no_factory_takes_it(self):
+        for name in builtin_distributions():
+            with pytest.raises(ValueError, match="takes no parameter 'piecewise_constant'"):
+                make_distribution(name, piecewise_constant=True)

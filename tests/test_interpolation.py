@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
+
 from shallowcal import interpolation
 from shallowcal.distributions import _GL_WEIGHTS, gauss_legendre, make_distribution, sample
 from shallowcal.interpolation import (
@@ -221,7 +223,9 @@ class TestExactExcess:
 
 
 # p jumps at -0.5, 0 and 0.5, so the support has four segments; the cuts
-# also name 0 twice, the support's right end and a point outside it.
+# also name 0 twice, the support's right end and a point outside it.  The
+# copy keeps step-1d's ``piecewise_constant``, which holds: np.select gives
+# one constant on each open interval between the cuts.
 MULTI_CUT = dataclasses.replace(
     make_distribution("step-1d"),
     name="multi-cut-1d",
@@ -364,7 +368,7 @@ class TestLinearWalk:
     def test_nodes_are_evaluated_block_by_block(self, monkeypatch):
         # No cond_prob call sees more than one block: a walk block's piece
         # midpoints or one _GL_BLOCK of wrong pieces' nodes.
-        base = DISTS["constant-1d[0,1]"]
+        base = dataclasses.replace(DISTS["constant-1d[0,1]"], piecewise_constant=False)
         node_arrays, mid_rows, node_rows = [], [], []
 
         def nodes_of(a, b, out=None):
@@ -390,6 +394,46 @@ class TestLinearWalk:
         assert all(rows % 16 == 0 for rows in node_rows)
         assert max(node_rows) == 16 * interpolation._GL_BLOCK
 
+    def test_constant_segments_form_nodes_only_at_their_ends(self, monkeypatch):
+        # The twin of the test above on the fast path: no cond_prob call
+        # sees more than one block, and nodes are formed only for the wrong
+        # pieces of a segment's guarded prefix and suffix.  Points on 0, 4
+        # ulps of 1 above it and on 1, labeled against the Bayes sign, make
+        # three such pieces: two at the left end and one at the right.
+        base = DISTS["constant-1d[0,1]"]
+        samp = sample(base, 12 * interpolation._GL_BLOCK, 22)
+        x = np.concatenate([samp.points[:, 0], [0.0, 4 * np.spacing(1.0), 1.0]])
+        s = sorted_sample(x, np.concatenate([samp.labels, [-1.0, -1.0, -1.0]]))
+        rule = one_nn_rule(s)
+        node_path = excess_zero_one_exact(rule, dataclasses.replace(base, piecewise_constant=False))
+        guard = interpolation._GUARD_ULPS * np.spacing(1.0)
+        a, b = wrong_pieces_unique_predict(rule, base)
+        at_ends = (a < guard) | (b > 1.0 - guard)
+        node_arrays, node_pieces, mid_rows, node_rows = [], [], [], []
+
+        def nodes_of(a, b, out=None):
+            nodes, half = gauss_legendre(a, b, out=out)
+            node_arrays.append(nodes)
+            node_pieces.extend(zip(a, b))
+            return nodes, half
+
+        def recorded(X):
+            on_nodes = any(np.shares_memory(X, nodes) for nodes in node_arrays)
+            (node_rows if on_nodes else mid_rows).append(len(X))
+            return base.cond_prob(X)
+
+        monkeypatch.setattr(interpolation, "gauss_legendre", nodes_of)
+        got = excess_zero_one_exact(rule, dataclasses.replace(base, cond_prob=recorded))
+        assert got.hex() == node_path.hex()
+        assert node_pieces == list(zip(a[at_ends], b[at_ends]))
+        assert len(node_pieces) == 3
+        blocks = -(-s.n // interpolation._WALK_BLOCK)
+        assert blocks > 1
+        # One p per block, and the guarded pieces' midpoints.
+        assert sum(mid_rows) == blocks + 3
+        assert max(mid_rows) <= interpolation._WALK_BLOCK
+        assert sum(node_rows) == 16 * 3
+
     def test_walk_holds_one_array_of_piece_values(self):
         # 2^18 points make an n-long float array 2 MiB.  Beyond the rule,
         # the walk holds one array of wrong-piece values (sized for every
@@ -406,6 +450,53 @@ class TestLinearWalk:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n
+
+
+def near(c):
+    """c, the two doubles on either side of it, and the points 6 to 10 ulps
+    of 1/2 and of 1 away from it on either side, around the guard width."""
+    steps = [j * np.spacing(w) for w in (0.5, 1.0) for j in range(6, 11)]
+    return ulp_neighbours(c) + [c + d for d in steps] + [c - d for d in steps]
+
+
+CONSTANT_DISTS = {name: DISTS[name] for name in
+                  ("constant-1d[0,1]", "constant-1d[-1,1]", "step-1d", "multi-cut-1d")}
+
+
+@st.composite
+def constant_segment_points(draw):
+    """(dist, x, y, walk block) for a task with piecewise-constant p, with
+    points on and around each cut and support end."""
+    dist = CONSTANT_DISTS[draw(st.sampled_from(sorted(CONSTANT_DISTS)))]
+    lo, hi = dist.support
+    pool = [-0.0] + [v for c in (lo, hi, *dist.cuts) for v in near(c)]
+    n = draw(st.integers(1, 40))
+    point = st.one_of(st.sampled_from(pool), st.floats(lo - 0.5, hi + 0.5))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return dist, x, y, draw(st.sampled_from([2, 5, interpolation._WALK_BLOCK]))
+
+
+class TestConstantSegments:
+    """On a ``piecewise_constant`` task the walk skips the nodes between a
+    segment's guarded ends; its outputs keep the node path's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(constant_segment_points())
+    def test_matches_the_node_path_bitwise(self, case):
+        dist, x, y, block = case
+        node_path = dataclasses.replace(dist, piecewise_constant=False)
+        s = sorted_sample(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interpolation, "_WALK_BLOCK", block)
+            for rule in rules_of(s):
+                assert excess_zero_one_exact(rule, dist).hex() == excess_zero_one_exact(rule, node_path).hex()
+
+    @pytest.mark.parametrize("case", sorted(golden.COMPARISON_CASES))
+    def test_comparison_rows_keep_their_golden_bits(self, case):
+        # Rewritten by tests/golden.py; a rewrite lists what moved in CHANGES.md.
+        want = json.loads(golden.PATH.read_text())["excess_risk_comparison"][case]
+        assert golden.moved(want, golden.comparison_rows(case)) == []
 
 
 class TestInputChecks:

@@ -130,6 +130,25 @@ class TestInfiniteForward:
         assert terms.optimization_error == math.inf
         assert math.isfinite(cfg.r_gd)
 
+    def test_standard_error_is_finite_when_the_squares_overflow(self):
+        # Past about 1e154, <w, x>^2 overflows; the standard error is then
+        # |<w, x>| times the one at unit scale, and no warning is raised.
+        # Below that it keeps the bits of the squared formula.
+        X = np.stack([np.linspace(-1.0, 1.0, 9), np.ones(9)], axis=1) / math.sqrt(2.0)
+        small = affine_teacher([0.7], bias=0.2, mc_features=20_000, mc_seed=4)
+        est, se = infinite_forward_batch(small, X)
+        M, count = small.mc_features, reference._feature_sample(small).count
+        lin = X @ small.vector
+        assert se.tolist() == np.sqrt(np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1)).tolist()
+        big = affine_teacher([0.7e200], bias=0.2e200, mc_features=20_000, mc_seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est_big, se_big = infinite_forward_batch(big, X)
+        assert np.all(np.isfinite(est_big)) and np.all(np.isfinite(se_big))
+        np.testing.assert_allclose(se_big, 1e200 * se, rtol=1e-12)
+        np.testing.assert_allclose(est_big, 1e200 * est, rtol=1e-12)
+        assert np.all(se_big[np.abs(lin) > 0] > 0)
+
     def test_model_from_config(self):
         m = model_from_config({"kind": "constant", "vector": [1.0, 0.0]})
         assert m.norm_bound == 1.0

@@ -13,11 +13,11 @@ import pytest
 from shallowcal.cli import main
 from shallowcal.diagnostics import gaussian_row_count_check
 from shallowcal.distributions import logistic_1d, make_distribution, sample, sphere_cap_teacher
-from shallowcal.harness import compute_bound_terms, derive_consistency, derive_regime
+from shallowcal.harness import compute_bound_terms, derive_consistency, derive_regime, sweep
 from shallowcal.interpolation import excess_risk_comparison
 from shallowcal.metrics import RULES, check
 from shallowcal.network import init_network
-from shallowcal.reference import InfiniteWidthModel, model_from_config
+from shallowcal.reference import InfiniteWidthModel, model_from_config, zero_model
 from shallowcal.trainer import TrainConfig, gd_step
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +43,10 @@ INTEGER_ENTRIES = {
     "init_network.m": lambda v: init_network(v, 2, 1.0, 0),
     "sphere_cap_teacher.d": lambda v: sphere_cap_teacher(d=v),
     "sample.n": lambda v: sample(TASK, v, 0),
+    "sweep.seeds": lambda v: sweep(CFG, "n", [8, 16], seeds=v),
+    "derive_regime.cap": lambda v: derive_regime("clairvoyant", 0.5, cap=v),
+    "derive_consistency.cap": lambda v: derive_consistency(64, 0.5, cap=v),
+    "zero_model.dim": lambda v: zero_model(v),
 }
 # Entries that take a number: a string, None and a bool are refused.
 NUMBER_ENTRIES = {
