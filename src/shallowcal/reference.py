@@ -215,7 +215,12 @@ def infinite_forward_batch(
         held.points, held.count = points, count
     count = held.count
     lin = X @ model.vector
-    est = lin * count / M
+    with np.errstate(over="ignore"):
+        est = lin * count / M
+    # Where lin c overflows, the estimate, at most |lin|, is still finite.
+    over = np.isinf(est) & np.isfinite(lin)
+    if over.any():
+        est[over] = lin[over] * (count[over] / M)
     with np.errstate(over="ignore", invalid="ignore"):
         se = np.sqrt(np.maximum(lin**2 * count / M - est**2, 0.0) / (M - 1))
     # Where lin^2 overflows, the same variance lin^2 q (1 - q) / (M - 1),

@@ -28,14 +28,29 @@ COMPARISON_CASES = {
 COMPARISON_GRID = (1_000, 10_000, 100_000)
 COMPARISON_SEED = 1
 
+# The ``interp-lb`` benchmark's configuration (``perfbench/workloads.py``):
+# ``constant-1d`` with p = 0.75 on [0, 1] up to n = 10^6, one trial, at two
+# fixed root seeds.
+INTERP_LB_CASE = ("constant-1d", {"p": 0.75, "lo": 0.0, "hi": 1.0})
+INTERP_LB_GRID = (10_000, 100_000, 1_000_000)
+INTERP_LB_SEEDS = (1, 2)
+
+
+def _hex_rows(case, grid, seed) -> list[dict]:
+    name, params = case
+    rows, _ = excess_risk_comparison(make_distribution(name, **params), grid, trials=1, seed=seed)
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
 
 def comparison_rows(case: str) -> list[dict]:
     """The case's rows, every float as ``float.hex``."""
-    name, params = COMPARISON_CASES[case]
-    rows, _ = excess_risk_comparison(
-        make_distribution(name, **params), COMPARISON_GRID, trials=1, seed=COMPARISON_SEED
-    )
-    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+    return _hex_rows(COMPARISON_CASES[case], COMPARISON_GRID, COMPARISON_SEED)
+
+
+def interp_lb_rows(seed: int) -> list[dict]:
+    """The ``interp-lb`` configuration's rows at root seed ``seed``, every
+    float as ``float.hex``."""
+    return _hex_rows(INTERP_LB_CASE, INTERP_LB_GRID, seed)
 
 
 def moved(want: list[dict], got: list[dict]) -> list[str]:
@@ -56,7 +71,10 @@ def moved(want: list[dict], got: list[dict]) -> list[str]:
 
 
 def main() -> None:
-    golden = {"excess_risk_comparison": {case: comparison_rows(case) for case in COMPARISON_CASES}}
+    golden = {
+        "excess_risk_comparison": {case: comparison_rows(case) for case in COMPARISON_CASES},
+        "interp_lb": {str(seed): interp_lb_rows(seed) for seed in INTERP_LB_SEEDS},
+    }
     PATH.write_text(json.dumps(golden, indent=1) + "\n")
 
 

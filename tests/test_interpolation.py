@@ -287,19 +287,44 @@ def multi_cut_points(draw):
     return x, y
 
 
+SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
+# ±0.0, the smallest subnormals and the ulp neighbours of ±1 and ±2: the
+# bit patterns where the sort key's sign flip and its |x| < 2 test turn.
+EDGE_DOUBLES = [v for c in (0.0, SMALLEST_SUBNORMAL, 1.0, 2.0) for v in ulp_neighbours(c) + ulp_neighbours(-c)]
+
+
+@st.composite
+def any_finite_points(draw, labels):
+    """(x, y): points from every finite double mixed with ``EDGE_DOUBLES``,
+    or only below 2 in magnitude, with or without ties; labels from
+    ``labels``."""
+    below_two = st.one_of(st.sampled_from([v for v in EDGE_DOUBLES if abs(v) < 2.0]),
+                          st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True))
+    anywhere = st.one_of(below_two, st.sampled_from(EDGE_DOUBLES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    point = draw(st.sampled_from([below_two, anywhere]))
+    n = draw(st.integers(1, 40))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n, unique=draw(st.booleans()))))
+    y = np.array(draw(st.lists(labels, min_size=n, max_size=n)))
+    return x, y
+
+
 class TestLinearWalk:
     """``sorted_sample`` and ``excess_zero_one_exact`` against the stable
     sort and the np.unique + predict integral, bit for bit."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(labeled_points())
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(labeled_points().map(lambda case: case[1:]),
+                     any_finite_points(st.sampled_from([-1.0, 1.0])),
+                     any_finite_points(st.floats(allow_nan=False, allow_infinity=False))))
     def test_sorted_sample_is_the_stable_order(self, case):
-        _, x, y = case
+        # The key sort where it applies, the stable argsort elsewhere: the
+        # same bits either way.
+        x, y = case
         s = sorted_sample(x, y)
         order = np.argsort(x, kind="stable")
-        np.testing.assert_array_equal(s.x, x[order])
-        np.testing.assert_array_equal(np.signbit(s.x), np.signbit(x[order]))
-        np.testing.assert_array_equal(s.y, y[order])
+        np.testing.assert_array_equal(s.x.view(np.int64), x[order].view(np.int64))
+        np.testing.assert_array_equal(s.y.view(np.int64), y[order].view(np.int64))
 
     @settings(max_examples=400, deadline=None)
     @given(labeled_points())
@@ -497,6 +522,12 @@ class TestConstantSegments:
         # Rewritten by tests/golden.py; a rewrite lists what moved in CHANGES.md.
         want = json.loads(golden.PATH.read_text())["excess_risk_comparison"][case]
         assert golden.moved(want, golden.comparison_rows(case)) == []
+
+    @pytest.mark.parametrize("seed", golden.INTERP_LB_SEEDS)
+    def test_interp_lb_rows_keep_their_golden_bits(self, seed):
+        # The interp-lb benchmark's configuration, up to n = 10^6.
+        want = json.loads(golden.PATH.read_text())["interp_lb"][str(seed)]
+        assert golden.moved(want, golden.interp_lb_rows(seed)) == []
 
 
 class TestInputChecks:

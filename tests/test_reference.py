@@ -149,6 +149,25 @@ class TestInfiniteForward:
         np.testing.assert_allclose(est_big, 1e200 * est, rtol=1e-12)
         assert np.all(se_big[np.abs(lin) > 0] > 0)
 
+    def test_estimate_is_finite_when_lin_times_count_overflows(self):
+        # <w, x> c overflows past about 1.8e308 / c; the estimate, at most
+        # |<w, x>|, is then <w, x> (c / M).  At unit scale it keeps the bits
+        # of <w, x> c / M.
+        X = np.array([[1.0], [-0.5], [0.25]])
+        small = linear_teacher([1.0], mc_features=100_000)
+        est, se = infinite_forward_batch(small, X)
+        M, count = small.mc_features, reference._feature_sample(small).count
+        lin = X @ small.vector
+        assert est.tolist() == (lin * count / M).tolist()
+        big = linear_teacher([5e305], mc_features=100_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est_big, se_big = infinite_forward_batch(big, X)
+        assert np.all(np.isfinite(est_big)) and np.all(np.isfinite(se_big))
+        assert est_big.tolist() == ((X @ big.vector) * (count / M)).tolist()
+        np.testing.assert_allclose(est_big, 5e305 * est, rtol=1e-12)
+        np.testing.assert_allclose(se_big, 5e305 * se, rtol=1e-12)
+
     def test_model_from_config(self):
         m = model_from_config({"kind": "constant", "vector": [1.0, 0.0]})
         assert m.norm_bound == 1.0

@@ -14,7 +14,7 @@ from shallowcal.cli import main
 from shallowcal.diagnostics import gaussian_row_count_check
 from shallowcal.distributions import logistic_1d, make_distribution, sample, sphere_cap_teacher
 from shallowcal.harness import compute_bound_terms, derive_consistency, derive_regime, sweep
-from shallowcal.interpolation import excess_risk_comparison
+from shallowcal.interpolation import excess_risk_comparison, knn_rule, sorted_sample
 from shallowcal.metrics import RULES, check
 from shallowcal.network import init_network
 from shallowcal.reference import InfiniteWidthModel, model_from_config, zero_model
@@ -36,6 +36,7 @@ INTEGER_ENTRIES = {
     "TrainConfig.t_max": lambda v: TrainConfig(eta=1.0, t_max=v),
     "excess_risk_comparison.trials": lambda v: excess_risk_comparison(TASK, [50], trials=v),
     "excess_risk_comparison.n": lambda v: excess_risk_comparison(TASK, [v], trials=1),
+    "knn_rule.k": lambda v: knn_rule(sorted_sample(np.linspace(0.0, 1.0, 5), np.ones(5)), v),
     "gaussian_row_count_check.m": lambda v: gaussian_row_count_check(m=v, tau=0.1, trials=1),
     "InfiniteWidthModel.mc_seed": lambda v: InfiniteWidthModel([1.0], mc_seed=v),
     "InfiniteWidthModel.mc_features": lambda v: InfiniteWidthModel([1.0], mc_features=v),
